@@ -10,7 +10,7 @@ approach uniform sampling.
 import numpy as np
 
 from repro.analysis import format_table
-from repro.core import ActiveLearner, RandGoodness, random_partition
+from repro.core import ActiveLearner, ALConfig, RandGoodness, random_partition
 
 BASES = (2.0, 10.0, 100.0)
 SEEDS = (3, 4)
@@ -25,8 +25,7 @@ def run_one(dataset, base, seed, refit):
         part,
         policy=RandGoodness(base=base),
         rng=rng,
-        max_iterations=ITERATIONS,
-        hyper_refit_interval=refit,
+        config=ALConfig(max_iterations=ITERATIONS, hyper_refit_interval=refit),
     )
     return learner.run()
 

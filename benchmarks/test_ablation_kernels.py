@@ -10,7 +10,7 @@ would buy.
 import numpy as np
 
 from repro.analysis import format_table
-from repro.core import ActiveLearner, MaxSigma, random_partition
+from repro.core import ActiveLearner, ALConfig, MaxSigma, random_partition
 from repro.gp import default_kernel
 
 KERNELS = {
@@ -31,9 +31,11 @@ def run_one(dataset, kernel_factory, seed, refit):
         part,
         policy=MaxSigma(),
         rng=rng,
-        kernel=kernel_factory(),
-        max_iterations=ITERATIONS,
-        hyper_refit_interval=refit,
+        config=ALConfig(
+            kernel=kernel_factory(),
+            max_iterations=ITERATIONS,
+            hyper_refit_interval=refit,
+        ),
     )
     return learner.run()
 

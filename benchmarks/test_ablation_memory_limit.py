@@ -9,7 +9,7 @@ candidate is predicted safe.
 import numpy as np
 
 from repro.analysis import format_table
-from repro.core import ActiveLearner, RGMA, random_partition
+from repro.core import ActiveLearner, ALConfig, RGMA, random_partition
 from repro.core.trajectory import StopReason
 
 SEEDS = (5, 6)
@@ -34,8 +34,7 @@ def run_one(dataset, limit, seed, refit):
         part,
         policy=RGMA(memory_limit_MB=limit),
         rng=rng,
-        max_iterations=ITERATIONS,
-        hyper_refit_interval=refit,
+        config=ALConfig(max_iterations=ITERATIONS, hyper_refit_interval=refit),
     )
     return learner.run()
 

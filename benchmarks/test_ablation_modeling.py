@@ -13,7 +13,7 @@ Three variants of the surrogate modeling, against the paper's baseline:
 import numpy as np
 
 from repro.analysis import format_table
-from repro.core import ActiveLearner, MaxSigma, random_partition
+from repro.core import ActiveLearner, ALConfig, MaxSigma, random_partition
 from repro.gp.local import LocalGPRegressor
 
 SEEDS = (0, 1)
@@ -30,10 +30,12 @@ def run_variant(dataset, seed, refit, **learner_kw):
         part,
         policy=MaxSigma(),
         rng=rng,
-        max_iterations=ITERATIONS,
-        hyper_refit_interval=refit,
-        weight_rmse_by_cost=True,
-        **learner_kw,
+        config=ALConfig(
+            max_iterations=ITERATIONS,
+            hyper_refit_interval=refit,
+            weight_rmse_by_cost=True,
+            **learner_kw,
+        ),
     )
     return learner.run()
 

@@ -12,7 +12,7 @@ models, memory-aware crash avoidance.
 import numpy as np
 
 from repro.analysis import format_table
-from repro.core import ActiveLearner, RGMA, random_partition
+from repro.core import ActiveLearner, ALConfig, RGMA, random_partition
 from repro.core.online import OnlineActiveLearner
 from repro.machine import JobRunner
 
@@ -32,8 +32,7 @@ def test_ablation_online_vs_offline(benchmark, report, dataset, memory_limit, be
             part,
             policy=RGMA(memory_limit_MB=memory_limit),
             rng=rng,
-            max_iterations=RUNS,
-            hyper_refit_interval=refit,
+            config=ALConfig(max_iterations=RUNS, hyper_refit_interval=refit),
         ).run()
         # Online: decide, execute on the simulated machine, learn.
         holder["online"] = OnlineActiveLearner(

@@ -1,6 +1,6 @@
 """Perf headline: multi-fidelity portfolios vs single-fidelity RGMA.
 
-The batch multi-fidelity learner buys most of its information at coarse
+A batch multi-fidelity portfolio buys most of its information at coarse
 fidelity rungs (low ``mx`` / shallow ``max_level``), each priced by the
 machine model at a fraction of the full-fidelity node-hour cost, and
 propagates it to the top-fidelity posterior through the co-kriging stack.
@@ -11,7 +11,7 @@ Two claims are pinned:
   regret while committing >= ``NODE_HOUR_TARGET``x fewer ledger
   node-hours for the same number of acquisitions — the coarse rungs do
   the exploring, the budget does the rationing;
-- **exact reduction**: at B=1/F=1 the portfolio learner reproduces
+- **exact reduction**: at B=1/F=1 a portfolio round reproduces
   sequential RGMA's selections bit-identically (same partitions, same
   rng streams), so the batch layer is a strict generalization, not a
   different algorithm.  The RGMA baselines fan out over
@@ -34,8 +34,8 @@ from pathlib import Path
 import numpy as np
 
 from repro.core import (
+    ActiveLearner,
     ALConfig,
-    MultiFidelityActiveLearner,
     PortfolioPolicy,
     RGMA,
     TrajectorySpec,
@@ -106,7 +106,7 @@ def _parity(dataset, memory_limit: float, workers: int) -> dict:
     rounds = 0
     for i, (_, traj) in enumerate(rgma):
         partition, rng = _seeded(i, dataset)
-        learner = MultiFidelityActiveLearner(
+        learner = ActiveLearner(
             dataset,
             partition,
             policy=PortfolioPolicy(memory_limit_MB=memory_limit),
@@ -162,7 +162,7 @@ def test_mf_portfolio_regret(dataset, memory_limit, bench_workers, report):
     mf_regrets, mf_nhs, mf_rmses, mf_coarse = [], [], [], []
     for i in range(seeds):
         partition, rng = _seeded(i, dataset)
-        learner = MultiFidelityActiveLearner(
+        learner = ActiveLearner(
             mf_dataset,
             partition,
             policy=PortfolioPolicy(memory_limit_MB=memory_limit),

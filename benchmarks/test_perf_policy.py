@@ -244,7 +244,7 @@ def _final_regret(dataset, make_policy_fn):
             partition,
             policy=make_policy_fn(),
             rng=np.random.default_rng([HOLDOUT_SEED, k, 1]),
-            max_iterations=REGRET_ITERATIONS,
+            config=ALConfig(max_iterations=REGRET_ITERATIONS),
         )
         regrets.append(learner.run().total_regret)
     return float(np.mean(regrets))

@@ -21,6 +21,7 @@ import numpy as np
 
 from repro import (
     ActiveLearner,
+    ALConfig,
     MaxSigma,
     RGMA,
     random_partition,
@@ -39,8 +40,7 @@ def run_phase2(dataset, policy, seed):
         partition,
         policy=policy,
         rng=rng,
-        max_iterations=ITERATIONS,
-        hyper_refit_interval=2,
+        config=ALConfig(max_iterations=ITERATIONS, hyper_refit_interval=2),
     )
     return learner.run()
 

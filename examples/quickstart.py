@@ -13,7 +13,13 @@ Run:  python examples/quickstart.py
 
 import numpy as np
 
-from repro import ActiveLearner, RandGoodness, random_partition, run_campaign
+from repro import (
+    ActiveLearner,
+    ALConfig,
+    RandGoodness,
+    random_partition,
+    run_campaign,
+)
 from repro.data import render_table1
 
 def main() -> None:
@@ -36,8 +42,8 @@ def main() -> None:
         partition,
         policy=RandGoodness(),
         rng=rng,
-        max_iterations=60,
-        hyper_refit_interval=2,  # refit hyperparameters every other step
+        # refit hyperparameters every other step
+        config=ALConfig(max_iterations=60, hyper_refit_interval=2),
     )
     print("Running 60 AL iterations with RandGoodness...")
     trajectory = learner.run()

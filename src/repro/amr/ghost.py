@@ -93,10 +93,6 @@ def tangential_half(patch_quad: Quadrant, face: int) -> int:
     return patch_quad.x & 1
 
 
-#: Backwards-compatible alias (pre-batching name).
-_tangential_half = tangential_half
-
-
 def exchange_ghosts(
     forest: Forest,
     patches: dict[tuple[int, Quadrant], Patch],

@@ -28,13 +28,13 @@ export observability state.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
-import warnings
 
 import numpy as np
 
 from repro import obs
-from repro.core import ActiveLearner, ALConfig, POLICIES, RGMA, random_partition
+from repro.core import ActiveLearner, ALConfig, POLICIES, random_partition
 from repro.data import load_csv, load_npz, render_table1, run_campaign, save_csv, save_npz
 from repro.faults import AcquisitionFaultModel, FaultConfig, RetryPolicy
 from repro.registry import policy_registry, surrogate_registry
@@ -153,18 +153,6 @@ def _parse_selector(spec: str) -> tuple[str, dict]:
     return name.strip(), opts
 
 
-def _deprecated(args: argparse.Namespace, flag: str, attr: str, replacement: str):
-    """Fold a legacy per-option flag into the selector options, warning once."""
-    value = getattr(args, attr, None)
-    if value is not None:
-        warnings.warn(
-            f"{flag} is deprecated; use {replacement}",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-    return value
-
-
 def _registry_selector(registry, kind: str):
     """Parse-time name validation for ``NAME[,key=value,...]`` selectors.
 
@@ -207,15 +195,6 @@ def _add_selection_args(p: argparse.ArgumentParser, default_policy=None) -> None
                    help="print registered policy names and exit")
     g.add_argument("--list-surrogates", action="store_true",
                    help="print registered surrogate names and exit")
-    d = p.add_argument_group("deprecated selection spellings")
-    d.add_argument("--policy-file", type=str, default=None,
-                   help="(deprecated) use --policy amortized,policy_file=PATH")
-    d.add_argument("--policy-epsilon", type=float, default=None,
-                   help="(deprecated) use --policy amortized,epsilon=EPS")
-    d.add_argument("--n-inducing", type=int, default=None,
-                   help="(deprecated) use --surrogate sparse,n_inducing=N")
-    d.add_argument("--exact-lml-max-n", type=int, default=None,
-                   help="(deprecated) use --surrogate iterative,exact_lml_max_n=N")
 
 
 def _add_fidelity_args(p: argparse.ArgumentParser) -> None:
@@ -242,50 +221,33 @@ def _maybe_list(args: argparse.Namespace) -> bool:
     return False
 
 
-def _selection_config(args: argparse.Namespace, default_policy: str) -> dict:
-    """``ALConfig`` fields from the consolidated selection flags.
+def _selection_config(args: argparse.Namespace, **fields) -> ALConfig:
+    """The run's ``ALConfig`` from the selection and fidelity flags.
 
-    Returns the ``policy``/``policy_options``/``surrogate``/
-    ``surrogate_options`` (plus fidelity-axis) kwargs; legacy per-option
-    flags fold into the option dicts with a ``DeprecationWarning``.
-    Explicit ``key=value`` suffixes win over legacy spellings.
+    ``--policy`` defaults to ``rand_goodness`` for sequential runs and to
+    ``portfolio`` for batch, budgeted, or multi-fidelity ones; ``fields``
+    are the command's remaining config fields.
     """
+    cfg = ALConfig(
+        num_fidelities=args.fidelities,
+        batch_size=args.batch_size,
+        round_budget_node_hours=args.round_budget,
+        fidelity_seed=args.fidelity_seed,
+        **fields,
+    )
+    default_policy = "rand_goodness" if cfg.sequential else "portfolio"
     policy_name, policy_opts = _parse_selector(args.policy or default_policy)
     surrogate_name, surrogate_opts = _parse_selector(args.surrogate)
-    pf = _deprecated(args, "--policy-file", "policy_file",
-                     "--policy amortized,policy_file=PATH")
-    if pf is not None:
-        policy_opts.setdefault("policy_file", pf)
-    eps = _deprecated(args, "--policy-epsilon", "policy_epsilon",
-                      "--policy amortized,epsilon=EPS")
-    if eps is not None:
-        policy_opts.setdefault("epsilon", eps)
-    ni = _deprecated(args, "--n-inducing", "n_inducing",
-                     "--surrogate sparse,n_inducing=N")
-    if ni is not None:
-        surrogate_opts.setdefault("n_inducing", ni)
-    lml = _deprecated(args, "--exact-lml-max-n", "exact_lml_max_n",
-                      "--surrogate iterative,exact_lml_max_n=N")
-    if lml is not None:
-        surrogate_opts.setdefault("exact_lml_max_n", lml)
     mem_limit = getattr(args, "memory_limit", None)
     if mem_limit:
         policy_opts.setdefault("memory_limit_MB", mem_limit)
-    cfg = {
-        "policy": policy_name,
-        "policy_options": policy_opts,
-        "surrogate": surrogate_name,
-        "surrogate_options": surrogate_opts,
-    }
-    if getattr(args, "fidelities", 1) != 1 or getattr(args, "batch_size", 1) != 1 \
-            or getattr(args, "round_budget", None) is not None:
-        cfg.update(
-            num_fidelities=args.fidelities,
-            batch_size=args.batch_size,
-            round_budget_node_hours=args.round_budget,
-            fidelity_seed=args.fidelity_seed,
-        )
-    return cfg
+    return dataclasses.replace(
+        cfg,
+        policy=policy_name,
+        policy_options=policy_opts,
+        surrogate=surrogate_name,
+        surrogate_options=surrogate_opts,
+    )
 
 
 def _add_run_cmd(sub: argparse._SubParsersAction) -> None:
@@ -343,69 +305,39 @@ def cmd_run(args: argparse.Namespace) -> int:
         obs.enable_tracing()
     rng = np.random.default_rng(args.seed)
     dataset = _load_dataset(args.dataset, rng)
-    mf_mode = (
-        args.fidelities != 1
-        or args.batch_size != 1
-        or args.round_budget is not None
-    )
-    try:
-        selection = _selection_config(
-            args, default_policy="portfolio" if mf_mode else "rand_goodness"
-        )
-        cfg = ALConfig(
-            max_iterations=args.iterations,
-            hyper_refit_interval=args.refit_interval,
-            log2_features=tuple(args.log2_features),
-            **selection,
-        )
-    except (KeyError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    if cfg.policy in ("rgma", "portfolio", "amortized"):
-        limit = dict(cfg.policy_options).get("memory_limit_MB") or dataset.memory_limit()
-        print(f"L_mem = {limit:.3f} MB")
-    partition = random_partition(
-        rng, len(dataset), n_init=args.n_init, n_test=args.n_test
-    )
     acq_faults = AcquisitionFaultModel(
         crash_probability=args.acq_crash_prob,
         censor_probability=args.acq_censor_prob,
     )
-    # The learner resolves the policy from the config
-    # (repro.policy.make_policy), so any registered policy works here.
-    if mf_mode:
-        if acq_faults.enabled:
-            print(
-                "error: --acq-* faults are supported only for sequential "
-                "(F=1, B=1) runs",
-                file=sys.stderr,
-            )
-            return 2
-        from repro.core import MultiFidelityActiveLearner
-        from repro.data import MultiFidelityDataset
-
-        ds = dataset
-        if cfg.num_fidelities > 1:
-            ds = MultiFidelityDataset.from_dataset(
-                dataset, cfg.resolved_schedule(), seed=cfg.fidelity_seed
-            )
-        learner = MultiFidelityActiveLearner(
-            ds, partition, rng=rng, config=cfg
-        )
-    else:
-        learner = ActiveLearner(
-            dataset,
-            partition,
-            rng=rng,
+    try:
+        cfg = _selection_config(
+            args,
+            max_iterations=args.iterations,
+            hyper_refit_interval=args.refit_interval,
+            log2_features=tuple(args.log2_features),
             acquisition_faults=acq_faults if acq_faults.enabled else None,
             on_failure=args.on_failure,
-            config=cfg,
         )
+        if cfg.policy in ("rgma", "portfolio", "amortized"):
+            limit = (
+                dict(cfg.policy_options).get("memory_limit_MB")
+                or dataset.memory_limit()
+            )
+            print(f"L_mem = {limit:.3f} MB")
+        partition = random_partition(
+            rng, len(dataset), n_init=args.n_init, n_test=args.n_test
+        )
+        # The learner resolves the policy from the config
+        # (repro.policy.make_policy), so any registered policy works here.
+        learner = ActiveLearner(cfg.priced(dataset), partition, rng=rng, config=cfg)
+    except (KeyError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     traj = learner.run()
     print(f"policy            : {traj.policy_name}")
     print(f"surrogate         : {learner.config.surrogate}")
     print(f"iterations        : {len(traj)}  (stop: {traj.stop_reason.value})")
-    if mf_mode:
+    if not cfg.sequential:
         fids = [r.fidelity for r in traj.records]
         mix = {f: fids.count(f) for f in sorted(set(fids))}
         print(
@@ -535,8 +467,10 @@ def cmd_trace(args: argparse.Namespace) -> int:
         partition,
         policy=POLICIES["rand_goodness"](),
         rng=rng,
-        max_iterations=args.iterations,
-        acquisition_faults=AcquisitionFaultModel(crash_probability=0.2),
+        config=ALConfig(
+            max_iterations=args.iterations,
+            acquisition_faults=AcquisitionFaultModel(crash_probability=0.2),
+        ),
     )
     traj = learner.run()
     print(
@@ -726,21 +660,13 @@ def _add_campaign_cmd(sub: argparse._SubParsersAction) -> None:
 def cmd_campaign_submit(args: argparse.Namespace) -> int:
     import functools
 
-    from repro.core import ALConfig, CampaignSpec
+    from repro.core import CampaignSpec
 
     if _maybe_list(args):
         return 0
-    mf_mode = (
-        args.fidelities != 1
-        or args.batch_size != 1
-        or args.round_budget is not None
-    )
     with _service_from_args(args) as service:
         try:
-            selection = _selection_config(
-                args, default_policy="portfolio" if mf_mode else "rand_goodness"
-            )
-            cfg = ALConfig(max_iterations=args.iterations, **selection)
+            cfg = _selection_config(args, max_iterations=args.iterations)
         except (KeyError, ValueError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
@@ -753,8 +679,7 @@ def cmd_campaign_submit(args: argparse.Namespace) -> int:
             if not path:
                 print(
                     "error: --policy amortized requires a policy file: "
-                    "pass --policy amortized,policy_file=PATH or the "
-                    "deprecated --policy-file PATH "
+                    "pass --policy amortized,policy_file=PATH "
                     "(train one with `python -m repro.policy train`)",
                     file=sys.stderr,
                 )

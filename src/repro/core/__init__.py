@@ -1,19 +1,23 @@
 """Cost- and memory-aware Active Learning (the paper's contribution).
 
-Implements Algorithm 1 (the AL loop over an offline dataset), the five
-candidate-selection policies of Sec. IV-B — RandUniform, MaxSigma, MinPred,
-RandGoodness, and RGMA (Algorithm 2) — and the evaluation metrics of
-Sec. V-B: test-set RMSE in non-log space, cumulative cost, and cumulative
-regret under a memory limit.
+Implements Algorithm 1 (the AL loop over an offline dataset, one
+acquisition round per step — sequential or budgeted batch multi-fidelity),
+the five candidate-selection policies of Sec. IV-B — RandUniform,
+MaxSigma, MinPred, RandGoodness, and RGMA (Algorithm 2) — plus the
+portfolio policy, and the evaluation metrics of Sec. V-B: test-set RMSE in
+non-log space, cumulative cost, and cumulative regret under a memory limit.
 
 Typical use::
 
-    from repro.core import ActiveLearner, random_partition, POLICIES
+    from repro.core import ActiveLearner, ALConfig, RGMA, random_partition
     from repro.data import run_campaign
 
     ds = run_campaign(rng).dataset
     part = random_partition(rng, len(ds), n_init=50, n_test=200)
-    learner = ActiveLearner(ds, part, policy=POLICIES["rgma"](memory_limit_MB=ds.memory_limit()), rng=rng)
+    learner = ActiveLearner(
+        ds, part, policy=RGMA(memory_limit_MB=ds.memory_limit()), rng=rng,
+        config=ALConfig(max_iterations=150),
+    )
     trajectory = learner.run()
 """
 
@@ -66,12 +70,7 @@ from repro.core.service import (
     dumps_campaign,
     loads_campaign,
 )
-from repro.core.portfolio import (
-    MultiFidelityActiveLearner,
-    PortfolioCandidateView,
-    PortfolioPolicy,
-)
-from repro.core.batch_selection import BATCH_STRATEGIES, BatchActiveLearner
+from repro.core.portfolio import PortfolioCandidateView, PortfolioPolicy
 from repro.core.online import OnlineActiveLearner, OnlineResult
 from repro.core.advisor import ConfigurationAdvisor, Recommendation
 from repro.core.stopping import (
@@ -124,11 +123,8 @@ __all__ = [
     "dataset_fingerprint",
     "dumps_campaign",
     "loads_campaign",
-    "MultiFidelityActiveLearner",
     "PortfolioCandidateView",
     "PortfolioPolicy",
-    "BatchActiveLearner",
-    "BATCH_STRATEGIES",
     "BatchConfig",
     "OnlineActiveLearner",
     "OnlineResult",

@@ -1,24 +1,24 @@
 """ALConfig: the resolved configuration of one Active-Learning run.
 
-:class:`~repro.core.loop.ActiveLearner` grew a dozen keyword arguments;
-this dataclass consolidates every knob that is *configuration* (as opposed
-to the run's data inputs — dataset, partition, policy, rng, which remain
-positional on the learner).  Benefits over loose kwargs:
+Every knob of :class:`~repro.core.loop.ActiveLearner` that is
+*configuration* (as opposed to the run's data inputs — dataset, partition,
+policy, rng) lives in this one validated, frozen value:
 
 - one value to validate, log, and pass around (``ActiveLearner(...,
-  config=cfg)``; the legacy keywords still work and are mapped onto a
-  config internally);
+  config=cfg)``);
 - :meth:`ALConfig.describe` renders the resolved configuration as a
   JSON-able dict, which the learner embeds in its
   :class:`~repro.core.trajectory.Trajectory` and the CLI embeds in
-  exported Chrome traces — runs are self-describing.
+  exported Chrome traces — runs are self-describing;
+- :meth:`ALConfig.fingerprint` hashes it, so the campaign service can
+  refuse to resume a checkpoint under a changed configuration.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Any, Callable
 
 from repro.core.stopping import StoppingRule
@@ -29,28 +29,63 @@ from repro.registry import policy_registry, surrogate_registry
 
 @dataclass(frozen=True)
 class ALConfig:
-    """Every tuning knob of Algorithm 1, in one validated value.
+    """Every tuning knob of Algorithm 1, in one validated value."""
 
-    Field semantics are documented on :class:`~repro.core.loop.ActiveLearner`
-    (they are the learner's former keyword arguments, unchanged).
-    """
-
+    #: Prior covariance for *both* models; ``None`` is the paper's
+    #: amplitude * RBF + noise (:func:`repro.gp.kernels.default_kernel`).
     kernel: Kernel | None = None
+    #: LML restarts on the initial fit (later fits warm-start).
     n_restarts: int = 2
+    #: Re-optimize hyperparameters every this many picks; in between, the
+    #: models are refactored on the enlarged training set with frozen
+    #: hyperparameters.  1 is the paper-faithful behaviour.
     hyper_refit_interval: int = 1
+    #: Extra early-termination heuristic (Sec. V-D); ``None`` never fires.
     stopping_rule: StoppingRule | None = None
+    #: Hard cap on selected samples (e.g. 150 for the Fig. 2 analysis),
+    #: checked when a round starts.
     max_iterations: int | None = None
+    #: Feature columns modeled through their log2 exponent (Sec. V-D:
+    #: powers-of-two features like the node count ``p``).
     log2_features: tuple[int, ...] = ()
+    #: Also record the cost-weighted test RMSE of Eq. (12) each round
+    #: (``rho = diag(test costs)``), the scale-dependent metric Sec. V-D
+    #: argues suits cost-efficient AL.
     weight_rmse_by_cost: bool = False
+    #: Zero-argument factory producing the surrogate for *each* of the cost
+    #: and memory responses — anything with the ``fit`` / ``refactor`` /
+    #: ``predict(return_std=True)`` surface of
+    #: :class:`~repro.gp.gpr.GPRegressor`, e.g.
+    #: :class:`repro.gp.local.LocalGPRegressor`.  Overrides ``kernel``,
+    #: ``n_restarts`` and ``surrogate``.
     model_factory: Callable[[], Any] | None = None
+    #: Maintain the candidate cross-covariance matrices across rounds
+    #: (:class:`~repro.core.loop.CandidateCovarianceCache`) instead of
+    #: rebuilding them every round.  Exact; disable only to benchmark or to
+    #: cross-check against the straight-line path.
     cache_candidates: bool = True
+    #: Failure model for the "run the experiment" step.  ``None`` (or a
+    #: disabled model) is the paper-faithful path, bit-identical to a
+    #: fault-free build; an enabled model makes each acquisition crash or
+    #: lose its MaxRSS, and the loop responds per ``on_failure``.  Spent
+    #: node-hours are charged either way.  Single-fidelity runs only.
     acquisition_faults: AcquisitionFaultModel | None = None
+    #: Response to a failed/censored acquisition: ``"drop"`` discards the
+    #: sample and consumes the iteration; ``"next_best"`` discards it and
+    #: selects a replacement in the next round; ``"impute"`` trains on the
+    #: GP posterior mean instead of the lost observation (censored
+    #: acquisitions impute only memory; the observed cost is kept).
     on_failure: FailurePolicy = FailurePolicy.NEXT_BEST
+    #: Evaluate hyperparameter refits through the cached kernel workspace
+    #: (:class:`repro.gp.kernels.KernelWorkspace`) extended across
+    #: acquisitions.  Ignored with a ``model_factory``; disable to force
+    #: the direct reference LML path (parity tests).
     use_workspace: bool = True
-    #: Which built-in surrogate backend backs the cost/memory models when
-    #: no ``model_factory`` is given: ``"dense"`` (exact GPRegressor),
-    #: ``"iterative"`` (CG/Lanczos large-n fast path) or ``"sparse"``
-    #: (DTC inducing points).
+    #: Registered surrogate backend (:data:`repro.registry.surrogate_registry`)
+    #: behind the cost/memory models when no ``model_factory`` is given:
+    #: ``"dense"`` (exact GPRegressor), ``"iterative"``, ``"sparse"``,
+    #: ``"local"``, ``"treed"``, or ``"multifidelity"`` (which a fidelity
+    #: axis selects automatically).
     surrogate: str = "dense"
     #: Extra constructor keywords for the selected surrogate backend
     #: (e.g. ``{"exact_lml_max_n": 2000}`` or ``{"n_inducing": 64}``),
@@ -58,10 +93,11 @@ class ALConfig:
     #: and its fingerprint deterministic.
     surrogate_options: tuple[tuple[str, Any], ...] = ()
     #: Declarative policy selection, used when the learner is constructed
-    #: without an explicit policy object: a name from
-    #: :data:`repro.core.policies.POLICIES` or ``"amortized"``
-    #: (the offline-trained zero-refit server, :mod:`repro.policy`).
-    #: ``None`` means the caller passes the policy object itself.
+    #: without an explicit policy object: a registered policy name
+    #: (:data:`repro.registry.policy_registry` — the Sec. IV-B algorithms,
+    #: ``"portfolio"``, or ``"amortized"``, the offline-trained zero-refit
+    #: server of :mod:`repro.policy`).  ``None`` means ``"rgma"`` for
+    #: :attr:`sequential` configurations and ``"portfolio"`` otherwise.
     policy: str | None = None
     #: Constructor keywords for the declared policy (e.g.
     #: ``{"policy_file": "policy.npz", "epsilon": 0.05}``), normalized
@@ -207,6 +243,19 @@ class ALConfig:
             "round_budget_node_hours": self.round_budget_node_hours,
         }
 
+    @property
+    def sequential(self) -> bool:
+        """One top-fidelity pick per round and no round budget.
+
+        The paper's Algorithm 1, which every selection policy can drive;
+        anything else needs a policy with a ``select_batch`` surface.
+        """
+        return (
+            self.num_fidelities == 1
+            and self.batch_size == 1
+            and self.round_budget_node_hours is None
+        )
+
     def resolved_schedule(self):
         """The :class:`~repro.data.fidelity.FidelitySchedule` declared here.
 
@@ -220,6 +269,22 @@ class ALConfig:
             return FidelitySchedule.from_pairs(self.fidelity_schedule)
         return default_schedule(self.num_fidelities)
 
+    def priced(self, dataset):
+        """The learner's data input for ``dataset`` under this config.
+
+        ``dataset`` itself at one fidelity; otherwise a
+        :class:`~repro.data.fidelity.MultiFidelityDataset` priced from
+        ``(resolved_schedule(), fidelity_seed)`` — a pure function of the
+        configuration, so every cold start sees identical surfaces.
+        """
+        from repro.data.fidelity import MultiFidelityDataset
+
+        if self.num_fidelities == 1:
+            return dataset
+        return MultiFidelityDataset.from_dataset(
+            dataset, self.resolved_schedule(), seed=self.fidelity_seed
+        )
+
     def fingerprint(self) -> str:
         """Short stable hash of :meth:`describe`.
 
@@ -231,8 +296,3 @@ class ALConfig:
         """
         blob = json.dumps(self.describe(), sort_keys=True).encode()
         return hashlib.sha1(blob).hexdigest()[:16]
-
-
-#: Names of the legacy ``ActiveLearner`` keyword arguments that map 1:1
-#: onto :class:`ALConfig` fields (everything except the data inputs).
-LEGACY_KWARGS: tuple[str, ...] = tuple(f.name for f in fields(ALConfig))

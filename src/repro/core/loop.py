@@ -1,12 +1,12 @@
 """Algorithm 1: the Active Learning procedure.
 
 The learner owns two GPR models — cost and memory — pre-fit on the Initial
-partition.  Each iteration it predicts over the remaining Active samples,
-asks the selection policy for a candidate, "runs the experiment" by looking
-the sample up in the offline dataset, moves it into the learned set, and
-retrains both models warm-started from the previous hyperparameters.
-Test-set RMSE, cumulative cost, and cumulative regret are recorded after
-every iteration.
+partition.  Each round it predicts over the remaining Active samples, asks
+the selection policy for up to ``batch_size`` candidates, "runs the
+experiments" by looking the samples up in the offline dataset, moves them
+into the learned set, and retrains both models once, warm-started from the
+previous hyperparameters.  Test-set RMSE, cumulative cost, and cumulative
+regret are recorded for every selected sample.
 """
 
 from __future__ import annotations
@@ -21,17 +21,13 @@ from repro.core.metrics import individual_regret, rmse_nonlog
 from repro.core.partitions import Partition
 from repro.core.policies import CandidateView, SelectionPolicy
 from repro.core.preprocessing import DesignTransform
-from repro.core.stopping import NoEarlyStopping, StoppingRule
+from repro.core.stopping import NoEarlyStopping
 from repro.core.trajectory import IterationRecord, StopReason, Trajectory
 from repro.data.dataset import Dataset
-from repro.faults.acquisition import (
-    AcquisitionFaultModel,
-    AcquisitionOutcome,
-    FailurePolicy,
-)
+from repro.data.fidelity import MultiFidelityDataset
+from repro.faults.acquisition import AcquisitionOutcome, FailurePolicy
 from repro.faults.model import FaultEvent, FaultKind
-from repro.gp.gpr import GPRegressor
-from repro.gp.kernels import Kernel, default_kernel
+from repro.gp.kernels import default_kernel
 from repro.gp.surrogate import (
     build_surrogate,
     cross_appends,
@@ -39,11 +35,7 @@ from repro.gp.surrogate import (
     cross_version,
     supports_cross,
 )
-
-#: Sentinel distinguishing "legacy kwarg not passed" from any real value,
-#: so explicitly passed legacy kwargs override an ``ALConfig`` while
-#: omitted ones defer to it.
-_UNSET = object()
+from repro.machine.accounting import CampaignLedger
 
 
 class CandidateCovarianceCache:
@@ -154,144 +146,95 @@ class CandidateCovarianceCache:
 
 
 class ActiveLearner:
-    """Runs Algorithm 1 on an offline dataset.
+    """Runs Algorithm 1 on an offline dataset, one acquisition round per step.
+
+    A round scores the remaining candidates, takes up to
+    ``config.batch_size`` picks, runs every pick through one observation
+    path (node-hour charge, regret, acquisition faults, candidate caches,
+    per-fidelity training sets), then refits the models once.  Sequential
+    policies (``select``) run the paper's one-pick round; policies with a
+    ``select_batch`` surface (:class:`~repro.core.portfolio.PortfolioPolicy`)
+    pick budgeted batches of (point, fidelity) pairs, and reduce to RGMA
+    draw for draw at one pick, one fidelity, and no round budget.
 
     Parameters
     ----------
-    dataset : Dataset
-        Precomputed job table (features + cost/memory responses).
+    dataset : Dataset or MultiFidelityDataset
+        The offline job table.  Multi-fidelity configurations need its
+        priced fidelity surfaces (:meth:`ALConfig.priced`); the config is
+        then normalized to the dataset's fidelity axis and the
+        ``"multifidelity"`` co-kriging surrogate.
     partition : Partition
         Initial / Active / Test split.
-    policy : SelectionPolicy, optional
-        One of the Sec. IV-B algorithms (:mod:`repro.core.policies`) or
-        any other implementation of the protocol — e.g. the zero-refit
+    policy : optional
+        One of the Sec. IV-B algorithms (:mod:`repro.core.policies`), a
+        :class:`~repro.core.portfolio.PortfolioPolicy`, or any other
+        implementation of the protocol — e.g. the zero-refit
         :class:`repro.policy.AmortizedPolicy`.  ``None`` instantiates the
-        policy declared by ``config.policy`` / ``config.policy_options``
-        (:func:`repro.policy.make_policy`); a policy with
-        ``requires_surrogate = False`` switches the loop into zero-refit
-        mode (no GP fit/refactor/RMSE anywhere).
+        policy ``config`` declares (:func:`repro.policy.make_policy`); a
+        policy with ``requires_surrogate = False`` switches the loop into
+        zero-refit mode (no GP fit/refactor/RMSE anywhere).
     rng : numpy.random.Generator
-        Drives randomized policies and GPR restarts (required).
-    kernel : Kernel, optional
-        Prior covariance for *both* models; defaults to the paper's
-        amplitude * RBF + noise.
-    n_restarts : int
-        LML restarts on the initial fit (later fits warm-start).
-    hyper_refit_interval : int
-        Re-optimize hyperparameters every this many iterations; in between,
-        the models are refactored on the enlarged training set with frozen
-        hyperparameters.  1 (default) is the paper-faithful behaviour.
-    stopping_rule : StoppingRule, optional
-        Extra early-termination heuristic (Sec. V-D); default never fires.
-    max_iterations : int, optional
-        Hard cap on AL iterations (e.g. 150 for the Fig. 2 analysis).
-    log2_features : iterable of int, optional
-        Feature columns to model through their log2 exponent (Sec. V-D:
-        powers-of-two features like the node count ``p``).
-    weight_rmse_by_cost : bool
-        Also record the cost-weighted test RMSE of Eq. (12) each iteration
-        (``rho = diag(test costs)``), the scale-dependent metric Sec. V-D
-        argues suits cost-efficient AL.
-    model_factory : callable, optional
-        Zero-argument factory producing the surrogate model for *each* of
-        the cost and memory responses.  Anything with the
-        ``fit`` / ``refactor`` / ``predict(return_std=True)`` surface of
-        :class:`~repro.gp.gpr.GPRegressor` works — e.g.
-        :class:`repro.gp.local.LocalGPRegressor` (the paper's "multiple
-        local performance models" future work).  Overrides ``kernel`` and
-        ``n_restarts``.
-    cache_candidates : bool
-        Maintain the candidate cross-covariance matrices across iterations
-        (:class:`CandidateCovarianceCache`) instead of rebuilding them for
-        every :meth:`_candidate_view`.  Exact; disable only to benchmark
-        or to cross-check against the straight-line path.
-    acquisition_faults : AcquisitionFaultModel, optional
-        Failure model for the "run the experiment" step.  ``None`` (or a
-        disabled model) takes the paper-faithful path, bit-identical to a
-        fault-free build; an enabled model makes each acquisition crash or
-        lose its MaxRSS with the configured probabilities, and the loop
-        responds per ``on_failure``.  Spent node-hours are charged either
-        way — a crashed experiment still burned its allocation.
-    on_failure : FailurePolicy or str
-        Response to a failed/censored acquisition:
-
-        - ``"drop"`` — discard the sample; the iteration is consumed and
-          the models are left untouched.
-        - ``"next_best"`` (default) — discard the sample and immediately
-          re-ask the policy for a replacement within the same iteration.
-        - ``"impute"`` — train on the GP posterior mean at the point
-          instead of the lost observation (censored acquisitions impute
-          only the memory response; the observed cost is kept).
-    use_workspace : bool
-        Forwarded to both default :class:`GPRegressor` models: evaluate
-        hyperparameter refits through the cached kernel workspace
-        (:class:`repro.gp.kernels.KernelWorkspace`) extended across
-        acquisitions.  Ignored when ``model_factory`` is given.  Disable
-        to force the direct reference LML path (parity tests).
+        Drives randomized policies, GPR restarts, and acquisition faults
+        (required).
     config : ALConfig, optional
-        All of the above knobs as one validated value
-        (:class:`repro.core.config.ALConfig`).  Legacy keywords passed
-        explicitly override the corresponding config fields; the resolved
-        configuration is available as ``self.config`` and embedded in the
-        returned :class:`~repro.core.trajectory.Trajectory`.
+        Every tuning knob, validated (:class:`repro.core.config.ALConfig`);
+        available as ``self.config`` and embedded in the returned
+        :class:`~repro.core.trajectory.Trajectory`.
     """
 
     def __init__(
         self,
-        dataset: Dataset,
+        dataset: Dataset | MultiFidelityDataset,
         partition: Partition,
         policy: SelectionPolicy | None = None,
         rng: np.random.Generator | None = None,
-        kernel: Kernel | None = _UNSET,
-        n_restarts: int = _UNSET,
-        hyper_refit_interval: int = _UNSET,
-        stopping_rule: StoppingRule | None = _UNSET,
-        max_iterations: int | None = _UNSET,
-        log2_features=_UNSET,
-        weight_rmse_by_cost: bool = _UNSET,
-        model_factory=_UNSET,
-        cache_candidates: bool = _UNSET,
-        acquisition_faults: AcquisitionFaultModel | None = _UNSET,
-        on_failure: FailurePolicy | str = _UNSET,
-        use_workspace: bool = _UNSET,
-        surrogate: str = _UNSET,
-        surrogate_options=_UNSET,
         config: ALConfig | None = None,
     ) -> None:
-        overrides = {
-            name: value
-            for name, value in (
-                ("kernel", kernel),
-                ("n_restarts", n_restarts),
-                ("hyper_refit_interval", hyper_refit_interval),
-                ("stopping_rule", stopping_rule),
-                ("max_iterations", max_iterations),
-                ("log2_features", log2_features),
-                ("weight_rmse_by_cost", weight_rmse_by_cost),
-                ("model_factory", model_factory),
-                ("cache_candidates", cache_candidates),
-                ("acquisition_faults", acquisition_faults),
-                ("on_failure", on_failure),
-                ("use_workspace", use_workspace),
-                ("surrogate", surrogate),
-                ("surrogate_options", surrogate_options),
-            )
-            if value is not _UNSET
-        }
-        base = config if config is not None else ALConfig()
-        # replace() re-runs ALConfig.__post_init__, so overrides are
-        # validated and normalized exactly like direct construction.
-        cfg = _dc_replace(base, **overrides) if overrides else base
-        self.config = cfg
-
         if rng is None:
             raise ValueError("rng is required")
+        cfg = config if config is not None else ALConfig()
+        mf = None
+        if isinstance(dataset, MultiFidelityDataset):
+            # Normalize the config to the dataset's fidelity axis, so
+            # describe()/fingerprint() reflect the run's real identity.
+            cfg = _dc_replace(
+                cfg,
+                num_fidelities=dataset.num_fidelities,
+                fidelity_schedule=tuple(dataset.schedule.describe()),
+            )
+            mf, dataset = dataset, dataset.base
+        elif cfg.num_fidelities > 1:
+            raise ValueError(
+                "multi-fidelity configurations need a MultiFidelityDataset "
+                "(price one with ALConfig.priced)"
+            )
+        if cfg.num_fidelities > 1:
+            # Only a fidelity axis changes the surrogate: the co-kriging stack.
+            opts = dict(cfg.surrogate_options)
+            opts["num_fidelities"] = cfg.num_fidelities
+            cfg = _dc_replace(cfg, surrogate="multifidelity", surrogate_options=opts)
+            faults = cfg.acquisition_faults
+            if faults is not None and faults.enabled:
+                raise ValueError(
+                    "acquisition faults are modelled at the top fidelity "
+                    "only (num_fidelities=1)"
+                )
+        self.config = cfg
+
         if policy is None:
             # Instantiate from the config's declarative policy selection
             # (lazy import: repro.policy depends on this module).
             from repro.policy import make_policy
 
             policy = make_policy(cfg, dataset)
+        self._batch = hasattr(policy, "select_batch")
+        if not self._batch and not cfg.sequential:
+            raise ValueError(
+                f"policy {policy.name!r} has no select_batch surface; batch, "
+                "budgeted, and multi-fidelity rounds need a "
+                "PortfolioPolicy-style policy"
+            )
         # Policies that never consult a surrogate (the amortized server)
         # switch the loop into zero-refit mode: no GP fit, refactor, or
         # RMSE evaluation anywhere on the serving path.
@@ -317,17 +260,20 @@ class ActiveLearner:
         self.partition = partition
         self.policy = policy
         self.rng = rng
-        self.hyper_refit_interval = cfg.hyper_refit_interval
         self.stopping_rule = (
             cfg.stopping_rule if cfg.stopping_rule is not None else NoEarlyStopping()
         )
-        self.max_iterations = cfg.max_iterations
-        self.weight_rmse_by_cost = cfg.weight_rmse_by_cost
 
         self.scaler = DesignTransform(dataset.bounds, log2_columns=cfg.log2_features)
         self._U = self.scaler.transform(dataset.X)  # all features, unit cube
         self._log_cost = dataset.log_cost()
         self._log_mem = dataset.log_mem()
+        # Sub-top fidelities (F > 1 only): priced surfaces and the points
+        # observed at each rung.  The top fidelity lives in the lists below.
+        self._mf = mf if cfg.num_fidelities > 1 else None
+        self._lofi_learned: list[list[int]] = [
+            [] for _ in range(cfg.num_fidelities - 1)
+        ]
 
         if cfg.model_factory is not None:
             self.gpr_cost = cfg.model_factory()
@@ -352,9 +298,6 @@ class ActiveLearner:
                 for k in kernels
             )
 
-        self.acquisition_faults = cfg.acquisition_faults
-        self.on_failure = cfg.on_failure
-
         # Mutable AL state.  The cost and memory models keep separate
         # learned lists because a censored acquisition (MaxRSS lost) feeds
         # only the cost model; targets ride along so the impute policy can
@@ -364,7 +307,6 @@ class ActiveLearner:
         self._targets_cost: list[float] = []
         self._learned_mem: list[int] = []
         self._targets_mem: list[float] = []
-        self.cache_candidates = cfg.cache_candidates
         self._cache_cost = CandidateCovarianceCache(self.gpr_cost)
         self._cache_mem = CandidateCovarianceCache(self.gpr_mem)
 
@@ -383,6 +325,14 @@ class ActiveLearner:
         self._prev_rmse = (float("nan"), float("nan"), float("nan"))
         self._memory_limit: float | None = None
 
+    @property
+    def hyper_refit_interval(self) -> int:
+        return self.config.hyper_refit_interval
+
+    @property
+    def on_failure(self) -> FailurePolicy:
+        return self.config.on_failure
+
     # ---------------------------------------------------------------- helpers
 
     def _train_indices(self) -> np.ndarray:
@@ -390,22 +340,16 @@ class ActiveLearner:
             [self.partition.init_idx, np.asarray(self._learned, dtype=np.int64)]
         )
 
-    def _learn_observed(self, ds_indices) -> None:
-        """Add fully observed samples (true targets) to both models.
-
-        The helper subclasses (e.g. the batch learner) must use instead of
-        touching ``_learned`` directly, so the per-model target lists stay
-        aligned with the index lists.
-        """
-        for ds_index in ds_indices:
-            ds_index = int(ds_index)
-            self._learned.append(ds_index)
-            self._targets_cost.append(float(self._log_cost[ds_index]))
-            self._learned_mem.append(ds_index)
-            self._targets_mem.append(float(self._log_mem[ds_index]))
-
     def _fit_models(self, optimize: bool = True) -> None:
         init = self.partition.init_idx
+        # (cost rows, cost targets, mem rows, mem targets) per fidelity, low
+        # to high; every rung shares the Initial partition.
+        levels = []
+        for f, learned in enumerate(self._lofi_learned):
+            idx = np.concatenate([init, np.asarray(learned, dtype=np.int64)])
+            levels.append(
+                (idx, self._mf.log_cost(f)[idx], idx, self._mf.log_mem(f)[idx])
+            )
         idx_c = np.concatenate([init, np.asarray(self._learned, dtype=np.int64)])
         y_c = np.concatenate(
             [self._log_cost[init], np.asarray(self._targets_cost, dtype=np.float64)]
@@ -414,20 +358,39 @@ class ActiveLearner:
         y_m = np.concatenate(
             [self._log_mem[init], np.asarray(self._targets_mem, dtype=np.float64)]
         )
-        with obs.span("gp_fit", cat="al", optimize=optimize, n=int(idx_c.shape[0])):
+        levels.append((idx_c, y_c, idx_m, y_m))
+        if len(levels) == 1:
+            X_c, X_m = self._U[idx_c], self._U[idx_m]
+        else:
+            # The co-kriging stack reads each row's fidelity from a
+            # trailing column.
+            def stacked(col):
+                return np.vstack(
+                    [
+                        np.column_stack(
+                            [self._U[lv[col]], np.full(lv[col].shape[0], float(f))]
+                        )
+                        for f, lv in enumerate(levels)
+                    ]
+                )
+
+            X_c, X_m = stacked(0), stacked(2)
+            y_c = np.concatenate([lv[1] for lv in levels])
+            y_m = np.concatenate([lv[3] for lv in levels])
+        with obs.span("gp_fit", cat="al", optimize=optimize, n=int(X_c.shape[0])):
             if optimize:
-                self.gpr_cost.fit(self._U[idx_c], y_c)
-                self.gpr_mem.fit(self._U[idx_m], y_m)
+                self.gpr_cost.fit(X_c, y_c)
+                self.gpr_mem.fit(X_m, y_m)
             else:
-                self.gpr_cost.refactor(self._U[idx_c], y_c)
-                self.gpr_mem.refactor(self._U[idx_m], y_m)
+                self.gpr_cost.refactor(X_c, y_c)
+                self.gpr_mem.refactor(X_m, y_m)
 
     def _test_rmse(self) -> tuple[float, float, float]:
         t = self.partition.test_idx
         mu_c = self.gpr_cost.predict(self._U[t])
         mu_m = self.gpr_mem.predict(self._U[t])
         weighted = float("nan")
-        if self.weight_rmse_by_cost:
+        if self.config.weight_rmse_by_cost:
             weighted = rmse_nonlog(mu_c, self.dataset.cost[t], weights=self.dataset.cost[t])
         return (
             rmse_nonlog(mu_c, self.dataset.cost[t]),
@@ -445,7 +408,7 @@ class ActiveLearner:
             return CandidateView(
                 X=U, mu_cost=nan, sigma_cost=nan, mu_mem=nan, sigma_mem=nan
             )
-        if self.cache_candidates:
+        if self.config.cache_candidates:
             mu_c, sd_c = self._cache_cost.predict(U)
             mu_m, sd_m = self._cache_mem.predict(U)
         else:
@@ -454,6 +417,63 @@ class ActiveLearner:
         return CandidateView(
             X=U, mu_cost=mu_c, sigma_cost=sd_c, mu_mem=mu_m, sigma_mem=sd_m
         )
+
+    def _portfolio_view(self, top: CandidateView):
+        """Stack the sub-top fidelities' predictions under ``top``."""
+        from repro.core.portfolio import PortfolioCandidateView
+
+        idx = np.asarray(self._remaining, dtype=np.int64)
+        F, m = self.config.num_fidelities, idx.shape[0]
+        mu_c, sd_c, mu_m = np.empty((F, m)), np.empty((F, m)), np.empty((F, m))
+        mu_c[F - 1], sd_c[F - 1] = top.mu_cost, top.sigma_cost
+        mu_m[F - 1] = top.mu_mem
+        blocked = np.zeros((F, m), dtype=bool)
+        for f, learned in enumerate(self._lofi_learned):
+            mu_c[f], sd_c[f] = self.gpr_cost.predict_fidelity(
+                top.X, f, return_std=True
+            )
+            mu_m[f] = self.gpr_mem.predict_fidelity(top.X, f)
+            blocked[f] = np.isin(idx, learned)  # one observation per pair
+        weights = np.ones(1)
+        if F > 1:
+            weights = np.abs(self.gpr_cost.fidelity_weights(F - 1))
+        return PortfolioCandidateView(
+            X=top.X,
+            mu_cost=mu_c,
+            sigma_cost=sd_c,
+            mu_mem=mu_m,
+            weights=weights,
+            blocked=blocked,
+        )
+
+    def _conditioner(self, U: np.ndarray):
+        """Y-free in-batch sigma deflation by one pick's *prior* covariance.
+
+        At one fidelity this reads the fitted ``kernel_`` directly (a
+        surrogate without one gets no conditioning); the co-kriging stack
+        contributes every rung the two pairs share.
+        """
+        model, F = self.gpr_cost, self.config.num_fidelities
+
+        def deflate(sigma: np.ndarray, pos: int, fid: int) -> np.ndarray:
+            u = U[pos]
+            if F == 1:
+                kernel = getattr(model, "kernel_", None)
+                if kernel is None:
+                    return sigma
+                denom = float(kernel.diag(u[None, :])[0])
+                covs = [kernel(U, u[None, :]).ravel()]
+            else:
+                denom = model.prior_var_fidelity(u, fid)
+                covs = [model.prior_cov_fidelity(U, fq, u, fid) for fq in range(F)]
+            if not np.isfinite(denom) or denom <= 0:
+                return sigma
+            var = sigma * sigma
+            for fq, c in enumerate(covs):
+                var[fq] = np.maximum(var[fq] - (c * c) / denom, 0.0)
+            return np.sqrt(var)
+
+        return deflate
 
     # -------------------------------------------------------------------- run
 
@@ -509,6 +529,11 @@ class ActiveLearner:
         """Node-hours charged so far (the campaign ledger's feed)."""
         return self._cum_cost
 
+    @property
+    def ledger(self) -> CampaignLedger:
+        """Lifetime ledger of the node-hours this learner's picks committed."""
+        return CampaignLedger(committed_node_hours=self._cum_cost)
+
     def start(self) -> None:
         """Pre-AL initialization: initial fit + baseline RMSE (idempotent).
 
@@ -548,14 +573,16 @@ class ActiveLearner:
         self._started = True
 
     def step(self) -> bool:
-        """One selection attempt; returns False once the run has ended.
+        """One acquisition round; returns False once the run has ended.
 
-        Exactly one pass of Algorithm 1's loop body: at most one candidate
-        leaves the pool, and the ``next_best`` failure path consumes a step
-        without advancing the iteration counter (a replacement is selected
-        on the following step), matching the historical in-loop ``continue``.
-        The learner may be pickled between any two calls and the restored
-        copy continues the identical sequence.
+        Exactly one pass of Algorithm 1's loop body, taking up to
+        ``config.batch_size`` picks.  ``max_iterations`` counts picks and
+        is checked when a round starts.  The ``next_best`` failure path
+        consumes a pick without advancing the iteration counter (a
+        replacement is selected in the following round), matching the
+        historical in-loop ``continue``.  The learner may be pickled
+        between any two calls and the restored copy continues the
+        identical sequence.
         """
         if not self._started:
             self.start()
@@ -565,165 +592,222 @@ class ActiveLearner:
             self._stop = StopReason.EXHAUSTED
             return False
 
-        faults = self.acquisition_faults
-        faults_on = faults is not None and faults.enabled
+        cfg = self.config
         iteration = self._iteration
-
         with obs.span(
             "al_iteration",
             cat="al",
             iteration=iteration,
             pool=len(self._remaining),
         ):
-            if self.max_iterations is not None and iteration >= self.max_iterations:
+            if cfg.max_iterations is not None and iteration >= cfg.max_iterations:
                 self._stop = StopReason.MAX_ITERATIONS
                 return False
             view = self._candidate_view()
             if self.stopping_rule.update(view.mu_cost, view.sigma_cost):
                 self._stop = StopReason.STOPPING_RULE
                 return False
-            pos = self.policy.select(view, self.rng)
-            if pos is None:
-                self._stop = StopReason.MEMORY_CONSTRAINED
-                return False
-            ds_index = self._remaining.pop(pos)
-            outcome = faults.strike(self.rng) if faults_on else AcquisitionOutcome.OK
-
-            # The experiment ran (or died trying): its node-hours are
-            # spent regardless of whether the observation is usable.
-            cost = float(self.dataset.cost[ds_index])
-            mem = float(self.dataset.mem[ds_index])
-            self._cum_cost += cost
-            if self._memory_limit is not None:
-                self._cum_regret += individual_regret(cost, mem, self._memory_limit)
-
-            crashed = outcome is AcquisitionOutcome.CRASHED
-            censored = outcome is AcquisitionOutcome.CENSORED
-            if crashed and self.on_failure is not FailurePolicy.IMPUTE:
-                # The sample is lost entirely: remove it from the cached
-                # cross-covariances (row only — it never joins the kernel)
-                # and leave both models untouched.
-                if self.cache_candidates:
-                    self._cache_cost.drop(pos)
-                    self._cache_mem.drop(pos)
-                if self._policy_hooks:
-                    self.policy.observe_drop(pos, cost=cost)
-                obs.event(
-                    "acquisition_fault",
-                    cat="al",
-                    kind="crash",
-                    dataset_index=int(ds_index),
-                    handled=self.on_failure.value,
+            if self._batch:
+                view = self._portfolio_view(view)
+                budget = cfg.round_budget_node_hours
+                picks = self.policy.select_batch(
+                    view,
+                    self.rng,
+                    ledger=(
+                        None
+                        if budget is None
+                        else CampaignLedger(budget_node_hours=budget)
+                    ),
+                    batch_size=cfg.batch_size,
+                    conditioner=(
+                        self._conditioner(view.X) if cfg.batch_size > 1 else None
+                    ),
                 )
-                self._fault_events.append(
-                    FaultEvent(
-                        job_id=int(ds_index),
-                        attempt=iteration,
-                        kind=FaultKind.CRASH,
-                        lost_wall_seconds=float(self.dataset.wall[ds_index]),
-                        nodes=int(self.dataset.X[ds_index, 0]),
-                        detail=f"acquisition crashed ({self.on_failure.value})",
-                    )
-                )
-                self._records.append(
-                    IterationRecord(
-                        iteration=iteration,
-                        dataset_index=int(ds_index),
-                        cost=cost,
-                        mem=mem,
-                        rmse_cost=self._prev_rmse[0],
-                        rmse_mem=self._prev_rmse[1],
-                        cumulative_cost=self._cum_cost,
-                        cumulative_regret=self._cum_regret,
-                        rmse_cost_weighted=self._prev_rmse[2],
-                        failed=True,
-                    )
-                )
-                if self.on_failure is not FailurePolicy.NEXT_BEST:
-                    self._iteration += 1  # DROP: the iteration is consumed
-                return True  # NEXT_BEST: replacement selected next step
-
-            # The sample (or an imputation of it) joins the training sets.
-            u_new = self._U[ds_index]
-            target_cost = float(self._log_cost[ds_index])
-            target_mem = float(self._log_mem[ds_index])
-            learn_mem = True
-            if crashed:  # IMPUTE policy: both observations were lost
-                target_cost = float(self.gpr_cost.predict(u_new[None, :])[0])
-                target_mem = float(self.gpr_mem.predict(u_new[None, :])[0])
-            elif censored:  # cost observed, MaxRSS lost
-                if self.on_failure is FailurePolicy.IMPUTE:
-                    target_mem = float(self.gpr_mem.predict(u_new[None, :])[0])
-                else:
-                    learn_mem = False
-
-            self._learned.append(ds_index)
-            self._targets_cost.append(target_cost)
-            if learn_mem:
-                self._learned_mem.append(ds_index)
-                self._targets_mem.append(target_mem)
-            if self.cache_candidates and not self._zero_refit:
-                U_rem = self._U[np.asarray(self._remaining, dtype=np.int64)]
-                self._cache_cost.acquire(pos, U_rem, u_new)
-                if learn_mem:
-                    self._cache_mem.acquire(pos, U_rem, u_new)
-                else:
-                    self._cache_mem.drop(pos)
-            if self._policy_hooks:
-                self.policy.observe_acquire(
-                    pos,
-                    u_new,
-                    cost=cost,
-                    target_cost=target_cost,
-                    target_mem=target_mem,
-                    learn_mem=learn_mem,
-                )
-            if crashed or censored:
-                obs.event(
-                    "acquisition_fault",
-                    cat="al",
-                    kind="crash" if crashed else "rss_lost",
-                    dataset_index=int(ds_index),
-                    handled=self.on_failure.value,
-                )
-                self._fault_events.append(
-                    FaultEvent(
-                        job_id=int(ds_index),
-                        attempt=iteration,
-                        kind=FaultKind.CRASH if crashed else FaultKind.RSS_LOST,
-                        lost_wall_seconds=(
-                            float(self.dataset.wall[ds_index]) if crashed else 0.0
-                        ),
-                        nodes=int(self.dataset.X[ds_index, 0]),
-                        detail=f"handled via {self.on_failure.value}",
-                    )
-                )
-
-            if self._zero_refit:
-                # The whole point: no fit, no refactor, no RMSE pass.
-                rmse_c, rmse_m, rmse_w = self._prev_rmse
             else:
-                optimize = (iteration % self.hyper_refit_interval) == 0
-                self._fit_models(optimize=optimize)
-                rmse_c, rmse_m, rmse_w = self._test_rmse()
-                self._prev_rmse = (rmse_c, rmse_m, rmse_w)
+                pos = self.policy.select(view, self.rng)
+                # -1 tags a sequential pick (always the top fidelity).
+                picks = [] if pos is None else [(pos, -1)]
+            if not picks:
+                memory_ok = self._batch and bool(
+                    ((view.mu_mem < self.policy.log_limit) & ~view.blocked).any()
+                )
+                self._stop = (
+                    StopReason.BUDGET_EXHAUSTED
+                    if memory_ok
+                    else StopReason.MEMORY_CONSTRAINED
+                )
+                return False
+            optimize = iteration % cfg.hyper_refit_interval == 0
+            self._observe_round(picks, optimize=optimize)
+        return True
+
+    def _observe_round(self, picks: list[tuple[int, int]], optimize: bool) -> None:
+        """Observe every pick of one round, then refit the models once.
+
+        ``picks`` are ``(position, fidelity)`` pairs with positions into
+        the pool as the round started.  Every record of the round carries
+        the RMSE after the round's refit (or the previous RMSE when the
+        round learned nothing).
+        """
+        if len(picks) > 1:
+            # Only single-pick rounds keep the candidate caches warm (row
+            # drop + column append); a batch rebuilds them after its refit.
+            self._cache_cost.invalidate()
+            self._cache_mem.invalidate()
+        staged: list[dict] = []
+        learned = False
+        left: list[int] = []  # round-start positions that left the pool
+        for pos, fid in picks:
+            top = not 0 <= fid < self.config.num_fidelities - 1
+            learned |= self._observe(
+                pos - sum(p < pos for p in left), fid, top, staged
+            )
+            if top:
+                left.append(pos)
+        if learned and not self._zero_refit:
+            self._fit_models(optimize=optimize)
+            self._prev_rmse = self._test_rmse()
+        rmse_c, rmse_m, rmse_w = self._prev_rmse
+        for fields in staged:
             self._records.append(
                 IterationRecord(
-                    iteration=iteration,
-                    dataset_index=int(ds_index),
-                    cost=cost,
-                    mem=mem,
                     rmse_cost=rmse_c,
                     rmse_mem=rmse_m,
-                    cumulative_cost=self._cum_cost,
-                    cumulative_regret=self._cum_regret,
                     rmse_cost_weighted=rmse_w,
-                    failed=crashed,
-                    censored=censored,
+                    **fields,
                 )
             )
+
+    def _observe(self, pos: int, fid: int, top: bool, staged: list[dict]) -> bool:
+        """Run one pick's experiment; returns whether a model learned from it.
+
+        ``pos`` indexes the current pool.  A top-fidelity pick leaves the
+        pool; a lower-fidelity pick keeps its point in the pool (the pair
+        is blocked instead).  The experiment's node-hours are spent even
+        when the observation is lost.
+        """
+        cfg = self.config
+        faults = cfg.acquisition_faults
+        ds_index = int(self._remaining.pop(pos) if top else self._remaining[pos])
+        outcome = (
+            faults.strike(self.rng)
+            if faults is not None and faults.enabled
+            else AcquisitionOutcome.OK
+        )
+        if top:
+            cost = float(self.dataset.cost[ds_index])
+            mem = float(self.dataset.mem[ds_index])
+        else:
+            cost = float(self._mf.cost[fid, ds_index])
+            mem = float(self._mf.mem[fid, ds_index])
+        self._cum_cost += cost
+        if self._memory_limit is not None:
+            self._cum_regret += individual_regret(cost, mem, self._memory_limit)
+        crashed = outcome is AcquisitionOutcome.CRASHED
+        censored = outcome is AcquisitionOutcome.CENSORED
+        staged.append(
+            dict(
+                iteration=self._iteration,
+                dataset_index=ds_index,
+                cost=cost,
+                mem=mem,
+                cumulative_cost=self._cum_cost,
+                cumulative_regret=self._cum_regret,
+                failed=crashed,
+                censored=censored,
+                fidelity=fid,
+            )
+        )
+
+        if crashed and cfg.on_failure is not FailurePolicy.IMPUTE:
+            # The sample is lost entirely: remove it from the cached
+            # cross-covariances (row only — it never joins the kernel)
+            # and leave both models untouched.
+            if cfg.cache_candidates:
+                self._cache_cost.drop(pos)
+                self._cache_mem.drop(pos)
+            if self._policy_hooks:
+                self.policy.observe_drop(pos, cost=cost)
+            self._record_fault(
+                ds_index,
+                FaultKind.CRASH,
+                f"acquisition crashed ({cfg.on_failure.value})",
+            )
+            if cfg.on_failure is not FailurePolicy.NEXT_BEST:
+                self._iteration += 1  # DROP: the iteration is consumed
+            return False  # NEXT_BEST: replacement selected next round
+
+        if not top:
+            self._lofi_learned[fid].append(ds_index)
             self._iteration += 1
-        return True
+            return True
+
+        # The sample (or an imputation of it) joins the training sets.
+        u_new = self._U[ds_index]
+        target_cost = float(self._log_cost[ds_index])
+        target_mem = float(self._log_mem[ds_index])
+        learn_mem = True
+        if crashed:  # IMPUTE policy: both observations were lost
+            target_cost = float(self.gpr_cost.predict(u_new[None, :])[0])
+            target_mem = float(self.gpr_mem.predict(u_new[None, :])[0])
+        elif censored:  # cost observed, MaxRSS lost
+            if cfg.on_failure is FailurePolicy.IMPUTE:
+                target_mem = float(self.gpr_mem.predict(u_new[None, :])[0])
+            else:
+                learn_mem = False
+
+        self._learned.append(ds_index)
+        self._targets_cost.append(target_cost)
+        if learn_mem:
+            self._learned_mem.append(ds_index)
+            self._targets_mem.append(target_mem)
+        if cfg.cache_candidates and not self._zero_refit:
+            U_rem = self._U[np.asarray(self._remaining, dtype=np.int64)]
+            self._cache_cost.acquire(pos, U_rem, u_new)
+            if learn_mem:
+                self._cache_mem.acquire(pos, U_rem, u_new)
+            else:
+                self._cache_mem.drop(pos)
+        if self._policy_hooks:
+            self.policy.observe_acquire(
+                pos,
+                u_new,
+                cost=cost,
+                target_cost=target_cost,
+                target_mem=target_mem,
+                learn_mem=learn_mem,
+            )
+        if crashed or censored:
+            self._record_fault(
+                ds_index,
+                FaultKind.CRASH if crashed else FaultKind.RSS_LOST,
+                f"handled via {cfg.on_failure.value}",
+            )
+        self._iteration += 1
+        return not self._zero_refit
+
+    def _record_fault(self, ds_index: int, kind: FaultKind, detail: str) -> None:
+        obs.event(
+            "acquisition_fault",
+            cat="al",
+            kind="crash" if kind is FaultKind.CRASH else "rss_lost",
+            dataset_index=ds_index,
+            handled=self.config.on_failure.value,
+        )
+        self._fault_events.append(
+            FaultEvent(
+                job_id=ds_index,
+                attempt=self._iteration,
+                kind=kind,
+                lost_wall_seconds=(
+                    float(self.dataset.wall[ds_index])
+                    if kind is FaultKind.CRASH
+                    else 0.0
+                ),
+                nodes=int(self.dataset.X[ds_index, 0]),
+                detail=detail,
+            )
+        )
 
     def finalize(self, stop: StopReason | None = None) -> Trajectory:
         """Build the :class:`Trajectory` for the run so far.

@@ -41,6 +41,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from repro import obs
+from repro.core.config import ALConfig
 from repro.core.loop import ActiveLearner
 from repro.core.partitions import random_partition
 from repro.core.trajectory import Trajectory
@@ -62,10 +63,12 @@ class TrajectorySpec:
     base_seed, traj_index : int
         Position in the seed tree; specs sharing both get the same
         partition and RNG stream.
-    n_init, n_test, max_iterations, hyper_refit_interval, n_restarts :
-        Forwarded to :class:`~repro.core.loop.ActiveLearner`.
+    n_init, n_test : int
+        Partition sizes.
+    max_iterations, hyper_refit_interval, n_restarts :
+        The run's :class:`~repro.core.config.ALConfig` fields.
     learner_kwargs : dict
-        Extra keyword arguments for :class:`ActiveLearner` (e.g.
+        Any further :class:`~repro.core.config.ALConfig` fields (e.g.
         ``stopping_rule``, ``cache_candidates``).
     """
 
@@ -113,15 +116,14 @@ def _run_spec(dataset: Dataset, spec: TrajectorySpec) -> tuple[str, Trajectory]:
     partition = random_partition(
         rng, len(dataset), n_init=spec.n_init, n_test=spec.n_test
     )
-    learner = ActiveLearner(
-        dataset,
-        partition,
-        policy=spec.policy_factory(),
-        rng=rng,
+    config = ALConfig(
         n_restarts=spec.n_restarts,
         hyper_refit_interval=spec.hyper_refit_interval,
         max_iterations=spec.max_iterations,
         **spec.learner_kwargs,
+    )
+    learner = ActiveLearner(
+        dataset, partition, policy=spec.policy_factory(), rng=rng, config=config
     )
     return spec.name, learner.run()
 

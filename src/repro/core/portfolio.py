@@ -33,27 +33,16 @@ Invariants (DESIGN.md "Batch multi-fidelity portfolios"):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace as _dc_replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from repro import obs
-from repro.core.config import ALConfig
-from repro.core.loop import ActiveLearner
-from repro.core.metrics import individual_regret
-from repro.core.partitions import Partition
 from repro.core.policies import RGMA, goodness_distribution
-from repro.core.trajectory import IterationRecord, StopReason
-from repro.data.dataset import Dataset
-from repro.data.fidelity import FidelitySchedule, MultiFidelityDataset
 from repro.machine.accounting import CampaignLedger
 from repro.registry import register_policy
 
-__all__ = [
-    "MultiFidelityActiveLearner",
-    "PortfolioCandidateView",
-    "PortfolioPolicy",
-]
+__all__ = ["PortfolioCandidateView", "PortfolioPolicy"]
 
 
 @dataclass(frozen=True)
@@ -109,8 +98,9 @@ class PortfolioPolicy(RGMA):
 
     Subclasses :class:`RGMA`, so the sequential ``select`` surface (and
     the memory-awareness parameters) behave exactly like the paper
-    policy; :meth:`select_batch` is the batch extension the
-    :class:`MultiFidelityActiveLearner` drives.
+    policy; :meth:`select_batch` is the batch extension every
+    :class:`~repro.core.loop.ActiveLearner` round drives when the policy
+    offers it.
     """
 
     name = "portfolio"
@@ -168,388 +158,3 @@ class PortfolioPolicy(RGMA):
                 if b + 1 < batch_size and conditioner is not None:
                     sigma = conditioner(np.array(sigma, copy=True), pos, fid)
             return picks
-
-
-class MultiFidelityActiveLearner(ActiveLearner):
-    """Algorithm 1 with batch multi-fidelity portfolio acquisition.
-
-    One :meth:`step` executes one *portfolio round*: score every
-    remaining (point, fidelity) pair, greedily select up to
-    ``config.batch_size`` pairs under ``config.round_budget_node_hours``,
-    observe them all at their fidelity's price, then refit the co-kriging
-    stacks once.  All mutable state lives on the instance, so the
-    campaign service's pickle-between-steps checkpointing (and its resume
-    bit-identity contract) applies unchanged — per-fidelity training sets
-    ride the pickle like the base learner's lists do.
-
-    With ``F=1``/``B=1`` and no round budget, every round reduces to the
-    base learner's single RGMA-style acquisition — selections, cache
-    operations, and rng consumption are identical (the tested reduction).
-
-    Parameters
-    ----------
-    dataset : MultiFidelityDataset or Dataset
-        The priced fidelity surfaces.  A plain :class:`Dataset` is
-        accepted for single-fidelity configurations only (the wrap is
-        free); multi-fidelity runs must price one via
-        :meth:`MultiFidelityDataset.from_dataset`.
-    partition, rng : as on :class:`ActiveLearner`.
-    policy : optional
-        Must offer ``select_batch`` (e.g. :class:`PortfolioPolicy`);
-        defaults to a :class:`PortfolioPolicy` at the dataset's memory
-        limit.
-    config : ALConfig, optional
-        ``num_fidelities``/``fidelity_schedule``/``batch_size``/
-        ``round_budget_node_hours`` drive the portfolio; the surrogate is
-        normalized to the registered ``"multifidelity"`` backend with the
-        dataset's fidelity count.
-    """
-
-    def __init__(
-        self,
-        dataset: MultiFidelityDataset | Dataset,
-        partition: Partition,
-        policy=None,
-        rng: np.random.Generator | None = None,
-        config: ALConfig | None = None,
-    ) -> None:
-        cfg = config if config is not None else ALConfig()
-        if isinstance(dataset, MultiFidelityDataset):
-            mf = dataset
-        else:
-            if cfg.num_fidelities != 1:
-                raise ValueError(
-                    "multi-fidelity configurations need a MultiFidelityDataset "
-                    "(price one with MultiFidelityDataset.from_dataset)"
-                )
-            mf = MultiFidelityDataset(
-                base=dataset,
-                wall=dataset.wall[None, :],
-                cost=dataset.cost[None, :],
-                mem=dataset.mem[None, :],
-                schedule=FidelitySchedule(),
-            )
-        F = mf.num_fidelities
-        # Normalize the config so describe()/fingerprint() reflect the
-        # run's real identity: the multifidelity surrogate backend and
-        # the fidelity axis actually in effect.
-        opts = dict(cfg.surrogate_options)
-        opts["num_fidelities"] = F
-        cfg = _dc_replace(
-            cfg,
-            surrogate="multifidelity",
-            surrogate_options=opts,
-            num_fidelities=F,
-            fidelity_schedule=tuple(
-                tuple(level.describe()) for level in mf.schedule.levels
-            ),
-        )
-        if policy is None and cfg.policy is None:
-            policy = PortfolioPolicy(memory_limit_MB=mf.memory_limit())
-        super().__init__(mf.base, partition, policy=policy, rng=rng, config=cfg)
-        if not hasattr(self.policy, "select_batch"):
-            raise ValueError(
-                f"policy {self.policy.name!r} has no select_batch surface; "
-                "portfolio acquisition needs a PortfolioPolicy-style policy"
-            )
-        if self._zero_refit:
-            raise ValueError("portfolio selection needs a surrogate-backed policy")
-        faults = cfg.acquisition_faults
-        if faults is not None and faults.enabled and (F > 1 or cfg.batch_size > 1):
-            raise ValueError(
-                "acquisition faults are supported only at F=1/B=1 "
-                "(the sequential reduction)"
-            )
-        self.mf = mf
-        self._F = F
-        self.batch_size = cfg.batch_size
-        self.round_budget = cfg.round_budget_node_hours
-        self._mf_log_cost = np.log10(mf.cost)
-        self._mf_log_mem = np.log10(mf.mem)
-        # Sub-top training sets (the top fidelity reuses the base-class
-        # lists, keeping every inherited helper coherent).
-        self._lofi_learned: list[list[int]] = [[] for _ in range(F - 1)]
-        self._lofi_targets_cost: list[list[float]] = [[] for _ in range(F - 1)]
-        self._lofi_targets_mem: list[list[float]] = [[] for _ in range(F - 1)]
-        self._observed_pairs: set[tuple[int, int]] = set()
-        #: Lifetime ledger of *actual* node-hours committed by this
-        #: learner's acquisitions (the bench's denominator).
-        self.ledger = CampaignLedger()
-
-    # ----------------------------------------------------------- modelling
-
-    def _fit_models(self, optimize: bool = True) -> None:
-        if self._F == 1:
-            super()._fit_models(optimize)
-            return
-        init = self.partition.init_idx
-        X_cost, y_cost, X_mem, y_mem = [], [], [], []
-        for f in range(self._F):
-            if f == self._F - 1:
-                idx_c = np.concatenate(
-                    [init, np.asarray(self._learned, dtype=np.int64)]
-                )
-                t_c = np.concatenate(
-                    [
-                        self._log_cost[init],
-                        np.asarray(self._targets_cost, dtype=np.float64),
-                    ]
-                )
-                idx_m = np.concatenate(
-                    [init, np.asarray(self._learned_mem, dtype=np.int64)]
-                )
-                t_m = np.concatenate(
-                    [
-                        self._log_mem[init],
-                        np.asarray(self._targets_mem, dtype=np.float64),
-                    ]
-                )
-            else:
-                lidx = np.asarray(self._lofi_learned[f], dtype=np.int64)
-                idx_c = idx_m = np.concatenate([init, lidx])
-                t_c = np.concatenate(
-                    [
-                        self._mf_log_cost[f][init],
-                        np.asarray(self._lofi_targets_cost[f], dtype=np.float64),
-                    ]
-                )
-                t_m = np.concatenate(
-                    [
-                        self._mf_log_mem[f][init],
-                        np.asarray(self._lofi_targets_mem[f], dtype=np.float64),
-                    ]
-                )
-            fid_col_c = np.full(idx_c.shape[0], float(f))
-            fid_col_m = np.full(idx_m.shape[0], float(f))
-            X_cost.append(np.column_stack([self._U[idx_c], fid_col_c]))
-            y_cost.append(t_c)
-            X_mem.append(np.column_stack([self._U[idx_m], fid_col_m]))
-            y_mem.append(t_m)
-        Xc, yc = np.vstack(X_cost), np.concatenate(y_cost)
-        Xm, ym = np.vstack(X_mem), np.concatenate(y_mem)
-        with obs.span("gp_fit", cat="al", optimize=optimize, n=int(Xc.shape[0])):
-            if optimize:
-                self.gpr_cost.fit(Xc, yc)
-                self.gpr_mem.fit(Xm, ym)
-            else:
-                self.gpr_cost.refactor(Xc, yc)
-                self.gpr_mem.refactor(Xm, ym)
-
-    # ----------------------------------------------------------- selection
-
-    def _portfolio_view(self) -> PortfolioCandidateView:
-        idx = np.asarray(self._remaining, dtype=np.int64)
-        U = self._U[idx]
-        F, m = self._F, idx.shape[0]
-        top = self._candidate_view()  # top fidelity through the warm caches
-        mu_c = np.empty((F, m))
-        sd_c = np.empty((F, m))
-        mu_m = np.empty((F, m))
-        mu_c[F - 1] = top.mu_cost
-        sd_c[F - 1] = top.sigma_cost
-        mu_m[F - 1] = top.mu_mem
-        for f in range(F - 1):
-            mc, sc = self.gpr_cost.predict_fidelity(U, f, return_std=True)
-            mu_c[f] = mc
-            sd_c[f] = sc
-            mu_m[f] = self.gpr_mem.predict_fidelity(U, f)
-        if F == 1:
-            weights = np.ones(1)
-        else:
-            weights = np.abs(self.gpr_cost.fidelity_weights(F - 1))
-        blocked = np.zeros((F, m), dtype=bool)
-        if self._observed_pairs:
-            for pos, ds_index in enumerate(idx):
-                for f in range(F - 1):
-                    if (int(ds_index), f) in self._observed_pairs:
-                        blocked[f, pos] = True
-        return PortfolioCandidateView(
-            X=U,
-            mu_cost=mu_c,
-            sigma_cost=sd_c,
-            mu_mem=mu_m,
-            weights=weights,
-            blocked=blocked,
-        )
-
-    def _conditioner(self, U: np.ndarray):
-        """Y-free sigma deflation given one in-batch pick (prior-based)."""
-
-        def deflate(sigma: np.ndarray, pos: int, fid: int) -> np.ndarray:
-            u_star = U[pos]
-            denom = self.gpr_cost.prior_var_fidelity(u_star, fid)
-            if not np.isfinite(denom) or denom <= 0:
-                return sigma
-            var = sigma * sigma
-            for fq in range(self._F):
-                c = self.gpr_cost.prior_cov_fidelity(U, fq, u_star, fid)
-                var[fq] = np.maximum(var[fq] - (c * c) / denom, 0.0)
-            return np.sqrt(var)
-
-        return deflate
-
-    # ----------------------------------------------------------------- step
-
-    def step(self) -> bool:
-        """One portfolio round; returns False once the run has ended."""
-        if not self._started:
-            self.start()
-        if self._stop is not None:
-            return False
-        if not self._remaining:
-            self._stop = StopReason.EXHAUSTED
-            return False
-        iteration = self._iteration
-        with obs.span(
-            "al_round",
-            cat="al",
-            iteration=iteration,
-            pool=len(self._remaining),
-            batch_size=self.batch_size,
-        ):
-            if self.max_iterations is not None and iteration >= self.max_iterations:
-                self._stop = StopReason.MAX_ITERATIONS
-                return False
-            view = self._portfolio_view()
-            top_row = view.num_fidelities - 1
-            if self.stopping_rule.update(
-                view.mu_cost[top_row], view.sigma_cost[top_row]
-            ):
-                self._stop = StopReason.STOPPING_RULE
-                return False
-            round_ledger = (
-                CampaignLedger(budget_node_hours=self.round_budget)
-                if self.round_budget is not None
-                else None
-            )
-            conditioner = (
-                self._conditioner(view.X) if self.batch_size > 1 else None
-            )
-            picks = self.policy.select_batch(
-                view,
-                self.rng,
-                ledger=round_ledger,
-                batch_size=self.batch_size,
-                conditioner=conditioner,
-            )
-            if not picks:
-                mem_feasible = (
-                    view.mu_mem < self.policy.log_limit
-                ) & ~view.blocked
-                self._stop = (
-                    StopReason.BUDGET_EXHAUSTED
-                    if mem_feasible.any()
-                    else StopReason.MEMORY_CONSTRAINED
-                )
-                return False
-            self._observe_portfolio(picks, view)
-        return True
-
-    def _observe_portfolio(
-        self, picks: list[tuple[int, int]], view: PortfolioCandidateView
-    ) -> None:
-        top = self._F - 1
-        iteration = self._iteration
-        if len(picks) == 1 and self._F == 1:
-            # Single-fidelity single pick: the exact base-learner
-            # acquisition path, byte for byte — keeps the candidate
-            # caches warm (row drop + column append) so the B=1/F=1
-            # reduction is bit-identical to sequential RGMA.
-            pos, fid = picks[0]
-            ds_index = self._remaining.pop(pos)
-            cost = float(self.dataset.cost[ds_index])
-            mem = float(self.dataset.mem[ds_index])
-            self._cum_cost += cost
-            self.ledger.charge(cost)
-            if self._memory_limit is not None:
-                self._cum_regret += individual_regret(
-                    cost, mem, self._memory_limit
-                )
-            u_new = self._U[ds_index]
-            self._learn_observed([ds_index])
-            if self.cache_candidates:
-                U_rem = self._U[np.asarray(self._remaining, dtype=np.int64)]
-                self._cache_cost.acquire(pos, U_rem, u_new)
-                self._cache_mem.acquire(pos, U_rem, u_new)
-            optimize = (iteration % self.hyper_refit_interval) == 0
-            self._fit_models(optimize=optimize)
-            rmse_c, rmse_m, rmse_w = self._test_rmse()
-            self._prev_rmse = (rmse_c, rmse_m, rmse_w)
-            self._records.append(
-                IterationRecord(
-                    iteration=iteration,
-                    dataset_index=int(ds_index),
-                    cost=cost,
-                    mem=mem,
-                    rmse_cost=rmse_c,
-                    rmse_mem=rmse_m,
-                    cumulative_cost=self._cum_cost,
-                    cumulative_regret=self._cum_regret,
-                    rmse_cost_weighted=rmse_w,
-                    fidelity=fid,
-                )
-            )
-            self._iteration += 1
-            return
-
-        # General portfolio: resolve dataset indices before mutating the
-        # pool (positions all refer to the selection-time ordering).
-        resolved = [(self._remaining[pos], fid) for pos, fid in picks]
-        for pos in sorted((p for p, f in picks if f == top), reverse=True):
-            self._remaining.pop(pos)
-        # The batch refit rebuilds the stacked cross basis anyway
-        # (cross_version_ bump), so the caches just rebuild next round.
-        self._cache_cost.invalidate()
-        self._cache_mem.invalidate()
-        staged: list[tuple[int, int, float, float, float, float]] = []
-        for ds_index, fid in resolved:
-            ds_index = int(ds_index)
-            cost = float(self.mf.cost[fid, ds_index])
-            mem = float(self.mf.mem[fid, ds_index])
-            self._cum_cost += cost
-            self.ledger.charge(cost)
-            if self._memory_limit is not None:
-                self._cum_regret += individual_regret(
-                    cost, mem, self._memory_limit
-                )
-            if fid == top:
-                self._learn_observed([ds_index])
-            else:
-                self._lofi_learned[fid].append(ds_index)
-                self._lofi_targets_cost[fid].append(
-                    float(self._mf_log_cost[fid][ds_index])
-                )
-                self._lofi_targets_mem[fid].append(
-                    float(self._mf_log_mem[fid][ds_index])
-                )
-                self._observed_pairs.add((ds_index, fid))
-            obs.event(
-                "portfolio_pick",
-                cat="al",
-                dataset_index=ds_index,
-                fidelity=fid,
-                cost_node_hours=round(cost, 6),
-            )
-            staged.append(
-                (ds_index, fid, cost, mem, self._cum_cost, self._cum_regret)
-            )
-        optimize = (iteration % self.hyper_refit_interval) == 0
-        self._fit_models(optimize=optimize)
-        rmse_c, rmse_m, rmse_w = self._test_rmse()
-        self._prev_rmse = (rmse_c, rmse_m, rmse_w)
-        for ds_index, fid, cost, mem, cum_cost, cum_regret in staged:
-            self._records.append(
-                IterationRecord(
-                    iteration=self._iteration,
-                    dataset_index=ds_index,
-                    cost=cost,
-                    mem=mem,
-                    rmse_cost=rmse_c,
-                    rmse_mem=rmse_m,
-                    cumulative_cost=cum_cost,
-                    cumulative_regret=cum_regret,
-                    rmse_cost_weighted=rmse_w,
-                    fidelity=fid,
-                )
-            )
-            self._iteration += 1

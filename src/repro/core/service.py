@@ -92,7 +92,8 @@ class CampaignStatus(str, Enum):
 
 
 #: Checkpoint payload format version (bump on incompatible change).
-CHECKPOINT_VERSION = 1
+#: Version 2: one learner class for every round shape.
+CHECKPOINT_VERSION = 2
 
 #: Fault kinds that kill a slice (its result is discarded and re-run).
 _FATAL_KINDS = frozenset({FaultKind.CRASH, FaultKind.OOM, FaultKind.TIMEOUT})
@@ -227,12 +228,9 @@ def dataset_fingerprint(dataset: Dataset) -> str:
 def build_learner(spec: CampaignSpec, dataset: Dataset) -> ActiveLearner:
     """Cold-start a campaign's learner at its seed-tree position.
 
-    Configs with a fidelity axis (``num_fidelities > 1``), a batch size,
-    or a round budget get a
-    :class:`~repro.core.portfolio.MultiFidelityActiveLearner`.  The
-    fidelity surfaces are priced deterministically from
-    ``(config.resolved_schedule(), config.fidelity_seed)``, so every
-    cold start of the same spec sees identical surfaces — and the
+    Multi-fidelity configs price their fidelity surfaces
+    deterministically from the config (:meth:`ALConfig.priced`), so
+    every cold start of the same spec sees identical surfaces — and the
     config's fingerprint covers the fidelity axis, so a checkpoint
     written under one schedule refuses to resume under another.
     """
@@ -243,23 +241,12 @@ def build_learner(spec: CampaignSpec, dataset: Dataset) -> ActiveLearner:
     partition = random_partition(
         rng, len(dataset), n_init=spec.n_init, n_test=spec.n_test
     )
-    cfg = spec.config
-    if cfg.num_fidelities > 1 or cfg.batch_size > 1 or (
-        cfg.round_budget_node_hours is not None
-    ):
-        from repro.core.portfolio import MultiFidelityActiveLearner
-        from repro.data.fidelity import MultiFidelityDataset
-
-        ds = dataset
-        if cfg.num_fidelities > 1:
-            ds = MultiFidelityDataset.from_dataset(
-                dataset, cfg.resolved_schedule(), seed=cfg.fidelity_seed
-            )
-        return MultiFidelityActiveLearner(
-            ds, partition, policy=spec.policy_factory(), rng=rng, config=cfg
-        )
     return ActiveLearner(
-        dataset, partition, policy=spec.policy_factory(), rng=rng, config=cfg
+        spec.config.priced(dataset),
+        partition,
+        policy=spec.policy_factory(),
+        rng=rng,
+        config=spec.config,
     )
 
 
@@ -1362,8 +1349,8 @@ class CampaignService:
                 "trajectory": rec.trajectory,
                 "chaos_rng": rec.chaos_rng,
                 "config_fingerprint": rec.spec.config.fingerprint(),
-                # New in PR 9; read back with .get() so version-1
-                # checkpoints written before the key stay loadable.
+                # Read back with .get(): a payload without the stamp
+                # carries no policy claim to verify.
                 "policy_fingerprint": rec.policy_fingerprint,
             },
         )

@@ -1,8 +1,7 @@
 """The metrics half of :mod:`repro.obs`: counters, gauges, time histograms.
 
-:class:`MetricsRegistry` generalizes the old ``repro.perf`` phase table
-(which it subsumed; ``repro.perf`` is now an empty module that only
-raises a :class:`DeprecationWarning` on import):
+:class:`MetricsRegistry` is a per-phase timing table grown into a small
+metrics system:
 
 - **timers** — ``phase -> (calls, seconds)`` plus a log2-bucketed duration
   histogram per phase, fed by :meth:`MetricsRegistry.timer` (a context
@@ -16,9 +15,8 @@ raises a :class:`DeprecationWarning` on import):
   instrumentation records.
 
 Unlike span tracing (:mod:`repro.obs.spans`), the registry is always on:
-its cost is what the hot loops already paid for ``repro.perf`` timing, so
-enabling/disabling observability never changes what the metrics tables
-collect.  Every process owns its own registry; worker registries are
+its cost is two clock reads per timed phase, so enabling/disabling
+observability never changes what the metrics tables collect.  Every process owns its own registry; worker registries are
 shipped home as :meth:`state` dicts and folded in with :meth:`merge`
 (deterministically, in the caller-chosen order — see
 :mod:`repro.core.parallel`).
@@ -60,10 +58,9 @@ def _bucket(seconds: float) -> int:
 class MetricsRegistry:
     """Thread-safe accumulator of timers, counters, and gauges.
 
-    API-compatible with the retired ``repro.perf`` registry (``add`` /
-    ``incr`` / ``timer`` / ``snapshot`` / ``counters`` / ``reset`` /
-    ``report``) plus gauges, per-phase duration histograms, and
-    cross-process :meth:`state` / :meth:`merge`.
+    ``add`` / ``incr`` / ``timer`` / ``snapshot`` / ``counters`` /
+    ``reset`` / ``report``, plus gauges, per-phase duration histograms,
+    and cross-process :meth:`state` / :meth:`merge`.
     """
 
     def __init__(self) -> None:

@@ -3,8 +3,8 @@
 ``simulate`` replays RGMA campaigns through the campaign service and
 writes a :class:`~repro.policy.scorer.DecisionLog` (``.npz``);
 ``train`` fits the numpy MLP scorer to such a log and writes the policy
-file that ``repro run --policy amortized --policy-file ...`` and
-``repro campaign submit --policy amortized`` serve.
+file that ``repro run --policy amortized,policy_file=...`` and
+``repro campaign submit --policy amortized,policy_file=...`` serve.
 """
 
 from __future__ import annotations

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.advisor import ConfigurationAdvisor
+from repro.core.config import ALConfig
 from repro.core.loop import ActiveLearner
 from repro.core.partitions import random_partition
 from repro.core.policies import MaxSigma
@@ -20,8 +21,7 @@ def trained_models(campaign_dataset):
         part,
         policy=MaxSigma(),
         rng=rng,
-        max_iterations=30,
-        hyper_refit_interval=3,
+        config=ALConfig(max_iterations=30, hyper_refit_interval=3),
     )
     learner.run()
     return learner.gpr_cost, learner.gpr_mem

@@ -43,18 +43,21 @@ class TestValidation:
             ALConfig().n_restarts = 5
 
 
-def _learner(dataset, rng, **kwargs):
+def _learner(dataset, rng, config=None):
     partition = random_partition(rng, len(dataset), n_init=15, n_test=20)
     return ActiveLearner(
-        dataset, partition, policy=RandUniform(), rng=rng, **kwargs
+        dataset, partition, policy=RandUniform(), rng=rng, config=config
     )
 
 
 class TestLearnerIntegration:
     def test_legacy_kwargs_map_onto_config(self, small_dataset, rng):
+        """The former keyword arguments are ALConfig fields the learner reads."""
         learner = _learner(
-            small_dataset, rng, max_iterations=3, hyper_refit_interval=4,
-            n_restarts=0, weight_rmse_by_cost=True,
+            small_dataset, rng, ALConfig(
+                max_iterations=3, hyper_refit_interval=4,
+                n_restarts=0, weight_rmse_by_cost=True,
+            ),
         )
         assert isinstance(learner.config, ALConfig)
         assert learner.config.max_iterations == 3
@@ -69,17 +72,9 @@ class TestLearnerIntegration:
         learner = _learner(small_dataset, rng, config=cfg)
         assert learner.config is cfg
 
-    def test_legacy_kwarg_overrides_config_field(self, small_dataset, rng):
-        cfg = ALConfig(max_iterations=2, hyper_refit_interval=3)
-        learner = _learner(small_dataset, rng, config=cfg, max_iterations=5)
-        assert learner.config.max_iterations == 5
-        assert learner.config.hyper_refit_interval == 3
-        # The original config object is untouched (frozen + replace).
-        assert cfg.max_iterations == 2
-
     def test_validation_applies_to_overrides(self, small_dataset, rng):
         with pytest.raises(ValueError, match="hyper_refit_interval"):
-            _learner(small_dataset, rng, hyper_refit_interval=0)
+            _learner(small_dataset, rng, ALConfig(hyper_refit_interval=0))
 
 
 class TestDescribe:
@@ -104,7 +99,7 @@ class TestDescribe:
         partition = random_partition(rng, len(small_dataset), n_init=15, n_test=20)
         learner = ActiveLearner(
             small_dataset, partition, policy=RandGoodness(), rng=rng,
-            max_iterations=2, n_restarts=0, hyper_refit_interval=2,
+            config=ALConfig(max_iterations=2, n_restarts=0, hyper_refit_interval=2),
         )
         traj = learner.run()
         assert traj.config is not None

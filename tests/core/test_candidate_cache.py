@@ -10,6 +10,7 @@ hyperparameter refits (cache invalidation) and frozen-theta refactors
 import numpy as np
 import pytest
 
+from repro.core.config import ALConfig
 from repro.core.loop import ActiveLearner, CandidateCovarianceCache
 from repro.core.partitions import random_partition
 from repro.core.policies import RGMA, RandGoodness
@@ -42,8 +43,8 @@ def _learner(dataset, policy, seed=0, refit=1, **kw):
     rng = np.random.default_rng(seed)
     part = random_partition(rng, len(dataset), n_init=20, n_test=30)
     return ActiveLearner(
-        dataset, part, policy=policy, rng=rng, max_iterations=15,
-        hyper_refit_interval=refit, **kw
+        dataset, part, policy=policy, rng=rng,
+        config=ALConfig(max_iterations=15, hyper_refit_interval=refit, **kw),
     )
 
 

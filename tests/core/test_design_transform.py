@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core.config import ALConfig
 from repro.core.loop import ActiveLearner
 from repro.core.partitions import random_partition
 from repro.core.policies import RandUniform
@@ -71,8 +72,8 @@ class TestLoopIntegration:
             part,
             policy=RandUniform(),
             rng=rng,
-            max_iterations=5,
-            log2_features=(0, 1),  # p and mx are powers of two
+            # p and mx are powers of two
+            config=ALConfig(max_iterations=5, log2_features=(0, 1)),
         )
         traj = learner.run()
         assert len(traj) == 5
@@ -86,8 +87,7 @@ class TestLoopIntegration:
             part,
             policy=RandUniform(),
             rng=rng,
-            max_iterations=5,
-            weight_rmse_by_cost=True,
+            config=ALConfig(max_iterations=5, weight_rmse_by_cost=True),
         )
         traj = learner.run()
         w = traj.rmse_cost_weighted
@@ -99,6 +99,6 @@ class TestLoopIntegration:
         rng = np.random.default_rng(0)
         part = random_partition(rng, len(small_dataset), n_init=15, n_test=30)
         traj = ActiveLearner(
-            small_dataset, part, RandUniform(), rng, max_iterations=3
+            small_dataset, part, RandUniform(), rng, config=ALConfig(max_iterations=3)
         ).run()
         assert np.all(np.isnan(traj.rmse_cost_weighted))

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core.config import ALConfig
 from repro.core.loop import ActiveLearner
 from repro.core.partitions import random_partition
 from repro.core.policies import MaxSigma, MinPred, RGMA, RandGoodness, RandUniform
@@ -14,7 +15,11 @@ def make_learner(dataset, policy, seed=0, n_init=20, max_iterations=15, **kw):
     rng = np.random.default_rng(seed)
     part = random_partition(rng, len(dataset), n_init=n_init, n_test=30)
     return ActiveLearner(
-        dataset, part, policy=policy, rng=rng, max_iterations=max_iterations, **kw
+        dataset,
+        part,
+        policy=policy,
+        rng=rng,
+        config=ALConfig(max_iterations=max_iterations, **kw),
     )
 
 
@@ -36,7 +41,7 @@ class TestAlgorithm1Mechanics:
         rng = np.random.default_rng(1)
         part = random_partition(rng, len(small_dataset), n_init=20, n_test=30)
         learner = ActiveLearner(
-            small_dataset, part, RandGoodness(), rng, max_iterations=25
+            small_dataset, part, RandGoodness(), rng, config=ALConfig(max_iterations=25)
         )
         traj = learner.run()
         sel = traj.selected_indices

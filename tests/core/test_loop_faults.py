@@ -8,6 +8,7 @@ path under faults, and the bit-identity contract when faults are off.
 import numpy as np
 import pytest
 
+from repro.core.config import ALConfig
 from repro.core.loop import ActiveLearner
 from repro.core.partitions import random_partition
 from repro.core.policies import MinPred, RandUniform
@@ -24,7 +25,7 @@ def _learner(dataset, seed=11, policy=None, **kw):
         partition,
         policy=policy if policy is not None else RandUniform(),
         rng=rng,
-        **kw,
+        config=ALConfig(**kw),
     )
 
 
@@ -211,3 +212,39 @@ class TestCacheUnderFaults:
         # appends on every success, so the last factorization of a
         # non-refit iteration is an incremental extension.
         assert learner.gpr_cost.last_factor_mode_ == "rank1"
+
+
+class TestFaultsInBatchRounds:
+    @pytest.mark.parametrize("on_failure", ["drop", "next_best", "impute"])
+    def test_every_pick_of_a_round_takes_the_fault_path(
+        self, small_dataset, on_failure
+    ):
+        """A B=4 round runs each pick through the same observation path:
+        crashed and censored picks are charged and logged, and only the
+        next_best policy keeps a crashed pick's iteration."""
+        from repro.core import PortfolioPolicy
+
+        traj = _learner(
+            small_dataset,
+            seed=7,
+            policy=PortfolioPolicy(memory_limit_MB=float("inf")),
+            acquisition_faults=AcquisitionFaultModel(
+                crash_probability=0.3, censor_probability=0.3
+            ),
+            on_failure=on_failure,
+            max_iterations=12,
+            batch_size=4,
+        ).run()
+        sel = traj.selected_indices
+        assert np.unique(sel).size == sel.size
+        failed = traj.num_failed_acquisitions
+        censored = traj.num_censored_acquisitions
+        assert failed > 0 and censored > 0
+        assert len(traj.fault_events) == failed + censored
+        assert traj.total_cost == pytest.approx(sum(r.cost for r in traj.records))
+        if on_failure == "next_best":
+            # Crashed picks keep their iteration, so rounds start off the
+            # batch grid; max_iterations is checked when a round starts.
+            assert 12 <= len(traj) - failed < 12 + 4
+        else:
+            assert len(traj) == 12

@@ -3,8 +3,9 @@
 Property tests (hypothesis, derandomized) pin the two DESIGN.md batch
 invariants — every emitted batch is budget-feasible on predicted cost,
 and B=1 selection equals sequential RGMA draw-for-draw — and the
-learner-level tests pin the F=1/B=1 reduction to the base
-:class:`ActiveLearner` plus the multi-fidelity bookkeeping.
+learner-level tests pin the portfolio round of :class:`ActiveLearner`:
+the F=1/B=1 reduction to sequential RGMA and the multi-fidelity
+bookkeeping (the batch round mechanics have their own test module).
 """
 
 import numpy as np
@@ -15,7 +16,6 @@ from hypothesis import strategies as st
 from repro.core import (
     ActiveLearner,
     ALConfig,
-    MultiFidelityActiveLearner,
     PortfolioCandidateView,
     PortfolioPolicy,
     RGMA,
@@ -136,8 +136,12 @@ class TestMultiFidelityLearner:
             config=cfg,
         )
         tb = base.run()
-        mf = MultiFidelityActiveLearner(
-            small_dataset, part, rng=np.random.default_rng(21), config=cfg
+        mf = ActiveLearner(
+            small_dataset,
+            part,
+            policy=PortfolioPolicy(memory_limit_MB=small_dataset.memory_limit()),
+            rng=np.random.default_rng(21),
+            config=cfg,
         )
         tm = mf.run()
         np.testing.assert_array_equal(tb.selected_indices, tm.selected_indices)
@@ -155,7 +159,7 @@ class TestMultiFidelityLearner:
             batch_size=4,
             round_budget_node_hours=0.5,
         )
-        learner = MultiFidelityActiveLearner(
+        learner = ActiveLearner(
             mf_small, part, rng=np.random.default_rng(3), config=cfg
         )
         traj = learner.run()
@@ -177,7 +181,7 @@ class TestMultiFidelityLearner:
         cfg = ALConfig(
             num_fidelities=2, batch_size=2, round_budget_node_hours=1e-9
         )
-        learner = MultiFidelityActiveLearner(
+        learner = ActiveLearner(
             mf_small, part, rng=np.random.default_rng(3), config=cfg
         )
         traj = learner.run()
@@ -188,7 +192,7 @@ class TestMultiFidelityLearner:
         part = random_partition(
             np.random.default_rng(2), len(mf_small.base), n_init=20, n_test=40
         )
-        learner = MultiFidelityActiveLearner(
+        learner = ActiveLearner(
             mf_small,
             part,
             rng=np.random.default_rng(3),
@@ -203,7 +207,7 @@ class TestMultiFidelityLearner:
             np.random.default_rng(2), len(small_dataset), n_init=20, n_test=40
         )
         with pytest.raises(ValueError, match="MultiFidelityDataset"):
-            MultiFidelityActiveLearner(
+            ActiveLearner(
                 small_dataset,
                 part,
                 rng=np.random.default_rng(3),
@@ -215,7 +219,7 @@ class TestMultiFidelityLearner:
             np.random.default_rng(2), len(mf_small.base), n_init=20, n_test=40
         )
         with pytest.raises(ValueError, match="select_batch"):
-            MultiFidelityActiveLearner(
+            ActiveLearner(
                 mf_small,
                 part,
                 policy=RGMA(memory_limit_MB=mf_small.memory_limit()),

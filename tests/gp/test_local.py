@@ -125,7 +125,7 @@ class TestLocalGPRegressor:
 
 class TestLocalGPInActiveLearning:
     def test_model_factory_hook(self, small_dataset):
-        from repro.core import ActiveLearner, MaxSigma, random_partition
+        from repro.core import ActiveLearner, ALConfig, MaxSigma, random_partition
 
         rng = np.random.default_rng(3)
         part = random_partition(rng, len(small_dataset), n_init=25, n_test=30)
@@ -134,8 +134,10 @@ class TestLocalGPInActiveLearning:
             part,
             policy=MaxSigma(),
             rng=rng,
-            max_iterations=8,
-            model_factory=lambda: LocalGPRegressor(n_regions=3, rng=rng),
+            config=ALConfig(
+                max_iterations=8,
+                model_factory=lambda: LocalGPRegressor(n_regions=3, rng=rng),
+            ),
         )
         traj = learner.run()
         assert len(traj) == 8

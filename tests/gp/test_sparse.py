@@ -156,7 +156,7 @@ class TestIncrementalAppend:
 
 class TestApiLoop:
     def test_works_in_active_learning(self, small_dataset):
-        from repro.core import ActiveLearner, RandGoodness, random_partition
+        from repro.core import ActiveLearner, ALConfig, RandGoodness, random_partition
 
         rng = np.random.default_rng(4)
         part = random_partition(rng, len(small_dataset), n_init=25, n_test=30)
@@ -165,8 +165,10 @@ class TestApiLoop:
             part,
             policy=RandGoodness(),
             rng=rng,
-            max_iterations=6,
-            model_factory=lambda: SparseGPRegressor(n_inducing=20, rng=rng),
+            config=ALConfig(
+                max_iterations=6,
+                model_factory=lambda: SparseGPRegressor(n_inducing=20, rng=rng),
+            ),
         )
         traj = learner.run()
         assert len(traj) == 6

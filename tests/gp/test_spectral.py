@@ -103,7 +103,7 @@ class TestApi:
             SpectralGPRegressor(rng=None)
 
     def test_works_in_active_learning(self, small_dataset):
-        from repro.core import ActiveLearner, MaxSigma, random_partition
+        from repro.core import ActiveLearner, ALConfig, MaxSigma, random_partition
 
         rng = np.random.default_rng(4)
         part = random_partition(rng, len(small_dataset), n_init=25, n_test=30)
@@ -112,8 +112,10 @@ class TestApi:
             part,
             policy=MaxSigma(),
             rng=rng,
-            max_iterations=5,
-            model_factory=lambda: SpectralGPRegressor(n_frequencies=40, rng=rng),
+            config=ALConfig(
+                max_iterations=5,
+                model_factory=lambda: SpectralGPRegressor(n_frequencies=40, rng=rng),
+            ),
         )
         traj = learner.run()
         assert len(traj) == 5

@@ -122,7 +122,7 @@ class TestPrediction:
             t.refactor(np.zeros((4, 1)), np.zeros(4))
 
     def test_works_in_active_learning(self, small_dataset):
-        from repro.core import ActiveLearner, MaxSigma, random_partition
+        from repro.core import ActiveLearner, ALConfig, MaxSigma, random_partition
 
         rng = np.random.default_rng(4)
         part = random_partition(rng, len(small_dataset), n_init=25, n_test=30)
@@ -131,8 +131,10 @@ class TestPrediction:
             part,
             policy=MaxSigma(),
             rng=rng,
-            max_iterations=5,
-            model_factory=lambda: TreedGPRegressor(max_leaf_size=80, rng=rng),
+            config=ALConfig(
+                max_iterations=5,
+                model_factory=lambda: TreedGPRegressor(max_leaf_size=80, rng=rng),
+            ),
         )
         traj = learner.run()
         assert len(traj) == 5

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from repro import obs
-from repro.core import ActiveLearner, MinPred, RandGoodness, random_partition
+from repro.core import ActiveLearner, ALConfig, MinPred, RandGoodness, random_partition
 from repro.gp.gpr import GPRegressor
 from repro.gp.kernels import (
     RBF,
@@ -250,8 +250,7 @@ class TestTrajectoryParity:
                 part,
                 policy_cls(),
                 rng,
-                max_iterations=12,
-                use_workspace=use_ws,
+                config=ALConfig(max_iterations=12, use_workspace=use_ws),
             )
             traj = learner.run()
             return traj, learner.gpr_cost.kernel_.theta, learner.gpr_mem.kernel_.theta

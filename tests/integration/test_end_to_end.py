@@ -6,6 +6,7 @@ import pytest
 from repro.analysis import tradeoff_curve, violin_stats
 from repro.core import (
     ActiveLearner,
+    ALConfig,
     BatchConfig,
     MaxSigma,
     MinPred,
@@ -75,7 +76,9 @@ class TestReproducibility:
             rng = np.random.default_rng(5)
             ds = run_campaign(rng, config=CampaignConfig(num_unique=60, num_repeats=10)).dataset
             part = random_partition(rng, len(ds), n_init=10, n_test=20)
-            learner = ActiveLearner(ds, part, RandGoodness(), rng, max_iterations=8)
+            learner = ActiveLearner(
+                ds, part, RandGoodness(), rng, config=ALConfig(max_iterations=8)
+            )
             return learner.run()
 
         t1, t2 = once(), once()
@@ -92,7 +95,7 @@ class TestPaperScaleSmoke:
         part = random_partition(rng, len(campaign_dataset), n_init=50, n_test=200)
         assert part.n_active == 350
         learner = ActiveLearner(
-            campaign_dataset, part, MaxSigma(), rng, max_iterations=10
+            campaign_dataset, part, MaxSigma(), rng, config=ALConfig(max_iterations=10)
         )
         traj = learner.run()
         assert len(traj) == 10

@@ -130,13 +130,13 @@ class TestMetricBookkeeping:
 class TestRegistryCompleteness:
     def test_policies_constructible_and_runnable(self, small_dataset):
         """Every registered policy survives a 3-iteration AL run."""
-        from repro.core import ActiveLearner, random_partition
+        from repro.core import ActiveLearner, ALConfig, random_partition
 
         for name, cls in POLICIES.items():
             rng = np.random.default_rng(1)
             part = random_partition(rng, len(small_dataset), n_init=15, n_test=30)
             policy = cls(memory_limit_MB=50.0) if name == "rgma" else cls()
             traj = ActiveLearner(
-                small_dataset, part, policy, rng, max_iterations=3
+                small_dataset, part, policy, rng, config=ALConfig(max_iterations=3)
             ).run()
             assert traj.policy_name == name

@@ -14,6 +14,7 @@ Covers the PR's acceptance criteria:
 import numpy as np
 import pytest
 
+from repro.core.config import ALConfig
 from repro.core.loop import ActiveLearner
 from repro.core.parallel import TrajectorySpec, run_trajectories
 from repro.core.partitions import random_partition
@@ -62,7 +63,7 @@ class TestCampaignBitIdentity:
             partition = random_partition(rng, len(small_dataset), n_init=15, n_test=20)
             return ActiveLearner(
                 small_dataset, partition, policy=RandGoodness(), rng=rng,
-                max_iterations=5, hyper_refit_interval=2, **kw,
+                config=ALConfig(max_iterations=5, hyper_refit_interval=2, **kw),
             ).run()
 
         plain = run()

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from repro import obs
-from repro.core import ActiveLearner, random_partition
+from repro.core import ActiveLearner, ALConfig, random_partition
 from repro.core.policies import RandGoodness
 from repro.obs.spans import NOOP_SPAN
 
@@ -87,8 +87,7 @@ def _run_selections(small_dataset, seed=11):
         partition,
         policy=RandGoodness(),
         rng=rng,
-        max_iterations=6,
-        hyper_refit_interval=2,
+        config=ALConfig(max_iterations=6, hyper_refit_interval=2),
     )
     return learner.run().selected_indices
 

@@ -86,7 +86,11 @@ class TestZeroRefit:
         partition = random_partition(rng, len(small_dataset), n_init=20, n_test=30)
         obs.enable_tracing()
         learner = ActiveLearner(
-            small_dataset, partition, policy=policy, rng=rng, max_iterations=4
+            small_dataset,
+            partition,
+            policy=policy,
+            rng=rng,
+            config=ALConfig(max_iterations=4),
         )
         traj = learner.run()
         names = {s.name for s in obs.tracer().spans()}
@@ -106,8 +110,7 @@ class TestZeroRefit:
                 partition,
                 policy=policy,
                 rng=rng,
-                max_iterations=3,
-                on_failure="impute",
+                config=ALConfig(max_iterations=3, on_failure="impute"),
             )
 
 

@@ -112,6 +112,19 @@ class TestResumeRefusal:
         with pytest.raises(ServiceError, match="refusing to resume"):
             CampaignService(small_dataset, store=store)
 
+    def test_version_1_payload_refused(self, tmp_path, small_dataset):
+        """Version-1 learner blobs predate the one-learner layout; attaching
+        must refuse them loudly instead of failing inside a slice."""
+        store = CheckpointStore(tmp_path)
+        with CampaignService(small_dataset, store=store, steps_per_slice=2) as svc:
+            svc.submit(make_specs(1)[0])
+            svc.run(max_slices=1)
+        payload = store.load("camp-0")
+        payload["version"] = 1
+        store.save("camp-0", payload)
+        with pytest.raises(ServiceError, match="has version 1, expected 2"):
+            CampaignService(small_dataset, store=store)
+
 
 class TestKillResume:
     @given(kill_after=st.integers(min_value=0, max_value=7))

@@ -271,46 +271,6 @@ class TestRegistrySelectors:
             )
         assert "key=value" in capsys.readouterr().err
 
-    @pytest.mark.parametrize(
-        "flag,value,surrogate",
-        [
-            ("--n-inducing", "16", "sparse"),
-            ("--exact-lml-max-n", "50", "iterative"),
-        ],
-    )
-    def test_legacy_surrogate_flags_warn_once(
-        self, tmp_path, capsys, flag, value, surrogate
-    ):
-        csv = tmp_path / "d.csv"
-        main(["dataset", "--out", str(csv)])
-        with pytest.warns(DeprecationWarning, match=flag) as record:
-            rc = main(
-                ["run", "--dataset", str(csv), "--surrogate", surrogate,
-                 flag, value, "--iterations", "2",
-                 "--n-init", "20", "--n-test", "40"]
-            )
-        assert rc == 0
-        ours = [w for w in record if flag in str(w.message)]
-        assert len(ours) == 1
-        # The warning names the replacement selector spelling.
-        assert "--surrogate" in str(ours[0].message)
-
-    @pytest.mark.parametrize("flag", ["--policy-file", "--policy-epsilon"])
-    def test_legacy_amortized_flags_warn_once(self, tmp_path, capsys, flag):
-        csv = tmp_path / "d.csv"
-        main(["dataset", "--out", str(csv)])
-        pf = _train_policy_file(tmp_path)
-        argv = ["run", "--dataset", str(csv), "--policy", "amortized",
-                "--iterations", "2", "--n-init", "20", "--n-test", "40",
-                "--policy-file", pf]
-        if flag == "--policy-epsilon":
-            argv += ["--policy-epsilon", "0.1"]
-        with pytest.warns(DeprecationWarning, match=flag) as record:
-            assert main(argv) == 0
-        ours = [w for w in record if flag in str(w.message)]
-        assert len(ours) == 1
-        assert "--policy amortized," in str(ours[0].message)
-
 
 class TestMultiFidelityCLI:
     def test_run_mf_portfolio(self, tmp_path, capsys):
@@ -365,8 +325,8 @@ class TestAmortizedCLI:
         pf = _train_policy_file(tmp_path)
         capsys.readouterr()
         rc = main(
-            ["run", "--dataset", str(csv), "--policy", "amortized",
-             "--policy-file", pf, "--iterations", "3",
+            ["run", "--dataset", str(csv),
+             "--policy", f"amortized,policy_file={pf}", "--iterations", "3",
              "--n-init", "20", "--n-test", "30"]
         )
         assert rc == 0
@@ -383,7 +343,7 @@ class TestAmortizedCLI:
              "--policy", "amortized", "--iterations", "3"]
         )
         assert rc == 2
-        assert "--policy-file" in capsys.readouterr().err
+        assert "--policy amortized,policy_file=PATH" in capsys.readouterr().err
 
     def test_submit_and_serve_amortized(
         self, tmp_path, capsys, service_dataset_csv
@@ -393,7 +353,7 @@ class TestAmortizedCLI:
         rc = main(
             ["campaign", "submit", "--store", store,
              "--dataset", service_dataset_csv, "--id", "a0",
-             "--policy", "amortized", "--policy-file", pf,
+             "--policy", f"amortized,policy_file={pf}",
              "--n-init", "20", "--n-test", "30", "--iterations", "4"]
         )
         assert rc == 0
