@@ -77,6 +77,14 @@ class CandidateCovarianceCache:
         self._diag = None
         self._theta = None
 
+    def __getstate__(self) -> dict:
+        # Pickles empty: the cache is exact and rebuilt on first use, so a
+        # checkpoint carries the model reference only, and pickling leaves
+        # the live cache warm.
+        state = self.__dict__.copy()
+        state.update(_Ks=None, _diag=None, _theta=None)
+        return state
+
     @property
     def _cacheable(self) -> bool:
         return supports_cross(self.model) and getattr(self.model, "is_fitted", False)

@@ -7,10 +7,12 @@ module is that long-lived scheduler:
 
 - **Slices, not runs.**  A campaign executes as a sequence of *slices* —
   a handful of :meth:`~repro.core.loop.ActiveLearner.step` calls — and
-  the learner is pickled between slices.  The pickle *is* the
-  checkpoint: a campaign killed at any point resumes from its last
-  committed slice bit-identically (the stepwise learner keeps every
-  piece of loop state, including the RNG, on the instance).
+  every committed slice ships the learner's live state as a checkpoint
+  blob (:func:`dumps_campaign`); the next slice, on whichever worker,
+  restores from it.  The blob *is* the checkpoint: a campaign killed at
+  any point resumes from its last committed slice bit-identically (the
+  stepwise learner keeps every piece of loop state, including the RNG,
+  on the instance).
 - **Budget-ordered round-robin.**  :class:`CampaignQueue` orders ready
   campaigns by remaining node-hour budget (priced through
   :class:`~repro.machine.accounting.CampaignLedger`) *within* a
@@ -299,16 +301,16 @@ class _InterningUnpickler(pickle.Unpickler):
 def dumps_campaign(learner: ActiveLearner, dataset: Dataset) -> bytes:
     """Serialize mid-run learner state as a checkpoint blob.
 
-    The candidate cross-covariance caches are invalidated first: they are
-    exact (silently rebuilt from the kernel on next use, bit-identically)
-    and they dominate the pickle size, so checkpoints store working state
-    only.  The dataset is interned via persistent-id.  Everything else —
-    both GP models, the RNG, the pool, the partial records — rides along,
-    and pickle memoization preserves the learner/model RNG *sharing*, so
-    a restored learner continues the identical stream.
+    The blob holds live state only, and serializing leaves ``learner``
+    untouched (its caches stay warm).  The candidate cross-covariance
+    caches pickle empty (they are exact and rebuilt from the kernel on
+    first use, bit-identically); the GP models pickle their factors and
+    kernel workspaces without capacity headroom or evaluation scratch.
+    The dataset is interned via persistent-id.  Everything else — the
+    RNG, the pool, the partial records — rides along, and pickle
+    memoization preserves the learner/model RNG *sharing*, so a restored
+    learner continues the identical stream.
     """
-    learner._cache_cost.invalidate()
-    learner._cache_mem.invalidate()
     buf = io.BytesIO()
     _InterningPickler(buf, dataset).dump(learner)
     return buf.getvalue()
@@ -488,10 +490,11 @@ def _run_slice(dataset: Dataset, job: dict) -> tuple[str, dict | TrajectoryFailu
     """
     cid = job["cid"]
     try:
-        if job["blob"] is None:
-            learner = build_learner(job["spec"], dataset)
-        else:
-            learner = loads_campaign(job["blob"], dataset)
+        with obs.span("campaign_restore", cat="service", campaign=cid):
+            if job["blob"] is None:
+                learner = build_learner(job["spec"], dataset)
+            else:
+                learner = loads_campaign(job["blob"], dataset)
         n_before = len(learner.records)
         steps_done = 0
         with obs.span(
@@ -504,11 +507,13 @@ def _run_slice(dataset: Dataset, job: dict) -> tuple[str, dict | TrajectoryFailu
                 steps_done += 1
         finished = learner.finished
         trajectory = learner.finalize() if finished else None
+        with obs.span("campaign_dump", cat="service", campaign=cid):
+            blob = dumps_campaign(learner, dataset)
         return (
             "ok",
             {
                 "cid": cid,
-                "blob": dumps_campaign(learner, dataset),
+                "blob": blob,
                 "n_records_before": n_before,
                 "n_records": len(learner.records),
                 "new_indices": [
@@ -1075,9 +1080,15 @@ class CampaignService:
                 return
             ticket = self._decide(rec)
             job = self._make_job(rec, ticket)
+            try:
+                worker.conn.send(("slice", job))
+            except OSError:
+                # The worker died while idle: replace it and hand the
+                # fresh one the same job.
+                self._pool.respawn(worker)
+                worker.conn.send(("slice", job))
             if ticket.directive == "timeout":
                 ticket.deadline = time.monotonic() + self.chaos.timeout_kill_s
-            worker.conn.send(("slice", job))
             worker.ticket = ticket
 
     def _wait_and_handle(self) -> None:
@@ -1327,33 +1338,33 @@ class CampaignService:
     def _checkpoint(self, rec: _Campaign) -> None:
         if self.store is None:
             return
-        self.store.save(
-            rec.spec.campaign_id,
-            {
-                "version": CHECKPOINT_VERSION,
-                "spec": rec.spec,
-                "seq": rec.seq,
-                "status": rec.status.value,
-                "blob": rec.blob,
-                "n_records": rec.n_records,
-                "iterations": rec.iterations,
-                "steps_done": rec.steps_done,
-                "slice_steps": rec.slice_steps,
-                "slice_index": rec.slice_index,
-                "attempt": rec.attempt,
-                "round": rec.round,
-                "cum_cost_seen": rec.cum_cost_seen,
-                "ledger": rec.ledger,
-                "fault_events": tuple(rec.fault_events),
-                "failure": rec.failure,
-                "trajectory": rec.trajectory,
-                "chaos_rng": rec.chaos_rng,
-                "config_fingerprint": rec.spec.config.fingerprint(),
-                # Read back with .get(): a payload without the stamp
-                # carries no policy claim to verify.
-                "policy_fingerprint": rec.policy_fingerprint,
-            },
-        )
+        payload = {
+            "version": CHECKPOINT_VERSION,
+            "spec": rec.spec,
+            "seq": rec.seq,
+            "status": rec.status.value,
+            "blob": rec.blob,
+            "n_records": rec.n_records,
+            "iterations": rec.iterations,
+            "steps_done": rec.steps_done,
+            "slice_steps": rec.slice_steps,
+            "slice_index": rec.slice_index,
+            "attempt": rec.attempt,
+            "round": rec.round,
+            "cum_cost_seen": rec.cum_cost_seen,
+            "ledger": rec.ledger,
+            "fault_events": tuple(rec.fault_events),
+            "failure": rec.failure,
+            "trajectory": rec.trajectory,
+            "chaos_rng": rec.chaos_rng,
+            "config_fingerprint": rec.spec.config.fingerprint(),
+            # Read back with .get(): a payload without the stamp
+            # carries no policy claim to verify.
+            "policy_fingerprint": rec.policy_fingerprint,
+        }
+        cid = rec.spec.campaign_id
+        with obs.span("service.checkpoint", cat="service", campaign=cid):
+            self.store.save(cid, payload)
 
     def _attach_existing(self) -> None:
         for campaign_id, payload in self.store.load_all().items():

@@ -143,6 +143,26 @@ class GPRegressor:
         self._L_buf: np.ndarray | None = None
         self.last_factor_mode_ = ""
 
+    # ----------------------------------------------------------- pickling
+
+    def __getstate__(self) -> dict:
+        """Live state only: no capacity headroom, no LML scratch.
+
+        ``_L`` pickles as its live ``(n, n)`` block; the capacity buffer
+        behind it, the flat LML buffers and the fit-time stash are
+        rebuilt on demand, so leaving them out changes no value.  The
+        kernel workspace rides along (its nodes trim themselves), so a
+        restored model *extends* it on the next fit, exactly as the
+        pickled one would have.
+        """
+        state = self.__dict__.copy()
+        state.update(_L_buf=None, _chol_flat=None, _grad_flat=None, _eval_stash=None)
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._L_buf = self._L  # capacity == size until the next extension
+
     # ------------------------------------------------------------------ LML
 
     def log_marginal_likelihood(

@@ -453,6 +453,18 @@ class _WsNode(ABC):
     n_theta: int = 1
     #: Number of active rows/columns (leading block of the buffers).
     n: int = 0
+    #: Capacity buffers of theta-independent structure, trimmed to their
+    #: live ``(..., n, n)`` block when pickled.
+    _structure: tuple[str, ...] = ()
+    #: Evaluation scratch (buffers and the values ``grad_dot`` re-reads),
+    #: left out of pickles: every :meth:`value` call rewrites it.
+    _SCRATCH = frozenset({"_eval_flat", "_last_K", "_last", "_Ka", "_Kb", "_K"})
+
+    def __getstate__(self) -> dict:
+        state = {k: v for k, v in self.__dict__.items() if k not in self._SCRATCH}
+        for name in self._structure:
+            state[name] = state[name][..., : self.n, : self.n].copy()
+        return state
 
     @abstractmethod
     def rebuild(self, X: np.ndarray) -> None:
@@ -523,6 +535,7 @@ class _WhiteWs(_WsNode):
     """White noise: a theta-scaled identity."""
 
     is_diag = True
+    _K: np.ndarray | None = None
 
     def rebuild(self, X: np.ndarray) -> None:
         self.n = X.shape[0]
@@ -552,6 +565,8 @@ class _WhiteWs(_WsNode):
 
 class _RBFIsoWs(_WsNode):
     """Isotropic RBF: caches the unscaled squared-distance matrix."""
+
+    _structure = ("_d2",)
 
     def rebuild(self, X: np.ndarray) -> None:
         n = X.shape[0]
@@ -589,6 +604,8 @@ class _RBFIsoWs(_WsNode):
 
 class _RBFArdWs(_WsNode):
     """Anisotropic RBF: caches the per-dimension ``diff²`` stack."""
+
+    _structure = ("_diff2",)
 
     def __init__(self, n_dims: int):
         self.n_theta = n_dims
@@ -634,6 +651,8 @@ class _RBFArdWs(_WsNode):
 
 class _MaternWs(_WsNode):
     """Matérn (nu in {0.5, 1.5, 2.5}): caches unscaled distances."""
+
+    _structure = ("_r",)
 
     def __init__(self, nu: float):
         self.nu = nu

@@ -8,6 +8,7 @@ same selections, same RNG stream, same stop reason.
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import pickle
 import tempfile
@@ -28,9 +29,28 @@ from repro.core import (
     dumps_campaign,
     loads_campaign,
 )
+from repro.core import service as service_module
+from repro.core.loop import CandidateCovarianceCache
 from repro.data import CampaignConfig, run_campaign
+from repro.gp.gpr import GPRegressor
+from repro.gp.kernels import _WsNode
 
 from tests.service.conftest import make_specs
+
+
+def _use_uncompacted_layout(monkeypatch) -> None:
+    """Pickle learners in the layout of version-2 blobs written before
+    compaction: every object's full ``__dict__`` (Cholesky capacity
+    buffer, LML scratch, untrimmed workspace structure and scratch)."""
+    for cls in (GPRegressor, _WsNode, CandidateCovarianceCache):
+        monkeypatch.delattr(cls, "__getstate__")
+
+
+def _dumps_uncompacted(learner, dataset) -> bytes:
+    """That layout's writer, which emptied the candidate caches first."""
+    learner._cache_cost.invalidate()
+    learner._cache_mem.invalidate()
+    return dumps_campaign(learner, dataset)
 
 
 class TestBlobRoundTrip:
@@ -59,6 +79,85 @@ class TestBlobRoundTrip:
         assert a.rng.bit_generator.state == b.rng.bit_generator.state
         ta, tb = a.finalize(), b.finalize()
         np.testing.assert_array_equal(ta.selected_indices, tb.selected_indices)
+
+    def test_dumping_leaves_the_learner_warm_and_unchanged(self, small_dataset):
+        """A learner dumped after every step keeps its candidate caches and
+        selects exactly like one never dumped; the blob carries the caches
+        empty."""
+        spec = make_specs(2)[1]  # MaxSigma: picks read the cached sigma
+        dumped = build_learner(spec, small_dataset)
+        plain = build_learner(spec, small_dataset)
+        dumped.start()
+        plain.start()
+        while plain.step():
+            assert dumped.step()
+            warm = dumped._cache_cost._Ks
+            assert warm is not None
+            blob = dumps_campaign(dumped, small_dataset)
+            assert dumped._cache_cost._Ks is warm
+            restored = loads_campaign(blob, small_dataset)
+            assert restored._cache_cost._Ks is None
+            assert [r.dataset_index for r in restored.records] == [
+                r.dataset_index for r in dumped.records
+            ]
+        assert not dumped.step()
+        assert dumped.rng.bit_generator.state == plain.rng.bit_generator.state
+        np.testing.assert_array_equal(
+            dumped.finalize().selected_indices, plain.finalize().selected_indices
+        )
+
+
+class TestUncompactedBlobs:
+    """Version-2 blobs written before checkpoints held live state only
+    still load, attach and continue exactly."""
+
+    @pytest.mark.parametrize("refit", [1, 3])
+    def test_blob_continues_like_an_uninterrupted_run(
+        self, small_dataset, monkeypatch, refit
+    ):
+        spec = make_specs(2)[1]  # MaxSigma: picks read the cached sigma
+        spec = dataclasses.replace(
+            spec, config=ALConfig(max_iterations=8, hyper_refit_interval=refit)
+        )
+        plain = build_learner(spec, small_dataset)
+        plain.start()
+        while plain.step():
+            pass
+        live = build_learner(spec, small_dataset)
+        live.start()
+        for _ in range(4):
+            assert live.step()
+        with monkeypatch.context() as m:
+            _use_uncompacted_layout(m)
+            old = _dumps_uncompacted(live, small_dataset)
+        assert len(old) > len(dumps_campaign(live, small_dataset))
+        restored = loads_campaign(old, small_dataset)
+        assert restored.gpr_cost._chol_flat is not None  # scratch came along
+        while restored.step():
+            pass
+        assert restored.rng.bit_generator.state == plain.rng.bit_generator.state
+        np.testing.assert_array_equal(
+            restored.finalize().selected_indices, plain.finalize().selected_indices
+        )
+
+    def test_store_attaches_and_resumes(
+        self, tmp_path, small_dataset, reference_selections, monkeypatch
+    ):
+        specs = make_specs()
+        with monkeypatch.context() as m:
+            _use_uncompacted_layout(m)
+            m.setattr(service_module, "dumps_campaign", _dumps_uncompacted)
+            with CampaignService(small_dataset, store=tmp_path, steps_per_slice=2) as s1:
+                for spec in specs:
+                    s1.submit(spec)
+                s1.run(max_slices=4)
+        with CampaignService(small_dataset, store=tmp_path, steps_per_slice=2) as s2:
+            s2.run()
+            got = {
+                s.campaign_id: tuple(s2.result(s.campaign_id).selected_indices)
+                for s in specs
+            }
+        assert got == reference_selections
 
 
 class TestAtomicity:

@@ -105,6 +105,30 @@ class TestFailurePaths:
             failure = svc.result("dier")
         assert isinstance(failure, TrajectoryFailure)
 
+    def test_idle_worker_death_respawns_at_dispatch(
+        self, small_dataset, reference_selections
+    ):
+        """Regression: a worker that died while idle made the next dispatch
+        raise BrokenPipeError.  It is now respawned and handed the job."""
+        specs = make_specs()
+        with CampaignService(small_dataset, workers=1, steps_per_slice=2) as svc:
+            for spec in specs:
+                svc.submit(spec)
+            svc.run(max_slices=1)
+            worker = svc._pool.workers[0]
+            assert worker.ticket is None  # idle
+            worker.proc.kill()
+            worker.proc.join(timeout=10)
+            assert not worker.proc.is_alive()
+            report = svc.run()
+            assert set(report.campaigns.values()) == {"done"}
+            assert report.slices_discarded == 0
+            got = {
+                s.campaign_id: tuple(svc.result(s.campaign_id).selected_indices)
+                for s in specs
+            }
+        assert got == reference_selections
+
     def test_inline_exception_fails_without_retry(self, small_dataset):
         spec = CampaignSpec(
             campaign_id="exploder",
