@@ -46,6 +46,15 @@ Two execution modes share every scheduling/commit/chaos code path:
 ``workers=0`` runs slices inline (fast, fully deterministic — what the
 property tests drive), ``workers=N`` runs them on ``N`` spawn-safe
 worker processes fed over pipes (what the chaos suite kills).
+
+Worker boots stay off the critical path.  A fresh worker imports numpy,
+scipy and this package for most of a second, so the pool starts every
+worker at once and never blocks on one: a worker counts as *booting*
+until its readiness handshake arrives through the same
+:func:`~multiprocessing.connection.wait` that collects slice results.
+Dispatch begins with the first worker ready, and a crashed or condemned
+worker's replacement boots while the rest of the fleet keeps committing.
+A worker that dies before its handshake is a :class:`ServiceError`.
 """
 
 from __future__ import annotations
@@ -605,15 +614,21 @@ def _campaign_worker_main(conn, rank: int, trace_enabled: bool) -> None:
 
 
 class _WorkerHandle:
-    """One live worker process: its pipe plus the slice it is running."""
+    """One worker process: its pipe, boot state, and the slice it runs."""
 
-    __slots__ = ("rank", "proc", "conn", "ticket")
+    __slots__ = ("rank", "proc", "conn", "ticket", "boot_t0")
 
-    def __init__(self, rank, proc, conn) -> None:
+    def __init__(self, rank: int) -> None:
         self.rank = rank
-        self.proc = proc
-        self.conn = conn
+        self.proc = None
+        self.conn = None
         self.ticket: "_Ticket | None" = None
+        #: ``perf_counter()`` at start while the handshake is unread.
+        self.boot_t0: float | None = None
+
+    @property
+    def booting(self) -> bool:
+        return self.boot_t0 is not None
 
 
 class CampaignWorkerPool:
@@ -623,8 +638,13 @@ class CampaignWorkerPool:
     phases, the parent is the barrier), campaign workers are *free
     running*: each owns at most one in-flight slice and the service
     multiplexes replies with :func:`multiprocessing.connection.wait`.
-    Workers are expendable — a dead one (chaos crash, real crash) is
-    respawned in place and re-fed the dataset; the slice it was running
+
+    Nothing here waits for a worker to boot.  Starting a worker ships it
+    the dataset and returns; the worker is :attr:`~_WorkerHandle.booting`
+    until the service sees its handshake through the same ``wait`` and
+    calls :meth:`handshake`.  Workers are expendable — a dead one (chaos
+    crash, real crash, deadline kill) is replaced by :meth:`respawn`,
+    which returns while the replacement boots; the slice it was running
     is re-dispatched from its checkpoint by the scheduler.
     """
 
@@ -633,56 +653,89 @@ class CampaignWorkerPool:
             raise ValueError("num_workers must be >= 1")
         self._ctx = get_context("spawn")
         self._dataset = dataset
-        self.workers = [self._spawn(rank) for rank in range(num_workers)]
+        self.workers: list[_WorkerHandle] = []
+        for rank in range(num_workers):
+            handle = _WorkerHandle(rank)
+            self._start(handle)
+            self.workers.append(handle)
 
     def __len__(self) -> int:
         return len(self.workers)
 
-    def _spawn(self, rank: int) -> _WorkerHandle:
+    def _start(self, handle: _WorkerHandle) -> None:
+        """Start ``handle``'s process and ship the dataset, without waiting."""
         parent_conn, child_conn = self._ctx.Pipe()
-        proc = self._ctx.Process(
+        handle.proc = self._ctx.Process(
             target=_campaign_worker_main,
-            args=(child_conn, rank, obs.tracing_enabled()),
+            args=(child_conn, handle.rank, obs.tracing_enabled()),
             daemon=True,
-            name=f"campaign-worker-{rank}",
+            name=f"campaign-worker-{handle.rank}",
         )
-        proc.start()
+        handle.proc.start()
         child_conn.close()
-        # Shipping the dataset doubles as the readiness handshake.
-        parent_conn.send(("dataset", self._dataset))
-        status, _ = parent_conn.recv()
-        if status != "ok":  # pragma: no cover - import-time breakage only
-            raise ServiceError(f"campaign worker {rank} failed to initialize")
-        return _WorkerHandle(rank, proc, parent_conn)
+        handle.conn = parent_conn
+        handle.ticket = None
+        handle.boot_t0 = time.perf_counter()
+        # One buffered send at the paper's dataset size: it returns
+        # before the child has finished importing.
+        try:
+            parent_conn.send(("dataset", self._dataset))
+        except OSError:
+            pass  # the child is already gone; handshake() reports it
+
+    def handshake(self, handle: _WorkerHandle) -> None:
+        """Read a booting worker's handshake (its conn is readable).
+
+        A worker that dies before its handshake is a broken install or
+        environment, not a fault to retry: raise :class:`ServiceError`.
+        """
+        try:
+            handle.conn.recv()
+        except (EOFError, OSError):
+            handle.proc.join(timeout=5.0)
+            raise ServiceError(
+                f"campaign worker {handle.rank} died before its handshake "
+                f"(exit code {handle.proc.exitcode})"
+            ) from None
+        boot_ms = 1e3 * (time.perf_counter() - handle.boot_t0)
+        handle.boot_t0 = None
+        obs.event(
+            "service.worker_ready", cat="service", rank=handle.rank, boot_ms=boot_ms
+        )
 
     def respawn(self, handle: _WorkerHandle) -> None:
-        """Replace a dead (or condemned) worker in place."""
-        try:
-            handle.conn.close()
-        except OSError:  # pragma: no cover - already closed
-            pass
+        """Replace a dead (or condemned) worker; returns while it boots."""
+        handle.conn.close()
         if handle.proc.is_alive():
             handle.proc.terminate()
         handle.proc.join(timeout=5.0)
-        fresh = self._spawn(handle.rank)
-        handle.proc = fresh.proc
-        handle.conn = fresh.conn
-        handle.ticket = None
+        self._start(handle)
 
     def idle(self) -> Iterator[_WorkerHandle]:
-        return (w for w in self.workers if w.ticket is None)
+        return (w for w in self.workers if w.ticket is None and not w.booting)
 
-    def busy(self) -> list[_WorkerHandle]:
-        return [w for w in self.workers if w.ticket is not None]
+    def waitable(self, need_worker: bool) -> list[_WorkerHandle]:
+        """Workers whose next message the service waits for.
+
+        Every busy worker, plus the booting ones while ``need_worker``
+        (a campaign is ready and no worker is idle).  A worker respawned
+        at dispatch is booting *and* busy; it is listed once, because
+        the selector under :func:`~multiprocessing.connection.wait`
+        rejects a duplicate registration.
+        """
+        return [
+            w for w in self.workers
+            if w.ticket is not None or (need_worker and w.booting)
+        ]
 
     def close(self) -> None:
         """Shut every worker down; safe to call twice."""
         for w in self.workers:
             try:
                 if w.proc.is_alive():
-                    if w.ticket is not None:
-                        # Mid-slice: no point draining — the result would
-                        # be discarded anyway (nothing committed).
+                    if w.ticket is not None or w.booting:
+                        # Mid-slice or still importing: nothing to drain
+                        # (an in-flight result would be discarded anyway).
                         w.proc.terminate()
                     else:
                         w.conn.send(("close", None))
@@ -1010,9 +1063,12 @@ class CampaignService:
                 self._pool = CampaignWorkerPool(self.workers, self.dataset)
             while goal is None or self._slices_committed < goal:
                 self._fill_workers()
-                if not self._pool.busy():
+                # Whatever is still queued found no idle worker, so only
+                # then is a booting worker worth waiting for.
+                waiting = self._pool.waitable(need_worker=len(self._queue) > 0)
+                if not waiting:
                     break
-                self._wait_and_handle()
+                self._wait_and_handle(waiting)
         self.drain_observability()
         return self.report()
 
@@ -1083,24 +1139,32 @@ class CampaignService:
             try:
                 worker.conn.send(("slice", job))
             except OSError:
-                # The worker died while idle: replace it and hand the
-                # fresh one the same job.
+                # The worker died while idle: replace it and queue the
+                # same job behind the fresh one's dataset.  It is booting
+                # and busy at once; its handshake arrives first.
                 self._pool.respawn(worker)
                 worker.conn.send(("slice", job))
             if ticket.directive == "timeout":
                 ticket.deadline = time.monotonic() + self.chaos.timeout_kill_s
             worker.ticket = ticket
 
-    def _wait_and_handle(self) -> None:
-        busy = self._pool.busy()
-        deadlines = [w.ticket.deadline for w in busy if w.ticket.deadline is not None]
+    def _wait_and_handle(self, waiting: list[_WorkerHandle]) -> None:
+        deadlines = [
+            w.ticket.deadline
+            for w in waiting
+            if w.ticket is not None and w.ticket.deadline is not None
+        ]
         timeout = None
         if deadlines:
             timeout = max(0.0, min(deadlines) - time.monotonic())
-        ready = connection.wait([w.conn for w in busy], timeout)
-        by_conn = {w.conn: w for w in busy}
+        with obs.span("service.wait", cat="service"):
+            ready = connection.wait([w.conn for w in waiting], timeout)
+        by_conn = {w.conn: w for w in waiting}
         for conn in ready:
             worker = by_conn[conn]
+            if worker.booting:
+                self._pool.handshake(worker)
+                continue
             try:
                 status, value = conn.recv()
             except (EOFError, ConnectionResetError, OSError):
@@ -1115,7 +1179,7 @@ class CampaignService:
             else:
                 self._fail(rec, value)
         now = time.monotonic()
-        for worker in busy:
+        for worker in waiting:
             t = worker.ticket
             if t is not None and t.deadline is not None and now >= t.deadline:
                 # Deadline kill: the slice overran its window (chaos
@@ -1125,12 +1189,11 @@ class CampaignService:
                 self._discard(self._campaigns[ticket.cid], FaultKind.TIMEOUT, ticket)
 
     def _handle_worker_death(self, worker: _WorkerHandle) -> None:
-        ticket, worker.ticket = worker.ticket, None
+        # Only a busy worker is read once booted.  Whether chaos ordered
+        # the crash or the worker genuinely died, the response is the
+        # same: discard, respawn, re-run.
+        ticket = worker.ticket
         self._pool.respawn(worker)
-        if ticket is None:  # pragma: no cover - death between slices
-            return
-        # Whether chaos ordered the crash or the worker genuinely died,
-        # the response is the same: discard, respawn, re-run.
         self._discard(self._campaigns[ticket.cid], FaultKind.CRASH, ticket)
 
     # ------------------------------------------------------- chaos decisions
