@@ -9,9 +9,12 @@ re-establishing 2:1 balance, and transferring the solution conservatively.
 
 Stepping is batched by default (``AmrConfig.batched``): the hierarchy's
 state is stacked into one ``(P, 4, n, n)`` array, sweeps and reductions run
-once over the stack, and ghost exchange executes a plan precomputed at
-regrid time (:mod:`repro.amr.batch`).  The per-patch loop remains available
-as the bit-identical reference implementation.
+once over the stack, and ghost exchange executes a program precomputed at
+regrid time (:mod:`repro.amr.batch`, :mod:`repro.amr.shard`).  Sweeps, wave
+speeds and the exchange run in the compiled C kernels of
+:mod:`repro.solver.kernels` when a compiler is available and in numpy
+otherwise.  The per-patch loop remains available as the bit-identical
+reference implementation.
 
 :class:`ParallelAmrDriver` (:mod:`repro.amr.parallel`) shards the batched
 stack along the Morton curve across worker processes over shared memory —

@@ -7,14 +7,18 @@ zero-copy view of its slot.  This module provides
 
 - :class:`PatchStack` — builds the stacked storage, rebinds every patch's
   state to a view of it, and exposes whole-hierarchy vectorized reductions
-  (``compute_dt``, ``check_physical``, ``conserved_totals``,
-  ``total_bytes``); and
+  (``dt_from_speeds``, ``check_physical``, ``conserved_totals``,
+  ``total_bytes``);
 - :class:`ExchangePlan` — a precomputed ghost-exchange program: the
   per-face neighbor classification of
   :func:`repro.amr.ghost.exchange_ghosts` (physical boundary, same-level,
   coarse–fine, fine–coarse) is resolved once per regrid into index arrays,
   and executed each step as a handful of batched gather/scatter operations
-  instead of ``4 * P`` Python-level neighbor lookups.
+  instead of ``4 * P`` Python-level neighbor lookups;
+- :class:`StackStepper` — the one sweep and wave-speed dispatch of the
+  serial and sharded drivers: the compiled kernels of
+  :mod:`repro.solver.kernels` when they load and implement the configured
+  Riemann solver and limiter, the numpy reference otherwise.
 
 Invariants (see DESIGN.md, "Batched AMR patch kernels"):
 
@@ -34,6 +38,7 @@ Invariants (see DESIGN.md, "Batched AMR patch kernels"):
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -42,7 +47,9 @@ from repro.amr.patch import NUM_FIELDS, Patch
 from repro.amr.transfer import prolong_patch, restrict_area_average
 from repro.mesh.forest import Forest
 from repro.mesh.quadrant import Quadrant, quadrant_children, quadrant_parent
+from repro.solver import kernels
 from repro.solver.boundary import BoundaryCondition
+from repro.solver.fv import _sweep_stack
 from repro.solver.state import IMX, IMY, primitive_from_conserved
 
 
@@ -115,6 +122,72 @@ def stack_wave_speeds(
     sx = (np.abs(prim[1]) + c).max(axis=(-2, -1))
     sy = (np.abs(prim[2]) + c).max(axis=(-2, -1))
     return sx, sy
+
+
+@dataclass(frozen=True, slots=True)
+class StackStepper:
+    """Sweeps and CFL wave speeds over a patch stack or a row slice of one.
+
+    Both AMR drivers step through this one dispatch: the serial batched
+    path over its whole :class:`PatchStack`, each shard worker over its
+    contiguous rows of the shared stack.  It runs the compiled kernels
+    (:func:`repro.solver.kernels.fused_sweep` /
+    :func:`~repro.solver.kernels.wave_speeds`) when ``use_kernels`` is set,
+    :func:`repro.solver.kernels.load` succeeds and ``riemann`` and
+    ``limiter`` name routines the C source implements.  Otherwise — no
+    compiler, a callable solver or limiter, an unknown name — it runs the
+    numpy reference (:func:`repro.solver.fv._sweep_stack`,
+    :func:`stack_wave_speeds`).  Both are bit-identical.  Plain fields
+    only, so the stepper pickles to a worker process.
+    """
+
+    ng: int
+    riemann: str | Callable
+    limiter: str | Callable
+    gamma: float
+    use_kernels: bool = True
+
+    @classmethod
+    def from_config(cls, config, use_kernels: bool = True) -> "StackStepper":
+        """The stepper of an :class:`~repro.amr.driver.AmrConfig`."""
+        return cls(config.ng, config.riemann, config.limiter, config.gamma,
+                   use_kernels)
+
+    @property
+    def lib(self):
+        """The kernel library, or None when this process steps in numpy."""
+        return kernels.load() if self.use_kernels else None
+
+    @property
+    def compiled(self) -> bool:
+        """True iff sweeps and wave speeds run the compiled kernels."""
+        return (
+            isinstance(self.riemann, str)
+            and self.riemann in kernels.RIEMANN_IDS
+            and isinstance(self.limiter, str)
+            and self.limiter in kernels.LIMITER_IDS
+            and self.lib is not None
+        )
+
+    def sweep(self, q: np.ndarray, dt_dx: np.ndarray, axis: int) -> None:
+        """In-place sweep of C-contiguous ``(P, 4, n, n)`` rows; axis 0 is x."""
+        if self.compiled:
+            kernels.fused_sweep(
+                q, dt_dx, self.ng, axis, self.riemann, self.limiter, self.gamma
+            )
+        else:
+            _sweep_stack(
+                q, dt_dx, self.ng, "x" if axis == 0 else "y",
+                self.riemann, self.limiter, self.gamma,
+            )
+
+    def wave_speeds(self, q: np.ndarray, sx: np.ndarray, sy: np.ndarray) -> None:
+        """Per-row interior maxima of ``|u|+c`` / ``|v|+c`` into ``sx`` / ``sy``."""
+        if self.compiled:
+            kernels.wave_speeds(q, self.ng, self.gamma, sx, sy)
+        else:
+            ng = self.ng
+            sx[:], sy[:] = stack_wave_speeds(q[:, :, ng:-ng, ng:-ng], self.gamma)
 
 
 def _index_pairs(rows: list[tuple[int, ...]]) -> tuple[np.ndarray, ...]:
@@ -343,17 +416,15 @@ class PatchStack:
         """Fill all ghost layers via the precomputed exchange plan."""
         self.plan.execute(self.q)
 
-    def wave_speeds(self, gamma: float) -> tuple[np.ndarray, np.ndarray]:
-        """Per-patch interior maxima of ``|u|+c`` and ``|v|+c``."""
-        return stack_wave_speeds(self.interior, gamma)
-
     def dt_from_speeds(
         self, sx: np.ndarray, sy: np.ndarray, cfl: float, dt_max: float
     ) -> float:
         """Fold per-patch wave speeds into the global CFL step.
 
-        Split out of :meth:`compute_dt` so the parallel driver can feed in
-        worker-computed speeds and still run the identical final reduction.
+        The speeds come from :meth:`StackStepper.wave_speeds`, over the
+        whole stack (serial driver) or per shard into shared scratch
+        (parallel driver); the final reduction is the same either way and
+        bit-identical to the patch loop.
         """
         smax = np.maximum(sx, sy)
         moving = smax > 0
@@ -361,11 +432,6 @@ class PatchStack:
         if np.any(moving):
             dt = min(dt, float((cfl * self.dx[moving] / smax[moving]).min()))
         return dt
-
-    def compute_dt(self, cfl: float, gamma: float, dt_max: float = np.inf) -> float:
-        """Global CFL step over the stack; bit-identical to the patch loop."""
-        sx, sy = self.wave_speeds(gamma)
-        return self.dt_from_speeds(sx, sy, cfl, float(dt_max))
 
     def check_physical(self, gamma: float) -> bool:
         """True iff every interior cell of every patch is physical."""

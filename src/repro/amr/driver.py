@@ -5,15 +5,21 @@ advances every patch, ghost layers are exchanged between dimensional
 sweeps, and the hierarchy is regridded every ``regrid_interval`` steps.
 Solution transfer on refinement/coarsening uses the conservative operators
 of :mod:`repro.amr.transfer`; the 2:1 constraint is re-established after
-every regrid by ripple refinement.
+every regrid (and every initial-build round) by ripple refinement from a
+worklist of the leaves the regrid created
+(:func:`repro.mesh.balance.balance_from_seeds`).
 
 Two stepping backends are provided (``AmrConfig.batched``):
 
 - **batched** (default): the hierarchy's state lives in one shape-stacked
-  ``(P, 4, n, n)`` array (:class:`repro.amr.batch.PatchStack`), sweeps run
-  once over the whole stack, ghost exchange executes a plan precomputed at
-  regrid time, and the CFL / physicality / conservation reductions are
-  vectorized.
+  ``(P, 4, n, n)`` array (:class:`repro.amr.batch.PatchStack`), sweeps and
+  CFL wave speeds run once over the whole stack through
+  :class:`repro.amr.batch.StackStepper`, and ghost exchange executes a
+  program compiled at regrid time: the one-shard
+  :class:`repro.amr.shard.ShardProgram` run by the compiled kernels of
+  :mod:`repro.solver.kernels`, or the numpy
+  :class:`~repro.amr.batch.ExchangePlan` when no C compiler is available.
+  The physicality / conservation reductions are vectorized.
 - **per-patch**: the original patch-by-patch loop, kept as the bit-identical
   reference implementation.
 
@@ -30,13 +36,14 @@ from typing import Callable
 import numpy as np
 
 from repro import obs
-from repro.amr.batch import PatchStack
+from repro.amr.batch import PatchStack, StackStepper
 from repro.amr.ghost import exchange_ghosts
 from repro.amr.patch import Patch
+from repro.amr.shard import ShardProgram, build_sharded_exchange
 from repro.amr.stats import RunStats, StepRecord
 from repro.amr.tagging import tag_for_refinement, tag_stack
 from repro.amr.transfer import prolong_child, restrict_patch
-from repro.mesh.balance import balance_deficits
+from repro.mesh.balance import balance_from_seeds
 from repro.mesh.forest import BrickTopology, Forest
 from repro.mesh.quadrant import Quadrant, quadrant_children, quadrant_parent
 from repro.solver.fv import sweep_x, sweep_y
@@ -52,7 +59,8 @@ class AmrConfig:
     space: ``mx`` is the box size and ``max_level`` the maximum refinement
     level (Table I); ``min_level`` sets the coarsest allowed mesh.
     ``batched`` selects the shape-stacked stepping backend (bit-identical to
-    the per-patch reference, just faster).
+    the per-patch reference, just faster; it runs the compiled kernels
+    when a C compiler is available).
     """
 
     mx: int = 8
@@ -103,11 +111,13 @@ class AmrDriver:
         self.t = 0.0
         self.stats = RunStats()
         self._stack: PatchStack | None = None
-        # Leaves created since the last regrid began (children of refines,
-        # coarsened parents).  Only such leaves can participate in a new 2:1
-        # violation of a previously balanced forest, so they seed the
-        # incremental rebalance of the parallel driver; the serial full-scan
-        # rebalance ignores them.
+        # The one-shard exchange program of the current stack; None runs
+        # the stack's numpy ExchangePlan instead.
+        self._program: ShardProgram | None = None
+        self._stepper = StackStepper.from_config(config)
+        # Leaves created since the forest was last balanced (children of
+        # refines, coarsened parents).  Only such leaves can take part in a
+        # new 2:1 violation, so they seed the worklist rebalance.
         self._balance_seeds: list[tuple[int, Quadrant]] = []
         self._build_initial_hierarchy()
 
@@ -178,13 +188,21 @@ class AmrDriver:
         self._stack = None
 
     def stack(self) -> PatchStack:
-        """The current :class:`PatchStack`, (re)built if the hierarchy changed."""
+        """The current :class:`PatchStack`, (re)built if the hierarchy changed.
+
+        A rebuild also compiles the stack's exchange plan into a one-shard
+        :class:`~repro.amr.shard.ShardProgram` (every row owned by rank 0)
+        when the compiled kernels are available to run it.
+        """
         if self._stack is None or not self._stack.covers(self.patches):
             cfg = self.config
             with obs.timed("amr_plan", cat="amr"):
-                self._stack = PatchStack(
-                    self.forest, self.patches, cfg.mx, cfg.ng, cfg.bcs
-                )
+                stack = PatchStack(self.forest, self.patches, cfg.mx, cfg.ng, cfg.bcs)
+                self._program = None
+                if self._stepper.lib is not None:
+                    one_shard = np.zeros(len(stack), dtype=np.int64)
+                    self._program = build_sharded_exchange(stack, one_shard).programs[0]
+                self._stack = stack
         return self._stack
 
     # ------------------------------------------------------------- regridding
@@ -222,19 +240,25 @@ class AmrDriver:
         self._invalidate_stack()
 
     def _rebalance(self, from_initial: bool = False) -> None:
-        """Ripple-refine until 2:1 balanced, transferring the solution."""
-        while True:
-            deficits = balance_deficits(self.forest)
-            if not deficits:
-                return
-            for tree, quad, _ in deficits:
-                if (tree, quad) in self.patches:
-                    self._refine_patch(tree, quad, from_initial=from_initial)
+        """Ripple-refine until 2:1 balanced, transferring the solution.
+
+        A worklist seeded by the leaves created since the forest was last
+        balanced; it reaches the same forest as the full scan of
+        :func:`repro.mesh.balance.balance_forest`.  Only the leaf set
+        matters downstream: each refine's children are filled from the
+        refined leaf alone (or from the initial condition), so the order of
+        refines cannot change the solution.
+        """
+        balance_from_seeds(
+            self.forest,
+            self._balance_seeds,
+            lambda tree, quad: self._refine_patch(tree, quad, from_initial),
+        )
+        self._balance_seeds.clear()
 
     def regrid(self) -> None:
         """One full regrid pass: tag, refine, coarsen, rebalance."""
         cfg = self.config
-        self._balance_seeds.clear()
         with obs.timed("amr_regrid", cat="amr"):
             if cfg.batched:
                 # One vectorized pass over the stacked interiors.  stack.keys
@@ -283,12 +307,22 @@ class AmrDriver:
     def _exchange(self) -> None:
         exchange_ghosts(self.forest, self.patches, self.config.bcs)
 
+    def _exchange_stack(self, stack: PatchStack) -> None:
+        if self._program is not None:
+            self._program.execute(stack.q, lib=self._stepper.lib)
+        else:
+            stack.exchange()
+
     def compute_dt(self, dt_max: float = np.inf) -> float:
         """Global CFL step: finest-level constraint dominates."""
         cfg = self.config
         with obs.timed("amr_dt", cat="amr"):
             if cfg.batched:
-                return self.stack().compute_dt(cfg.cfl, cfg.gamma, dt_max)
+                stack = self.stack()
+                sx = np.empty(len(stack))
+                sy = np.empty(len(stack))
+                self._stepper.wave_speeds(stack.q, sx, sy)
+                return stack.dt_from_speeds(sx, sy, cfg.cfl, float(dt_max))
             dt = float(dt_max)
             for p in self.patches.values():
                 smax = max_wave_speed(p.interior, cfg.gamma)
@@ -308,14 +342,11 @@ class AmrDriver:
         if cfg.batched:
             stack = self.stack()
             dt_dx = dt / stack.dx
-            with obs.timed("amr_exchange", cat="amr"):
-                stack.exchange()
-            with obs.timed("amr_sweep", cat="amr"):
-                sweep_x(stack.q, dt_dx, cfg.ng, **kw)
-            with obs.timed("amr_exchange", cat="amr"):
-                stack.exchange()
-            with obs.timed("amr_sweep", cat="amr"):
-                sweep_y(stack.q, dt_dx, cfg.ng, **kw)
+            for axis in (0, 1):
+                with obs.timed("amr_exchange", cat="amr"):
+                    self._exchange_stack(stack)
+                with obs.timed("amr_sweep", cat="amr"):
+                    self._stepper.sweep(stack.q, dt_dx, axis)
         else:
             with obs.timed("amr_exchange", cat="amr"):
                 self._exchange()

@@ -17,7 +17,8 @@ with a persistent crew of shard workers
   sweep-y as pool-wide phases; the parent broadcasting a phase and
   collecting all replies is the barrier required by the ghost-coherence
   contract (exchange reads only interiors, writes only owned ghosts; see
-  DESIGN.md).
+  DESIGN.md).  Workers sweep through the serial driver's own
+  :class:`~repro.amr.batch.StackStepper`, shipped in the install payload.
 - **Global reductions stay parent-side** — workers write per-patch wave
   speeds into a shared scratch segment and the parent folds them with the
   serial :meth:`PatchStack.dt_from_speeds`; regrid decisions, conserved
@@ -35,20 +36,17 @@ with a persistent crew of shard workers
 from __future__ import annotations
 
 import os
-from collections import deque
 from multiprocessing import shared_memory
 
 import numpy as np
 
 from repro import obs
-from repro.amr.batch import PatchStack
+from repro.amr.batch import PatchStack, StackStepper
 from repro.amr.driver import AmrConfig, AmrDriver
 from repro.amr.shard import ShardedExchange, build_sharded_exchange, shard_weights
 from repro.amr.stats import StepRecord
 from repro.core.parallel import ShardWorkerPool
-from repro.mesh.balance import face_neighbor_leaves
 from repro.mesh.partition import partition_curve
-from repro.mesh.quadrant import Quadrant, quadrant_children
 from repro.solver import kernels
 from repro.solver.initial_conditions import ShockBubbleProblem
 
@@ -74,7 +72,9 @@ class ParallelAmrDriver(AmrDriver):
         Let workers use the compiled C kernels of
         :mod:`repro.solver.kernels` (default when a compiler is
         available); workers fall back to the numpy reference path when the
-        build fails, with identical results either way.
+        build fails or the configured Riemann solver or limiter is not one
+        the kernels implement (:class:`~repro.amr.batch.StackStepper`),
+        with identical results either way.
 
     The worker pool spawns in ``__init__`` and persists across regrids;
     call :meth:`close` (or use the driver as a context manager) to release
@@ -108,6 +108,7 @@ class ParallelAmrDriver(AmrDriver):
         self._speeds_fresh = False  # scratch sx/sy match the current state
         self._closed = False
         super().__init__(problem, config)
+        self._stepper = StackStepper.from_config(config, self.use_kernels)
         self._pool = ShardWorkerPool(self.num_workers)
         self._ensure_installed()
 
@@ -178,7 +179,6 @@ class ParallelAmrDriver(AmrDriver):
         return stack
 
     def _install_pool(self, stack: PatchStack, assignment: np.ndarray) -> None:
-        cfg = self.config
         seg = self._segments[self._active]
         payloads = []
         for rank in range(self.num_workers):
@@ -193,13 +193,7 @@ class ParallelAmrDriver(AmrDriver):
                     "lo": lo,
                     "hi": hi,
                     "dx": np.ascontiguousarray(stack.dx[lo:hi]),
-                    "cfg": {
-                        "ng": cfg.ng,
-                        "riemann": cfg.riemann,
-                        "limiter": cfg.limiter,
-                        "gamma": cfg.gamma,
-                    },
-                    "use_kernels": self.use_kernels,
+                    "stepper": self._stepper,
                 }
             )
         self._pool.scatter("install", payloads)
@@ -207,63 +201,6 @@ class ParallelAmrDriver(AmrDriver):
     def _phase(self, cmd: str, payload=None) -> None:
         with obs.timed("amr_parallel_stall", cat="amr"):
             self._pool.broadcast(cmd, payload)
-
-    # ----------------------------------------------------------- rebalancing
-
-    def _rebalance(self, from_initial: bool = False) -> None:
-        """Incremental (worklist) 2:1 rebalance seeded by the regrid's edits.
-
-        The forest was balanced when the regrid began, so every new 2:1
-        violation involves a leaf the regrid just created — the children of
-        a refine or a coarsened parent (tracked as ``_balance_seeds`` by the
-        base driver).  Checking those leaves in both directions (leaf too
-        coarse for a finer neighbor / neighbor too coarse for the leaf) and
-        re-enqueueing after every ripple refine reaches exactly the full
-        fixpoint closure of the serial scan, because the minimal balanced
-        refinement of a forest is unique (``tests/amr/test_parallel.py``
-        pins forest equality against the serial driver across regrids).
-        """
-        if from_initial:
-            # Initial hierarchy construction refines from re-evaluated
-            # initial data; cost is one-off, keep the reference scan.
-            super()._rebalance(from_initial=True)
-            return
-        queue: deque[tuple[int, Quadrant]] = deque(self._balance_seeds)
-        self._balance_seeds.clear()
-        while queue:
-            key = queue.popleft()
-            if key not in self.patches:  # already refined away
-                continue
-            tree, quad = key
-            refined_self = False
-            for face in range(4):
-                if refined_self:
-                    break
-                for ntree, leaf in list(
-                    face_neighbor_leaves(self.forest, tree, quad, face)
-                ):
-                    if leaf.level > quad.level + 1:
-                        # quad itself is the deficit: a neighbor leaf is
-                        # more than one level finer.
-                        self._refine_patch(tree, quad, from_initial=False)
-                        queue.extend(
-                            (tree, c) for c in quadrant_children(quad)
-                        )
-                        refined_self = True
-                        break
-                    if (
-                        leaf.level < quad.level - 1
-                        and (ntree, leaf) in self.patches
-                    ):
-                        # The neighbor is the deficit relative to quad.
-                        self._refine_patch(ntree, leaf, from_initial=False)
-                        queue.extend(
-                            (ntree, c) for c in quadrant_children(leaf)
-                        )
-                        # The one-level-deepened neighbor may still be too
-                        # coarse; re-verify quad after the ripple.
-                        queue.append(key)
-        self._balance_seeds.clear()
 
     # ------------------------------------------------------------- stepping
 

@@ -77,9 +77,45 @@ def _fit_schema(data: dict, errors: list[str]) -> None:
     _check_checkpoints(data, ("direct_ms", "workspace_ms", "speedup"), errors)
 
 
+def _positive(row: dict, keys: tuple[str, ...], errors: list[str], ctx: str) -> None:
+    for key in keys:
+        value = _require(row, key, _NUM, errors, ctx)
+        if value is not None and value <= 0:
+            errors.append(f"{ctx}: {key!r} must be positive")
+
+
+_AMR_ROW = ("wall_s", "steps_per_s", "cells_per_s")
+
+
 def _amr_schema(data: dict, errors: list[str]) -> None:
     for key in ("per_patch", "batched"):
-        _require(data, key, dict, errors, "top level")
+        row = _require(data, key, dict, errors, "top level")
+        if row is not None:
+            _positive(row, _AMR_ROW, errors, key)
+    row = _require(data, "serial_kernels", dict, errors, "top level")
+    if row is not None:
+        _positive(row, (*_AMR_ROW, "speedup_vs_batched"), errors, "serial_kernels")
+    workers = _require(data, "workers", dict, errors, "top level")
+    if workers is None:
+        return
+    cores = _require(workers, "host_cores", int, errors, "workers")
+    if cores is not None and cores < 1:
+        errors.append("workers: host_cores must be >= 1")
+    scaling = _require(workers, "scaling", list, errors, "workers")
+    for i, row in enumerate(scaling or ()):
+        ctx = f"workers.scaling[{i}]"
+        if not isinstance(row, dict):
+            errors.append(f"{ctx}: must be an object")
+            continue
+        n = _require(row, "workers", int, errors, ctx)
+        if n is not None and n < 1:
+            errors.append(f"{ctx}: workers must be >= 1")
+        _positive(
+            row,
+            (*_AMR_ROW, "speedup_vs_batched", "speedup_vs_serial_kernels"),
+            errors,
+            ctx,
+        )
 
 
 def _policy_schema(data: dict, errors: list[str]) -> None:

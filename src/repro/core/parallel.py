@@ -215,9 +215,7 @@ class _ShardWorkerState:
         self.lo = 0
         self.hi = 0
         self.dx = None
-        self.cfg = {}
-        self.use_kernels = False
-        self._lib = None
+        self.stepper = None
 
     def _attach(self, name: str):
         from multiprocessing import resource_tracker, shared_memory
@@ -258,17 +256,10 @@ class _ShardWorkerState:
         self.lo = payload["lo"]
         self.hi = payload["hi"]
         self.dx = payload["dx"]
-        self.cfg = payload["cfg"]
-        self.use_kernels = payload["use_kernels"]
-        if self.use_kernels and self._lib is None:
-            from repro.solver import kernels
-
-            self._lib = kernels.load()
-            if self._lib is None:
-                self.use_kernels = False
+        self.stepper = payload["stepper"]
 
     def exchange(self) -> None:
-        self.program.execute(self.q, lib=self._lib if self.use_kernels else None)
+        self.program.execute(self.q, lib=self.stepper.lib)
         obs.incr("amr.halo.gather_bytes", self.program.halo_gather_bytes)
         obs.incr("amr.halo.scatter_bytes", self.program.halo_scatter_bytes)
         obs.incr("amr.halo.local_bytes", self.program.local_bytes)
@@ -278,23 +269,7 @@ class _ShardWorkerState:
     def sweep(self, axis: int, dt: float, with_speeds: bool = False) -> None:
         if self.hi <= self.lo:  # a shard can own zero patches (W > P)
             return
-        rows = self.q[self.lo : self.hi]
-        dt_dx = dt / self.dx
-        cfg = self.cfg
-        if self.use_kernels:
-            from repro.solver import kernels
-
-            kernels.fused_sweep(
-                rows, dt_dx, cfg["ng"], axis,
-                cfg["riemann"], cfg["limiter"], cfg["gamma"],
-            )
-        else:
-            from repro.solver.fv import _sweep_stack
-
-            _sweep_stack(
-                rows, dt_dx, cfg["ng"], "x" if axis == 0 else "y",
-                cfg["riemann"], cfg["limiter"], cfg["gamma"],
-            )
+        self.stepper.sweep(self.q[self.lo : self.hi], dt / self.dx, axis)
         if with_speeds:
             # Piggyback the next step's CFL wave speeds on the final sweep
             # phase: saves one pool round-trip per step, and the values are
@@ -304,21 +279,8 @@ class _ShardWorkerState:
     def speeds(self) -> None:
         if self.hi <= self.lo:
             return
-        rows = self.q[self.lo : self.hi]
-        ng, gamma = self.cfg["ng"], self.cfg["gamma"]
-        if self.use_kernels:
-            from repro.solver import kernels
-
-            kernels.wave_speeds(
-                rows, ng, gamma, self.sx[self.lo : self.hi],
-                self.sy[self.lo : self.hi],
-            )
-        else:
-            from repro.amr.batch import stack_wave_speeds
-
-            sx, sy = stack_wave_speeds(rows[:, :, ng:-ng, ng:-ng], gamma)
-            self.sx[self.lo : self.hi] = sx
-            self.sy[self.lo : self.hi] = sy
+        lo, hi = self.lo, self.hi
+        self.stepper.wave_speeds(self.q[lo:hi], self.sx[lo:hi], self.sy[lo:hi])
 
     def handle(self, cmd: str, payload):
         if cmd == "install":

@@ -88,7 +88,11 @@ class JobRunner:
         Physical end time of the canonical campaign run.
     amr_batched : bool
         Use the shape-stacked AMR stepping backend for ``mode="simulate"``
-        runs (bit-identical to the per-patch reference, just faster).
+        runs (bit-identical to the per-patch reference, just faster).  It
+        steps through the compiled C kernels of :mod:`repro.solver.kernels`
+        when a C compiler is available — the first simulated job on a
+        machine then pays their one-time build — and through numpy
+        otherwise; the records are identical either way.
     """
 
     spec: MachineSpec = EDISON

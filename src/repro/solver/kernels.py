@@ -1,17 +1,24 @@
-"""Runtime-compiled C kernels for the sharded AMR execution engine.
+"""Runtime-compiled C kernels for batched AMR stepping.
 
-The shard workers of :mod:`repro.amr.parallel` advance their slice of the
-shape-stacked hierarchy with the fused sweep in ``_amr_kernels.c``.  This
-module owns the build-and-load lifecycle:
+Both AMR drivers step the shape-stacked hierarchy through the routines in
+``_amr_kernels.c``: the fused sweep and the CFL wave speeds (dispatched
+by :class:`repro.amr.batch.StackStepper`) and the indexed copy, gather,
+prolong, restrict and scatter of a compiled exchange program
+(:class:`repro.amr.shard.ShardProgram`).  The serial batched
+:class:`~repro.amr.driver.AmrDriver` runs them over its whole stack with a
+one-shard program; each shard worker of :mod:`repro.amr.parallel` runs them
+over its own rows.  This module owns the build-and-load lifecycle:
 
 - **Build cache** — the shared library is compiled once per source hash
   into a per-user cache directory (override with ``REPRO_KERNEL_CACHE``)
   and reused across processes and sessions; concurrent builders race
   benignly through an atomic rename.
 - **Graceful degradation** — if no C compiler is available (or the build
-  fails for any reason) :func:`available` returns ``False`` and callers
-  fall back to the numpy reference path; nothing in the repo *requires*
-  the compiled kernels.
+  fails for any reason) :func:`load` returns None, :func:`available`
+  returns ``False``, and callers fall back to the numpy reference path;
+  nothing in the repo *requires* the compiled kernels.  The first process
+  to load them on a machine pays the one-time build (a few seconds of
+  ``gcc``).
 - **Bit-identity** — the C routines replicate the numpy expression trees
   of :func:`repro.solver.fv._sweep_stack` operation for operation and are
   built with ``-ffp-contract=off`` (no FMA contraction), so their results
@@ -19,8 +26,8 @@ module owns the build-and-load lifecycle:
   pins this for every riemann x limiter combination.
 
 Workers in spawned processes call :func:`load` independently; they hit the
-same cache file, so the compile cost is paid once per machine, not once
-per process.
+same cache file, so the compile cost is paid once per machine (per cache
+directory), not once per process.
 """
 
 from __future__ import annotations
@@ -177,11 +184,22 @@ def fused_sweep(
 def wave_speeds(
     q: np.ndarray, ng: int, gamma: float, sx: np.ndarray, sy: np.ndarray
 ) -> None:
-    """Per-patch interior maxima of ``|u|+c`` / ``|v|+c`` into sx / sy."""
+    """Per-patch interior maxima of ``|u|+c`` / ``|v|+c`` into sx / sy.
+
+    ``q`` must be C-contiguous float64 ``(P, 4, n, n)``; ``sx`` and ``sy``
+    C-contiguous float64 ``(P,)`` (a row slice of a scratch vector
+    qualifies).
+    """
     lib = load()
     if lib is None:
         raise RuntimeError(f"compiled kernels unavailable: {_load_failed}")
+    if not (q.flags.c_contiguous and q.dtype == np.float64):
+        raise ValueError("q must be C-contiguous float64")
     P, _, n, _ = q.shape
+    for out in (sx, sy):
+        if not (out.flags.c_contiguous and out.dtype == np.float64
+                and out.shape == (P,)):
+            raise ValueError("sx and sy must be C-contiguous float64 of shape (P,)")
     lib.wave_speeds(
         _as_double_ptr(q), P, n, ng, float(gamma),
         _as_double_ptr(sx), _as_double_ptr(sy),

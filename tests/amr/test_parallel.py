@@ -20,7 +20,10 @@ from repro import obs
 from repro.amr import AmrConfig, AmrDriver
 from repro.amr.parallel import ParallelAmrDriver
 from repro.core.parallel import ShardWorkerError, ShardWorkerPool
+from repro.mesh.balance import balance_deficits
 from repro.solver.initial_conditions import ShockBubbleProblem
+from repro.solver.limiters import mc_limiter
+from repro.solver.riemann import hllc_flux
 
 MX, MAX_LEVEL, NSTEPS = 8, 3, 10
 
@@ -91,6 +94,60 @@ class TestBitIdentity:
                 assert mine.dt == ref.dt
                 assert mine.num_patches == ref.num_patches
                 assert mine.cells_advanced == ref.cells_advanced
+
+
+class FullScanDriver(AmrDriver):
+    """The serial driver with the reference full-scan rebalance."""
+
+    def _rebalance(self, from_initial=False):
+        while deficits := balance_deficits(self.forest):
+            for tree, quad, _ in deficits:
+                if (tree, quad) in self.patches:
+                    self._refine_patch(tree, quad, from_initial)
+        self._balance_seeds.clear()
+
+
+class TestRebalance:
+    def test_max_level_5_matches_full_scan(self):
+        """A regrid whose new leaves sit deep inside an old leaf's neighbor
+        quadrant (first at the regrid after step 48): the worklist must
+        still refine that old leaf, in both drivers."""
+        cfg = AmrConfig(mx=8, min_level=1, max_level=5)
+        problem = ShockBubbleProblem(r0=0.2, rhoin=0.1)
+        ref = FullScanDriver(problem, cfg)
+        ref.run(t_end=0.03)
+        serial = AmrDriver(problem, cfg)
+        serial.run(t_end=0.03)
+        with ParallelAmrDriver(problem, cfg, num_workers=2) as par:
+            par.run(t_end=0.03)
+        assert len(ref.patches) == 434
+        for driver in (serial, par):
+            assert balance_deficits(driver.forest) == []
+            assert list(driver.patches) == list(ref.patches)
+            assert driver.stats.num_refinements == ref.stats.num_refinements
+            for key, p in ref.patches.items():
+                assert np.array_equal(driver.patches[key].interior, p.interior)
+
+
+class TestCallableSolver:
+    @pytest.mark.parametrize(
+        "field, fn", [("riemann", hllc_flux), ("limiter", mc_limiter)]
+    )
+    def test_callable_runs_the_numpy_path(self, field, fn):
+        """A callable solver or limiter (which fv accepts) cannot reach the
+        C kernels; both drivers step it through numpy, equal to the named
+        one."""
+        cfg = AmrConfig(mx=MX, min_level=1, max_level=MAX_LEVEL, **{field: fn})
+        serial = AmrDriver(ShockBubbleProblem(), cfg)
+        ref_dts = _advance(serial)
+        with ParallelAmrDriver(ShockBubbleProblem(), cfg, num_workers=2) as driver:
+            dts = _advance(driver)
+            assert dts == ref_dts
+            _assert_identical(driver, serial)
+        named = AmrDriver(ShockBubbleProblem(), _config())
+        assert _advance(named) == ref_dts
+        _assert_identical(serial, named)
+        assert not serial._stepper.compiled
 
 
 class TestHaloObservability:

@@ -1,11 +1,20 @@
 """Tests for 2:1 balance enforcement."""
 
+import copy
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.mesh.balance import balance_deficits, balance_forest, is_balanced
+from repro.mesh.balance import (
+    balance_deficits,
+    balance_forest,
+    balance_from_seeds,
+    face_neighbor_leaves,
+    is_balanced,
+)
 from repro.mesh.forest import BrickTopology, Forest
+from repro.mesh.quadrant import Quadrant, quadrant_children, quadrant_parent
 
 
 def deep_refine(forest: Forest, tree: int, leaf_pos: int, times: int) -> None:
@@ -94,4 +103,83 @@ class TestEnforcement:
             if q.level < 5:
                 f.trees[tree].refine(q)
         balance_forest(f)
+        assert is_balanced(f)
+
+
+def _refiner(forest: Forest):
+    return lambda tree, quad: forest.trees[tree].refine(quad)
+
+
+class TestNeighborRelation:
+    def test_yields_leaves_that_do_not_touch_the_face(self):
+        """The relation covers the whole neighbor quadrant, not the face."""
+        f = Forest(BrickTopology(1, 1), initial_level=1)
+        f.trees[0].refine(Quadrant(1, 1, 0))
+        leaves = {q for _, q in face_neighbor_leaves(f, 0, Quadrant(1, 0, 0), 1)}
+        # All four children of the +x neighbor, including the two on its
+        # far side (x = 3) that do not touch (1, 0, 0).
+        assert leaves == set(quadrant_children(Quadrant(1, 1, 0)))
+
+
+class TestWorklist:
+    def test_refines_neighbor_of_an_ancestor(self):
+        """A new leaf deep inside X's neighbor quadrant puts X in deficit.
+
+        The refined leaf (2, 3, 0) sits on the far side of the neighbor
+        quadrant (1, 1, 0) of both X = (1, 0, 0) and (1, 1, 1); none of its
+        children touches either, so only the ancestor walk finds them.
+        """
+        f = Forest(BrickTopology(1, 1), initial_level=1)
+        f.trees[0].refine(Quadrant(1, 1, 0))
+        assert is_balanced(f)
+        seeds = [(0, c) for c in f.trees[0].refine(Quadrant(2, 3, 0))]
+        assert {q for _, q, _ in balance_deficits(f)} == {
+            Quadrant(1, 0, 0),
+            Quadrant(1, 1, 1),
+        }
+        ref = copy.deepcopy(f)
+        balance_forest(ref)
+        assert balance_from_seeds(f, seeds, _refiner(f)) == 2
+        assert f.leaf_list() == ref.leaf_list()
+
+    def test_stale_seeds_are_skipped(self):
+        f = Forest(BrickTopology(1, 1), initial_level=2)
+        gone = f.trees[0].leaves[0]
+        f.trees[0].refine(gone)
+        assert balance_from_seeds(f, [(0, gone)], _refiner(f)) == 0
+        assert is_balanced(f)
+
+    @given(
+        base=st.lists(st.tuples(st.integers(0, 3), st.integers(0, 63)), max_size=6),
+        edits=st.lists(
+            st.tuples(st.booleans(), st.integers(0, 3), st.integers(0, 255)),
+            min_size=1,
+            max_size=8,
+        ),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_full_scan_on_random_edits(self, base, edits):
+        """From any balanced forest, refine/coarsen seeds close like the scan."""
+        f = Forest(BrickTopology(2, 2), initial_level=1)
+        for tree, pos in base:
+            leaves = f.trees[tree].leaves
+            q = leaves[pos % len(leaves)]
+            if q.level < 5:
+                f.trees[tree].refine(q)
+        balance_forest(f)
+        seeds = []
+        for refine, tree, pos in edits:
+            leaves = f.trees[tree].leaves
+            q = leaves[pos % len(leaves)]
+            if refine:
+                if q.level < 6:
+                    seeds.extend((tree, c) for c in f.trees[tree].refine(q))
+            elif q.level > 1 and all(
+                c in f.trees[tree] for c in quadrant_children(quadrant_parent(q))
+            ):
+                seeds.append((tree, f.trees[tree].coarsen(q)))
+        ref = copy.deepcopy(f)
+        expected = balance_forest(ref)
+        assert balance_from_seeds(f, seeds, _refiner(f)) == expected
+        assert f.leaf_list() == ref.leaf_list()
         assert is_balanced(f)

@@ -80,6 +80,16 @@ class TestWaveSpeeds:
         assert np.array_equal(sx, rx)
         assert np.array_equal(sy, ry)
 
+    def test_rejects_bad_buffers(self):
+        q = _random_stack(seed=5, P=4)
+        ok = np.empty(4)
+        with pytest.raises(ValueError):
+            kernels.wave_speeds(q[:, :, ::2], NG, GAMMA, ok, ok.copy())
+        with pytest.raises(ValueError):
+            kernels.wave_speeds(q, NG, GAMMA, np.empty(3), ok)
+        with pytest.raises(ValueError):
+            kernels.wave_speeds(q, NG, GAMMA, ok, np.empty(8)[::2])
+
 
 class TestIndexedCopies:
     # dst and src must be disjoint (ghost cells vs interiors in the shard
