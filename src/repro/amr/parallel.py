@@ -76,7 +76,7 @@ class ParallelAmrDriver(AmrDriver):
         the kernels implement (:class:`~repro.amr.batch.StackStepper`),
         with identical results either way.
 
-    The worker pool spawns in ``__init__`` and persists across regrids;
+    The worker pool starts in ``__init__`` and persists across regrids;
     call :meth:`close` (or use the driver as a context manager) to release
     the processes and shared segments.
     """

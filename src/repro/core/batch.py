@@ -6,7 +6,7 @@ trajectories, parallelizing the batch with process-based workers.
 :func:`run_batch` reproduces that: one trajectory per (policy, partition
 seed) pair, translated into :class:`~repro.core.parallel.TrajectorySpec`
 jobs and executed by :func:`repro.core.parallel.run_trajectories` —
-serially (``processes=1``) or across a spawn-safe process pool.
+serially (``processes=1``) or across a process pool.
 
 Determinism: every trajectory derives its own ``Generator`` from
 ``(base_seed, trajectory_index)`` via ``SeedSequence.spawn``, so results

@@ -3,8 +3,7 @@
 The figure benchmarks and the paper's cross-validation run many AL
 trajectories that share nothing but the (read-only) dataset — one per
 (policy, partition seed) pair.  :func:`run_trajectories` fans a list of
-:class:`TrajectorySpec` out over a spawn-safe ``concurrent.futures``
-process pool.
+:class:`TrajectorySpec` out over a ``concurrent.futures`` process pool.
 
 Determinism: every spec derives its own ``Generator`` from
 ``SeedSequence(entropy=base_seed, spawn_key=(traj_index,))`` — the same
@@ -13,15 +12,37 @@ are identical serial or parallel, at any worker count, and specs with the
 same ``(base_seed, traj_index)`` share a partition (paired comparisons
 across policies).
 
-Spawn-safety: workers are started with the ``spawn`` method (fresh
-interpreters, no inherited locks or BLAS thread state); everything a
-worker needs — a module-level worker function and picklable policy
-factories (classes or :func:`functools.partial`, not lambdas) — crosses
-the process boundary by pickling.  The shared read-only dataset is
-shipped **once per worker** through the pool initializer
+Worker start: every pool in the package — this module's trajectory pool,
+:class:`ShardWorkerPool` and the campaign service's worker pool — starts
+its processes from :func:`worker_context`, a ``forkserver`` whose server
+has imported numpy, scipy and :mod:`repro.core.service` once.  A worker
+is a fork of that server and reaches its first message in about
+10–20 ms, where a ``spawn`` interpreter spends 0.5–1 s importing the same
+modules.  The server starts on the first ``Process.start()``, which
+waits for it to finish preloading (0.6–1.2 s, paid once per process).
+It fixes two things when it starts: the environment (so BLAS thread
+counts and every other variable are the parent's at that moment, as a
+spawned worker's would be) and the code of the preloaded modules.  Each
+worker still takes its working directory and ``sys.path`` from the
+parent at its own start, imports the parent's ``__main__`` (so scripts
+keep their ``if __name__ == "__main__":`` guard), and runs no code the
+parent ran — workers start with an empty observability registry and
+tracing off, like spawned ones.  Where
+``forkserver`` is unavailable the context falls back to ``spawn``.
+Everything a worker needs — a module-level worker function and picklable
+policy factories (classes or :func:`functools.partial`, not lambdas) —
+crosses the process boundary by pickling.  The shared read-only dataset
+is shipped **once per worker** through the pool initializer
 (:func:`_pool_init`) instead of riding along with every submitted spec,
 so submitting ``S`` specs to ``W`` workers pickles the dataset ``W``
 times, not ``S`` times.
+
+Exit: every live worker holds the server's "alive" pipe, and the server
+exits once all holders have closed it.  :func:`worker_context` registers
+a stop of the server that runs at interpreter exit *after*
+:mod:`multiprocessing` has terminated and joined its children; stopping
+it any earlier would block on the workers still holding the pipe.  So a
+process that used a pool leaves no server behind when it exits.
 
 Failure isolation: exceptions are caught *inside* the worker and returned
 as :class:`TrajectoryFailure` values, so one trajectory that raises (or a
@@ -31,11 +52,12 @@ other trajectories' results — see ``run_trajectories(on_error=...)``.
 
 from __future__ import annotations
 
+import functools
+import multiprocessing
 import os
 import traceback as _traceback
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from multiprocessing import get_context
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -154,8 +176,8 @@ def _pool_init(dataset: Dataset, trace_enabled: bool = False) -> None:
     """Pool initializer: receive the shared dataset once per worker.
 
     ``trace_enabled`` propagates the parent's tracing switch, so spans
-    recorded inside workers ship home with each result (fresh ``spawn``
-    interpreters start with tracing off regardless of the parent).
+    recorded inside workers ship home with each result (workers start
+    with tracing off regardless of the parent).
     """
     global _POOL_DATASET
     _POOL_DATASET = dataset
@@ -181,6 +203,31 @@ def _run_spec_pooled(
 def default_workers(n_jobs: int) -> int:
     """Worker count capped by the job count and the machine's cores."""
     return max(1, min(n_jobs, os.cpu_count() or 1))
+
+
+@functools.cache
+def worker_context() -> multiprocessing.context.BaseContext:
+    """The start context of every worker pool, created on first use.
+
+    A ``forkserver`` whose server preloads :mod:`repro.core.service`
+    (which imports this module and the learner stack), or ``spawn`` where
+    the platform has no forkserver.  The module docstring says what the
+    server fixes when it starts and how it is stopped at exit.  The
+    stdlib keeps one forkserver per process, so the preload applies to
+    any other ``forkserver`` context the process uses, and is ignored if
+    that server was already running.
+    """
+    if "forkserver" not in multiprocessing.get_all_start_methods():
+        return multiprocessing.get_context("spawn")
+    from multiprocessing import forkserver, util
+
+    ctx = multiprocessing.get_context("forkserver")
+    ctx.set_forkserver_preload(["repro.core.service"])
+    # A negative priority runs after multiprocessing's exit handler has
+    # terminated and joined the workers, the other holders of the
+    # server's alive pipe; any earlier, the stop would wait on them.
+    util.Finalize(None, forkserver._forkserver._stop, exitpriority=-1)
+    return ctx
 
 
 # --------------------------------------------------------------------------
@@ -222,8 +269,8 @@ class _ShardWorkerState:
 
         if name not in self.shm:
             # Attaching registers the segment with the resource tracker
-            # (CPython registers unconditionally), and spawn children share
-            # the parent's tracker process — a worker registration would
+            # (CPython registers unconditionally), and workers share the
+            # parent's tracker process — a worker registration would
             # later fight the parent's own unlink bookkeeping.  Suppress
             # registration for the attach; only the creating parent tracks
             # and unlinks these segments.
@@ -304,7 +351,7 @@ class _ShardWorkerState:
 
 
 def _shard_worker_main(conn, rank: int, trace_enabled: bool) -> None:
-    """Entry point of one spawned shard worker (must be importable)."""
+    """Entry point of one shard worker (must be importable)."""
     if trace_enabled:
         obs.enable_tracing()
     state = _ShardWorkerState(rank)
@@ -323,7 +370,7 @@ def _shard_worker_main(conn, rank: int, trace_enabled: bool) -> None:
 
 
 class ShardWorkerPool:
-    """A persistent crew of spawn-safe shard workers, phased by the parent.
+    """A persistent crew of shard workers, phased by the parent.
 
     Workers hold no hierarchy state of their own beyond what ``install``
     ships (shared-memory names, their shard program and row slice), so the
@@ -336,7 +383,7 @@ class ShardWorkerPool:
     def __init__(self, num_workers: int) -> None:
         if num_workers < 1:
             raise ValueError("num_workers must be >= 1")
-        ctx = get_context("spawn")
+        ctx = worker_context()
         self._conns = []
         self._procs = []
         for rank in range(num_workers):
@@ -458,7 +505,7 @@ def run_trajectories(
     else:
         with ProcessPoolExecutor(
             max_workers=max_workers,
-            mp_context=get_context("spawn"),
+            mp_context=worker_context(),
             initializer=_pool_init,
             initargs=(dataset, obs.tracing_enabled()),
         ) as pool:

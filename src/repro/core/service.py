@@ -44,13 +44,25 @@ module is that long-lived scheduler:
 
 Two execution modes share every scheduling/commit/chaos code path:
 ``workers=0`` runs slices inline (fast, fully deterministic — what the
-property tests drive), ``workers=N`` runs them on ``N`` spawn-safe
-worker processes fed over pipes (what the chaos suite kills).
+property tests drive), ``workers=N`` runs them on ``N`` worker processes
+fed over pipes (what the chaos suite kills).
 
-Worker boots stay off the critical path.  A fresh worker imports numpy,
-scipy and this package for most of a second, so the pool starts every
-worker at once and never blocks on one: a worker counts as *booting*
-until its readiness handshake arrives through the same
+Workers start from :func:`~repro.core.parallel.worker_context`: each is a
+fork of a server that preloaded numpy, scipy and this module, and reaches
+its handshake in about 10–20 ms instead of the 0.5–1 s a ``spawn``
+interpreter spends importing them.  The server starts with the first
+worker, whose start waits for the preloading (0.6–1.2 s, once per
+process).  It fixes the environment and the preloaded code at that
+moment; each worker still takes its working directory and ``sys.path``
+from the parent, and starts with an empty observability registry and
+tracing off.  At interpreter exit the server is stopped after
+:mod:`multiprocessing` has terminated and joined the workers.  Where the
+platform has no ``forkserver``, workers are spawned.
+
+Worker boots stay off the critical path, which matters most under the
+``spawn`` fallback: the pool starts every worker at once and never
+blocks on one.  A worker counts as *booting* until its readiness
+handshake arrives through the same
 :func:`~multiprocessing.connection.wait` that collects slice results.
 Dispatch begins with the first worker ready, and a crashed or condemned
 worker's replacement boots while the rest of the fleet keeps committing.
@@ -65,12 +77,13 @@ import io
 import json
 import os
 import pickle
+import sys
 import time
 import traceback as _traceback
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
-from multiprocessing import connection, get_context
+from multiprocessing import connection
 from pathlib import Path
 from typing import Callable, Iterator
 
@@ -79,7 +92,7 @@ import numpy as np
 from repro import obs
 from repro.core.config import ALConfig
 from repro.core.loop import ActiveLearner
-from repro.core.parallel import TrajectoryFailure
+from repro.core.parallel import TrajectoryFailure, worker_context
 from repro.core.partitions import random_partition
 from repro.core.trajectory import StopReason, Trajectory
 from repro.data.dataset import Dataset
@@ -545,12 +558,25 @@ def _run_slice(dataset: Dataset, job: dict) -> tuple[str, dict | TrajectoryFailu
         )
 
 
+def _peak_rss_mb() -> float | None:
+    """This process's peak resident set in MB, or None without ``getrusage``."""
+    try:
+        import resource
+    except ImportError:  # pragma: no cover - not a POSIX platform
+        return None
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return peak / (1 << 20 if sys.platform == "darwin" else 1 << 10)
+
+
 def _campaign_worker_main(conn, rank: int, trace_enabled: bool) -> None:
-    """Entry point of one spawned campaign worker (must be importable).
+    """Entry point of one campaign worker (must be importable).
 
     Protocol: ``("dataset", ds)`` installs the shared dataset (doubles as
     the readiness handshake), ``("slice", job)`` runs one slice,
-    ``("ping", None)`` / ``("close", None)`` are liveness/shutdown.
+    ``("ping", None)`` is liveness, and ``("close", None)`` is shutdown,
+    answered with the worker's peak resident set (a forkserver worker is
+    reaped by the server, so the parent's ``RUSAGE_CHILDREN`` never
+    covers it).
     Chaos directives ride on the job: ``crash`` hard-kills the process
     (``os._exit`` — the parent sees EOF, exactly like a node failure),
     ``oom`` aborts before any work, ``timeout`` sleeps past the parent's
@@ -565,7 +591,7 @@ def _campaign_worker_main(conn, rank: int, trace_enabled: bool) -> None:
         except (EOFError, KeyboardInterrupt):
             break
         if cmd == "close":
-            conn.send(("ok", None))
+            conn.send(("ok", _peak_rss_mb()))
             break
         if cmd == "dataset":
             dataset = payload
@@ -632,7 +658,7 @@ class _WorkerHandle:
 
 
 class CampaignWorkerPool:
-    """Spawn-safe campaign workers the service dispatches slices to.
+    """Campaign worker processes the service dispatches slices to.
 
     Unlike :class:`~repro.core.parallel.ShardWorkerPool` (synchronous
     phases, the parent is the barrier), campaign workers are *free
@@ -651,7 +677,7 @@ class CampaignWorkerPool:
     def __init__(self, num_workers: int, dataset: Dataset) -> None:
         if num_workers < 1:
             raise ValueError("num_workers must be >= 1")
-        self._ctx = get_context("spawn")
+        self._ctx = worker_context()
         self._dataset = dataset
         self.workers: list[_WorkerHandle] = []
         for rank in range(num_workers):
@@ -729,7 +755,12 @@ class CampaignWorkerPool:
         ]
 
     def close(self) -> None:
-        """Shut every worker down; safe to call twice."""
+        """Shut every worker down; safe to call twice.
+
+        Each idle worker's reply carries its peak RSS, recorded as a
+        ``service.worker_exit`` trace event (an event, not a metric, so
+        inline and process fleets keep identical counters).
+        """
         for w in self.workers:
             try:
                 if w.proc.is_alive():
@@ -740,8 +771,14 @@ class CampaignWorkerPool:
                     else:
                         w.conn.send(("close", None))
                         if w.conn.poll(2.0):
-                            w.conn.recv()
-            except (OSError, BrokenPipeError):
+                            _, peak_rss_mb = w.conn.recv()
+                            obs.event(
+                                "service.worker_exit",
+                                cat="service",
+                                rank=w.rank,
+                                peak_rss_mb=peak_rss_mb,
+                            )
+            except (OSError, EOFError):
                 pass
             finally:
                 try:
@@ -878,7 +915,7 @@ class CampaignService:
         memory only (fast property-test mode; no kill-resume).
     workers : int
         0 (default) runs slices inline — same scheduler, same commit
-        path, no processes.  ``N >= 1`` spawns a
+        path, no processes.  ``N >= 1`` starts a
         :class:`CampaignWorkerPool` and multiplexes.
     steps_per_slice : int
         Default AL steps per slice (per-campaign override on the spec).

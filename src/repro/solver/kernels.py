@@ -25,8 +25,8 @@ over its own rows.  This module owns the build-and-load lifecycle:
   are bit-for-bit equal to the reference; ``tests/solver/test_kernels.py``
   pins this for every riemann x limiter combination.
 
-Workers in spawned processes call :func:`load` independently; they hit the
-same cache file, so the compile cost is paid once per machine (per cache
+Worker processes call :func:`load` independently; they hit the same
+cache file, so the compile cost is paid once per machine (per cache
 directory), not once per process.
 """
 

@@ -6,16 +6,18 @@ lifecycle without asserting any wall-clock figure: respawn returns before
 the handshake, the fleet commits around a booting replacement, a worker
 respawned at dispatch is read handshake-first, ``close()`` terminates
 booting workers, and a worker that dies before its handshake raises
-``ServiceError``.  Every test joins the worker processes it saw, with a
-timeout, and asserts they are gone.
+``ServiceError``.  A worker also starts fresh: its first slice ships only
+that slice's metrics, with spans exactly when it was started traced.
+Every test joins the worker processes it saw, with a timeout, and asserts
+they are gone.
 """
 
 from __future__ import annotations
 
+import functools
 import os
 import signal
 import time
-from pathlib import Path
 
 import pytest
 
@@ -26,19 +28,19 @@ from repro.core.service import CampaignWorkerPool, _campaign_worker_main
 
 from tests.service.conftest import make_specs, run_fleet
 
-#: Environment variable naming the file whose existence lets a gated
-#: worker boot (spawned workers inherit the parent's environment).
-GATE_ENV = "REPRO_TEST_BOOT_GATE"
-
 
 def _exit_before_handshake(conn, rank, trace_enabled):
     """Worker entry point that dies before reading its dataset."""
     os._exit(3)
 
 
-def _gated_worker_main(conn, rank, trace_enabled):
-    """The real worker, held before its handshake until the gate file exists."""
-    gate = Path(os.environ[GATE_ENV])
+def _gated_worker_main(gate, conn, rank, trace_enabled):
+    """The real worker, held before its handshake until ``gate`` exists.
+
+    The gate path rides on the target (a ``functools.partial``), not in
+    the environment: a forkserver worker sees the environment the server
+    started with, not the parent's current one.
+    """
     while not gate.exists():
         time.sleep(0.01)
     _campaign_worker_main(conn, rank, trace_enabled)
@@ -114,8 +116,11 @@ class TestService:
     ):
         gate = tmp_path / "boot-gate"
         gate.touch()
-        monkeypatch.setenv(GATE_ENV, str(gate))
-        monkeypatch.setattr(service_mod, "_campaign_worker_main", _gated_worker_main)
+        monkeypatch.setattr(
+            service_mod,
+            "_campaign_worker_main",
+            functools.partial(_gated_worker_main, gate),
+        )
         specs = make_specs()
         with CampaignService(small_dataset, workers=2, steps_per_slice=1) as svc:
             for spec in specs:
@@ -188,9 +193,60 @@ class TestTracing:
             ready = [i for i in t.instants() if i.name == "service.worker_ready"]
             assert {i.attrs["rank"] for i in ready} == {0, 1}
             assert all(i.attrs["boot_ms"] > 0 for i in ready)
+            # Both workers were idle at close, so both report their peak.
+            exits = [i for i in t.instants() if i.name == "service.worker_exit"]
+            assert sorted(i.attrs["rank"] for i in exits) == [0, 1]
+            assert all(i.attrs["peak_rss_mb"] > 0 for i in exits)
             assert any(s.name == "service.wait" for s in t.spans())
             trace = obs.chrome_trace(t.spans(), t.instants())
             assert obs.validate_chrome_trace(trace) == []
         finally:
             obs.disable_tracing()
             obs.reset()
+
+
+class TestFreshWorkerState:
+    @pytest.mark.parametrize("traced", [False, True])
+    def test_first_slice_ships_only_its_own_metrics(self, small_dataset, traced):
+        """A forked worker starts the way a spawned one does.  Counters the
+        parent records, and tracing it turns on, after the server started
+        reach the worker only through its start arguments."""
+        warm = CampaignWorkerPool(1, small_dataset)  # starts the server
+        warm_proc = warm.workers[0].proc
+        assert warm.workers[0].conn.poll(60)
+        warm.close()
+        assert_reaped([warm_proc])
+        spec = make_specs(1)[0]
+        job = {"cid": spec.campaign_id, "spec": spec, "blob": None, "steps": 2,
+               "directive": None, "sleep_s": 0.0, "drop_obs": False}
+        obs.reset()
+        obs.incr("test.parent_only", 7)
+        if traced:
+            obs.enable_tracing()
+        try:
+            pool = CampaignWorkerPool(1, small_dataset)
+            worker = pool.workers[0]
+            try:
+                assert worker.conn.poll(60)
+                pool.handshake(worker)
+                worker.conn.send(("slice", job))
+                assert worker.conn.poll(60)
+                status, value = worker.conn.recv()
+            finally:
+                pool.close()
+            assert_reaped([worker.proc])
+            # The same slice inline, bracketed the way the service does.
+            obs.reset()
+            _, inline = service_mod._run_slice(small_dataset, job)
+            expected = obs.snapshot_state(reset_after=True)
+        finally:
+            obs.disable_tracing()
+            obs.reset()
+        assert status == "ok"
+        assert value["new_indices"] == inline["new_indices"]
+        shipped = value["obs"]
+        assert shipped["metrics"]["counters"] == expected["metrics"]["counters"]
+        assert shipped["metrics"]["calls"] == expected["metrics"]["calls"]
+        assert (shipped["trace"] is not None) is traced
+        if traced:
+            assert "campaign_slice" in {s.name for s in shipped["trace"]["spans"]}
