@@ -16,11 +16,6 @@ speeds and the exchange run in the compiled C kernels of
 otherwise.  The per-patch loop remains available as the bit-identical
 reference implementation.
 
-:class:`ParallelAmrDriver` (:mod:`repro.amr.parallel`) shards the batched
-stack along the Morton curve across worker processes over shared memory —
-still bit-identical; imported lazily here so ``repro.amr`` stays cheap for
-serial users.
-
 Public API
 ----------
 - :class:`Patch` — a ghosted block bound to a quadrant.
@@ -39,18 +34,7 @@ from repro.amr.batch import ExchangePlan, PatchStack
 from repro.amr.stats import RunStats, StepRecord
 from repro.amr.driver import AmrConfig, AmrDriver
 
-
-def __getattr__(name: str):
-    # Lazy: repro.amr.parallel pulls in multiprocessing/shared_memory.
-    if name == "ParallelAmrDriver":
-        from repro.amr.parallel import ParallelAmrDriver
-
-        return ParallelAmrDriver
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 __all__ = [
-    "ParallelAmrDriver",
     "Patch",
     "patch_cell_centers",
     "gradient_indicator",

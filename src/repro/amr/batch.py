@@ -16,9 +16,9 @@ zero-copy view of its slot.  This module provides
   and executed each step as a handful of batched gather/scatter operations
   instead of ``4 * P`` Python-level neighbor lookups;
 - :class:`StackStepper` — the one sweep and wave-speed dispatch of the
-  serial and sharded drivers: the compiled kernels of
-  :mod:`repro.solver.kernels` when they load and implement the configured
-  Riemann solver and limiter, the numpy reference otherwise.
+  batched driver: the compiled kernels of :mod:`repro.solver.kernels`
+  when they load and implement the configured Riemann solver and
+  limiter, the numpy reference otherwise.
 
 Invariants (see DESIGN.md, "Batched AMR patch kernels"):
 
@@ -109,10 +109,7 @@ def stack_wave_speeds(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-patch interior maxima of ``|u|+c`` and ``|v|+c``.
 
-    ``interior`` has shape ``(P, 4, mx, mx)``; shard workers call this on
-    their row slice of the shared stack, which yields the same per-patch
-    values as the whole-stack reduction (elementwise conversions plus
-    per-patch maxima are independent across rows).
+    ``interior`` has shape ``(P, 4, mx, mx)``.
     """
     # One contiguous gather up front keeps the reduction passes L2-bound.
     prim = primitive_from_conserved(
@@ -126,37 +123,32 @@ def stack_wave_speeds(
 
 @dataclass(frozen=True, slots=True)
 class StackStepper:
-    """Sweeps and CFL wave speeds over a patch stack or a row slice of one.
+    """Sweeps and CFL wave speeds over a :class:`PatchStack`'s array.
 
-    Both AMR drivers step through this one dispatch: the serial batched
-    path over its whole :class:`PatchStack`, each shard worker over its
-    contiguous rows of the shared stack.  It runs the compiled kernels
+    It runs the compiled kernels
     (:func:`repro.solver.kernels.fused_sweep` /
-    :func:`~repro.solver.kernels.wave_speeds`) when ``use_kernels`` is set,
+    :func:`~repro.solver.kernels.wave_speeds`) when
     :func:`repro.solver.kernels.load` succeeds and ``riemann`` and
     ``limiter`` name routines the C source implements.  Otherwise — no
     compiler, a callable solver or limiter, an unknown name — it runs the
     numpy reference (:func:`repro.solver.fv._sweep_stack`,
-    :func:`stack_wave_speeds`).  Both are bit-identical.  Plain fields
-    only, so the stepper pickles to a worker process.
+    :func:`stack_wave_speeds`).  Both are bit-identical.
     """
 
     ng: int
     riemann: str | Callable
     limiter: str | Callable
     gamma: float
-    use_kernels: bool = True
 
     @classmethod
-    def from_config(cls, config, use_kernels: bool = True) -> "StackStepper":
+    def from_config(cls, config) -> "StackStepper":
         """The stepper of an :class:`~repro.amr.driver.AmrConfig`."""
-        return cls(config.ng, config.riemann, config.limiter, config.gamma,
-                   use_kernels)
+        return cls(config.ng, config.riemann, config.limiter, config.gamma)
 
     @property
     def lib(self):
         """The kernel library, or None when this process steps in numpy."""
-        return kernels.load() if self.use_kernels else None
+        return kernels.load()
 
     @property
     def compiled(self) -> bool:
@@ -367,23 +359,13 @@ class PatchStack:
         mx: int,
         ng: int,
         bcs: tuple,
-        buffer=None,
     ) -> None:
         if not patches:
             raise ValueError("cannot stack an empty hierarchy")
         self.keys = tuple(patches)
         self.index = {key: i for i, key in enumerate(self.keys)}
         n = mx + 2 * ng
-        shape = (len(self.keys), NUM_FIELDS, n, n)
-        if buffer is None:
-            self.q = np.empty(shape, dtype=np.float64)
-        else:
-            # Shared-memory backing for the sharded workers: wrapping the
-            # buffer with np.ndarray (not frombuffer().reshape()) makes this
-            # stack object the ``.base`` of every patch view, so covers()'s
-            # structural staleness check keeps working across rebuilds into
-            # the same segment.
-            self.q = np.ndarray(shape, dtype=np.float64, buffer=buffer)
+        self.q = np.empty((len(self.keys), NUM_FIELDS, n, n), dtype=np.float64)
         for i, key in enumerate(self.keys):
             patch = patches[key]
             if patch.q.shape != (NUM_FIELDS, n, n):
@@ -421,10 +403,8 @@ class PatchStack:
     ) -> float:
         """Fold per-patch wave speeds into the global CFL step.
 
-        The speeds come from :meth:`StackStepper.wave_speeds`, over the
-        whole stack (serial driver) or per shard into shared scratch
-        (parallel driver); the final reduction is the same either way and
-        bit-identical to the patch loop.
+        The speeds come from :meth:`StackStepper.wave_speeds`; the
+        reduction is bit-identical to the patch loop.
         """
         smax = np.maximum(sx, sy)
         moving = smax > 0

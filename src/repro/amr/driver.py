@@ -15,7 +15,7 @@ Two stepping backends are provided (``AmrConfig.batched``):
   ``(P, 4, n, n)`` array (:class:`repro.amr.batch.PatchStack`), sweeps and
   CFL wave speeds run once over the whole stack through
   :class:`repro.amr.batch.StackStepper`, and ghost exchange executes a
-  program compiled at regrid time: the one-shard
+  program compiled at regrid time: the flat-index
   :class:`repro.amr.shard.ShardProgram` run by the compiled kernels of
   :mod:`repro.solver.kernels`, or the numpy
   :class:`~repro.amr.batch.ExchangePlan` when no C compiler is available.
@@ -111,7 +111,7 @@ class AmrDriver:
         self.t = 0.0
         self.stats = RunStats()
         self._stack: PatchStack | None = None
-        # The one-shard exchange program of the current stack; None runs
+        # The compiled exchange program of the current stack; None runs
         # the stack's numpy ExchangePlan instead.
         self._program: ShardProgram | None = None
         self._stepper = StackStepper.from_config(config)
@@ -172,10 +172,9 @@ class AmrDriver:
         restore that invariant after every burst of refine/coarsen calls
         (which append new patches at the dict tail).  Keeping dict order ==
         curve order makes the stacked storage's row order a true Morton
-        sequence, so ``repro.mesh.partition.partition_curve`` segments of
-        stack rows are contiguous curve segments, and every order-sensitive
-        scalar accumulation (``conserved_totals``) runs in one canonical
-        order for the per-patch, batched, and sharded backends alike.
+        sequence, and every order-sensitive scalar accumulation
+        (``conserved_totals``) runs in one canonical order for the
+        per-patch and batched backends alike.
         """
         self.patches = {
             key: self.patches[key] for key in self.forest.iter_leaves()
@@ -190,9 +189,9 @@ class AmrDriver:
     def stack(self) -> PatchStack:
         """The current :class:`PatchStack`, (re)built if the hierarchy changed.
 
-        A rebuild also compiles the stack's exchange plan into a one-shard
-        :class:`~repro.amr.shard.ShardProgram` (every row owned by rank 0)
-        when the compiled kernels are available to run it.
+        A rebuild also compiles the stack's exchange plan into a
+        :class:`~repro.amr.shard.ShardProgram` when the compiled kernels
+        are available to run it.
         """
         if self._stack is None or not self._stack.covers(self.patches):
             cfg = self.config
@@ -200,8 +199,7 @@ class AmrDriver:
                 stack = PatchStack(self.forest, self.patches, cfg.mx, cfg.ng, cfg.bcs)
                 self._program = None
                 if self._stepper.lib is not None:
-                    one_shard = np.zeros(len(stack), dtype=np.int64)
-                    self._program = build_sharded_exchange(stack, one_shard).programs[0]
+                    self._program = build_sharded_exchange(stack)
                 self._stack = stack
         return self._stack
 
@@ -309,7 +307,7 @@ class AmrDriver:
 
     def _exchange_stack(self, stack: PatchStack) -> None:
         if self._program is not None:
-            self._program.execute(stack.q, lib=self._stepper.lib)
+            self._program.execute(stack.q)
         else:
             stack.exchange()
 

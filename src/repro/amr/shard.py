@@ -1,12 +1,11 @@
-"""Shard-aware compilation of the ghost-exchange plan.
+"""Flat-index compilation of the ghost-exchange plan for the C kernels.
 
 :class:`~repro.amr.batch.ExchangePlan` describes the exchange as batched
-gather/scatter groups over the whole hierarchy.  For sharded execution
-(:mod:`repro.amr.parallel`) each worker owns a contiguous Morton segment of
-the stack (``repro.mesh.partition.partition_curve``) and must execute only
-the traffic whose *destination* patch it owns, while reading source
-interiors anywhere in the shared stack.  This module compiles the plan one
-level further, down to flat element indices:
+gather/scatter groups over the whole hierarchy, and executes them in
+numpy.  The serial batched driver runs the exchange through the compiled
+kernels of :mod:`repro.solver.kernels` instead; this module compiles the
+plan one level further for them, down to flat element indices of the
+stack array, with one owner for every row:
 
 - **copy traffic** (same-level neighbors, outflow walls, the non-negated
   fields of reflecting walls) becomes two flat ``int32`` index vectors:
@@ -14,23 +13,16 @@ level further, down to flat element indices:
 - **negated traffic** (the wall-normal momentum of reflecting walls)
   becomes the same with a ``* -1.0``;
 - **coarse-to-fine** traffic is gathered into a normalized staging buffer,
-  run through :func:`repro.amr.transfer.prolong_patch` for *all* faces and
-  halves in one batch, and scattered back;
+  prolonged for *all* faces and halves in one batch, and scattered back;
 - **fine-to-coarse** traffic is gathered per source piece, restricted in
   one batch, and scattered into the tangential halves of the ghost strips.
 
 The index templates are derived by running :func:`take_strips` /
 :func:`write_ghosts` on an index-valued patch, so they are consistent with
-the serial exchange by construction; all transforms are elementwise per
-traffic row, so the sharded execution is bit-identical to
-``ExchangePlan.execute`` for any shard count (pinned by
-``tests/amr/test_shard.py``).
-
-Ownership bookkeeping: every traffic row is classified intra-shard (source
-owned by the destination's rank) or inter-shard (halo).  Halo volumes are
-precomputed per program and exported per exchange through
-:mod:`repro.obs` counters — they are the calibration input for
-:func:`repro.machine.comms.calibrate_exchange`.
+the numpy exchange by construction; all transforms are elementwise per
+traffic row, so :meth:`ShardProgram.execute` is bit-identical to
+``ExchangePlan.execute``, which stays the numpy path and the reference
+(pinned by ``tests/amr/test_shard.py``).
 """
 
 from __future__ import annotations
@@ -40,10 +32,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from repro.amr.batch import ExchangePlan, PatchStack, take_strips, write_ghosts
+from repro.amr.batch import PatchStack, take_strips, write_ghosts
 from repro.amr.ghost import OPPOSITE_FACE
 from repro.amr.patch import NUM_FIELDS
-from repro.amr.transfer import prolong_patch, restrict_area_average
+from repro.solver import kernels
 from repro.solver.boundary import BoundaryCondition
 from repro.solver.state import IMX, IMY
 
@@ -90,18 +82,13 @@ def _rows(rows: np.ndarray, template: np.ndarray, patch_stride: int) -> np.ndarr
 
 @dataclass
 class ShardProgram:
-    """The executable exchange slice owned by one shard.
+    """The ghost exchange of one stack as flat ``int32`` index programs.
 
-    All arrays are plain ``int32`` index vectors / staging shapes, so the
-    program pickles cheaply to a worker process.  ``execute`` applies it to
-    the shared stack array; it writes only ghost cells of patches owned by
-    this shard and reads only patch interiors, so concurrent execution
-    across shards is race-free (the ghost-coherence contract, DESIGN.md).
+    :meth:`execute` applies it to the stack array through the compiled
+    kernels; like ``ExchangePlan.execute`` it writes only ghost cells and
+    reads only patch interiors, so the order of its groups cannot matter.
     """
 
-    rank: int
-    mx: int
-    ng: int
     # flat[dst] = flat[src]
     copy_dst: np.ndarray
     copy_src: np.ndarray
@@ -114,45 +101,28 @@ class ShardProgram:
     # fine->coarse: gather (K,4,2ng,mx), restrict, scatter (K,4,ng,mx//2)
     fine_gather: np.ndarray
     fine_scatter: np.ndarray
-    # ownership accounting (bytes per exchange execution)
-    local_bytes: int
-    halo_gather_bytes: int
-    halo_scatter_bytes: int
-    halo_messages: int
 
-    def execute(self, stack_q: np.ndarray, lib=None) -> None:
-        """Fill this shard's ghost strips from the shared stack array."""
+    def execute(self, stack_q: np.ndarray) -> None:
+        """Fill every ghost strip of ``stack_q`` with the compiled kernels."""
         flat = stack_q.reshape(-1)
-        if lib is not None:
-            from repro.solver import kernels
-
-            kernels.copy_indexed(flat, self.copy_dst, self.copy_src, 1.0)
-            kernels.copy_indexed(flat, self.neg_dst, self.neg_src, -1.0)
-            if self.coarse_gather.size:
-                gbuf, pbuf = self._coarse_buffers()
-                kernels.gather_indexed(flat, self.coarse_gather.reshape(-1), gbuf)
-                kernels.prolong_blocks(
-                    gbuf, self.coarse_gather.shape[2], self.coarse_gather.shape[3],
-                    pbuf,
-                )
-                kernels.scatter_indexed(flat, self.coarse_scatter.reshape(-1), pbuf)
-            if self.fine_gather.size:
-                gbuf, rbuf = self._fine_buffers()
-                kernels.gather_indexed(flat, self.fine_gather.reshape(-1), gbuf)
-                kernels.restrict_blocks(
-                    gbuf, self.fine_gather.shape[2], self.fine_gather.shape[3],
-                    rbuf,
-                )
-                kernels.scatter_indexed(flat, self.fine_scatter.reshape(-1), rbuf)
-            return
-        flat[self.copy_dst] = flat[self.copy_src]
-        flat[self.neg_dst] = flat[self.neg_src] * -1.0
+        kernels.copy_indexed(flat, self.copy_dst, self.copy_src, 1.0)
+        kernels.copy_indexed(flat, self.neg_dst, self.neg_src, -1.0)
         if self.coarse_gather.size:
-            blocks = flat[self.coarse_gather]
-            flat[self.coarse_scatter] = prolong_patch(blocks)
+            gbuf, pbuf = self._coarse_buffers()
+            kernels.gather_indexed(flat, self.coarse_gather.reshape(-1), gbuf)
+            kernels.prolong_blocks(
+                gbuf, self.coarse_gather.shape[2], self.coarse_gather.shape[3],
+                pbuf,
+            )
+            kernels.scatter_indexed(flat, self.coarse_scatter.reshape(-1), pbuf)
         if self.fine_gather.size:
-            wide = flat[self.fine_gather]
-            flat[self.fine_scatter] = restrict_area_average(wide)
+            gbuf, rbuf = self._fine_buffers()
+            kernels.gather_indexed(flat, self.fine_gather.reshape(-1), gbuf)
+            kernels.restrict_blocks(
+                gbuf, self.fine_gather.shape[2], self.fine_gather.shape[3],
+                rbuf,
+            )
+            kernels.scatter_indexed(flat, self.fine_scatter.reshape(-1), rbuf)
 
     def _coarse_buffers(self) -> tuple[np.ndarray, np.ndarray]:
         buf = getattr(self, "_cbuf", None)
@@ -175,90 +145,18 @@ class ShardProgram:
         return buf
 
 
-@dataclass
-class ShardedExchange:
-    """Per-rank exchange programs for one (stack, assignment) pair.
-
-    ``covers`` must check the *assignment*, not just the stack structure: a
-    rebalance can move a patch across a shard boundary while the stack it
-    was compiled against still structurally covers the patch dict (the
-    regression in ``tests/amr/test_shard.py`` pins this).
-    """
-
-    plan: ExchangePlan
-    assignment: np.ndarray
-    programs: tuple[ShardProgram, ...]
-
-    @property
-    def num_shards(self) -> int:
-        return len(self.programs)
-
-    def covers(self, stack: PatchStack, assignment: np.ndarray) -> bool:
-        """True iff compiled against this exact plan and shard assignment."""
-        if self.plan is not stack.plan:
-            return False
-        return (
-            len(assignment) == len(self.assignment)
-            and bool(np.array_equal(assignment, self.assignment))
-        )
-
-    def execute_serial(self, stack_q: np.ndarray, use_kernels: bool = False) -> None:
-        """Run every shard's program in-process (tests / 1-worker path)."""
-        lib = None
-        if use_kernels:
-            from repro.solver import kernels
-
-            lib = kernels.load()
-        for prog in self.programs:
-            prog.execute(stack_q, lib=lib)
-
-    @property
-    def halo_bytes_per_exchange(self) -> int:
-        """Total inter-shard bytes gathered per exchange execution."""
-        return sum(p.halo_gather_bytes for p in self.programs)
-
-    @property
-    def halo_messages_per_exchange(self) -> int:
-        """Inter-shard (src patch, dst face) strips per exchange execution."""
-        return sum(p.halo_messages for p in self.programs)
-
-
-def build_sharded_exchange(
-    stack: PatchStack, assignment: np.ndarray
-) -> ShardedExchange:
-    """Compile ``stack.plan`` into per-shard flat-index programs."""
+def build_sharded_exchange(stack: PatchStack) -> ShardProgram:
+    """Compile ``stack.plan`` into one flat-index program over every row."""
     plan = stack.plan
     mx, ng = plan.mx, plan.ng
     n = mx + 2 * ng
     S = NUM_FIELDS * n * n
-    a = np.asarray(assignment, dtype=np.int64)
-    if len(a) != len(stack):
-        raise ValueError("assignment must cover every stack row")
-    num_shards = int(a.max()) + 1 if a.size else 1
-
-    strip_bytes = NUM_FIELDS * ng * mx * 8
+    if len(stack) * S > np.iinfo(np.int32).max:
+        raise ValueError("stack too large for int32 exchange indices")
     hmx = mx // 2
     w2 = ng // 2
-
-    # Per-rank accumulators.
-    copy_d = [[] for _ in range(num_shards)]
-    copy_s = [[] for _ in range(num_shards)]
-    neg_d = [[] for _ in range(num_shards)]
-    neg_s = [[] for _ in range(num_shards)]
-    coarse_g = [[] for _ in range(num_shards)]
-    coarse_c = [[] for _ in range(num_shards)]
-    fine_g = [[] for _ in range(num_shards)]
-    fine_c = [[] for _ in range(num_shards)]
-    local_b = [0] * num_shards
-    halo_gb = [0] * num_shards
-    halo_sb = [0] * num_shards
-    halo_n = [0] * num_shards
-
-    def shard_rows(dst: np.ndarray):
-        """Yield (rank, member mask) for each shard owning rows of ``dst``."""
-        owners = a[dst]
-        for rank in np.unique(owners):
-            yield int(rank), owners == rank
+    copy_d, copy_s, neg_d, neg_s = [], [], [], []
+    coarse_g, coarse_c, fine_g, fine_c = [], [], [], []
 
     for face, bc, dst in plan.physical:
         dst_t = _dst_template(face, mx, ng)
@@ -267,109 +165,57 @@ def build_sharded_exchange(
             src_t = np.broadcast_to(edge_t[:, 0:1, :], dst_t.shape)
         else:  # REFLECT
             src_t = _src_template(face, ng, mx, ng)
-        neg_field = IMX if face < 2 else IMY
-        for rank, m in shard_rows(dst):
-            rows = dst[m]
-            d = _rows(rows, dst_t, S)
-            s = _rows(rows, src_t, S)
-            if bc == BoundaryCondition.REFLECT:
-                fields = np.arange(NUM_FIELDS) != neg_field
-                copy_d[rank].append(d[:, fields].ravel())
-                copy_s[rank].append(s[:, fields].ravel())
-                neg_d[rank].append(d[:, ~fields].ravel())
-                neg_s[rank].append(s[:, ~fields].ravel())
-            else:
-                copy_d[rank].append(d.ravel())
-                copy_s[rank].append(s.ravel())
-            local_b[rank] += len(rows) * strip_bytes  # walls are always local
+        d = _rows(dst, dst_t, S)
+        s = _rows(dst, src_t, S)
+        if bc == BoundaryCondition.REFLECT:
+            fields = np.arange(NUM_FIELDS) != (IMX if face < 2 else IMY)
+            copy_d.append(d[:, fields])
+            copy_s.append(s[:, fields])
+            neg_d.append(d[:, ~fields])
+            neg_s.append(s[:, ~fields])
+        else:
+            copy_d.append(d)
+            copy_s.append(s)
 
     for face, dst, src in plan.same:
-        dst_t = _dst_template(face, mx, ng)
-        src_t = _src_template(OPPOSITE_FACE[face], ng, mx, ng)
-        for rank, m in shard_rows(dst):
-            copy_d[rank].append(_rows(dst[m], dst_t, S).ravel())
-            copy_s[rank].append(_rows(src[m], src_t, S).ravel())
-            remote = int(np.count_nonzero(a[src[m]] != rank))
-            local = int(m.sum()) - remote
-            local_b[rank] += local * strip_bytes
-            halo_gb[rank] += remote * strip_bytes
-            halo_sb[rank] += remote * strip_bytes
-            halo_n[rank] += remote
+        copy_d.append(_rows(dst, _dst_template(face, mx, ng), S))
+        copy_s.append(_rows(src, _src_template(OPPOSITE_FACE[face], ng, mx, ng), S))
 
     for face, half, dst, src in plan.coarse:
-        dst_t = _dst_template(face, mx, ng)
         wide_t = _src_template(OPPOSITE_FACE[face], w2, mx, ng)
         block_t = np.ascontiguousarray(
             wide_t[:, :, half * hmx : (half + 1) * hmx]
         )
-        block_bytes = NUM_FIELDS * w2 * hmx * 8
-        for rank, m in shard_rows(dst):
-            coarse_g[rank].append(_rows(src[m], block_t, S))
-            coarse_c[rank].append(_rows(dst[m], dst_t, S))
-            remote = int(np.count_nonzero(a[src[m]] != rank))
-            local = int(m.sum()) - remote
-            local_b[rank] += local * block_bytes
-            halo_gb[rank] += remote * block_bytes
-            halo_sb[rank] += remote * strip_bytes
-            halo_n[rank] += remote
+        coarse_g.append(_rows(src, block_t, S))
+        coarse_c.append(_rows(dst, _dst_template(face, mx, ng), S))
 
     for face, dst, src_low, src_high in plan.fine:
         dst_t = _dst_template(face, mx, ng)
         wide_t = _src_template(OPPOSITE_FACE[face], 2 * ng, mx, ng)
-        piece_bytes = NUM_FIELDS * 2 * ng * mx * 8
         for piece, src in enumerate((src_low, src_high)):
             cols = slice(piece * hmx, (piece + 1) * hmx)
-            piece_dst_t = np.ascontiguousarray(dst_t[:, :, cols])
-            for rank, m in shard_rows(dst):
-                fine_g[rank].append(_rows(src[m], wide_t, S))
-                fine_c[rank].append(_rows(dst[m], piece_dst_t, S))
-                remote = int(np.count_nonzero(a[src[m]] != rank))
-                local = int(m.sum()) - remote
-                local_b[rank] += local * piece_bytes
-                halo_gb[rank] += remote * piece_bytes
-                halo_sb[rank] += remote * (strip_bytes // 2)
-                halo_n[rank] += remote
-
-    if len(stack) * S > np.iinfo(np.int32).max:
-        raise ValueError("stack too large for int32 exchange indices")
+            fine_g.append(_rows(src, wide_t, S))
+            fine_c.append(_rows(dst, np.ascontiguousarray(dst_t[:, :, cols]), S))
 
     def cat(parts: list, shape_tail: tuple) -> np.ndarray:
-        # int32 halves the per-install shipping cost to the workers; the
-        # guard above keeps the flat element space in range.
+        # The kernels take int32 indices; the guard above keeps the flat
+        # element space in range.
         if not parts:
             return np.empty((0, *shape_tail), dtype=np.int32)
         return np.ascontiguousarray(
             np.concatenate(parts, axis=0), dtype=np.int32
         )
 
-    programs = []
-    for rank in range(num_shards):
-        programs.append(
-            ShardProgram(
-                rank=rank,
-                mx=mx,
-                ng=ng,
-                copy_dst=cat([p.reshape(-1) for p in copy_d[rank]], ()),
-                copy_src=cat([p.reshape(-1) for p in copy_s[rank]], ()),
-                neg_dst=cat([p.reshape(-1) for p in neg_d[rank]], ()),
-                neg_src=cat([p.reshape(-1) for p in neg_s[rank]], ()),
-                coarse_gather=cat(coarse_g[rank], (NUM_FIELDS, w2, hmx)),
-                coarse_scatter=cat(coarse_c[rank], (NUM_FIELDS, ng, mx)),
-                fine_gather=cat(fine_g[rank], (NUM_FIELDS, 2 * ng, mx)),
-                fine_scatter=cat(fine_c[rank], (NUM_FIELDS, ng, hmx)),
-                local_bytes=local_b[rank],
-                halo_gather_bytes=halo_gb[rank],
-                halo_scatter_bytes=halo_sb[rank],
-                halo_messages=halo_n[rank],
-            )
-        )
-    return ShardedExchange(plan=plan, assignment=a.copy(), programs=tuple(programs))
+    def flat(parts: list) -> np.ndarray:
+        return cat([p.reshape(-1) for p in parts], ())
 
-
-def shard_weights(stack: PatchStack) -> np.ndarray:
-    """Per-leaf work estimates for the curve partitioner.
-
-    Every patch advances the same ``mx * mx`` interior at the same global
-    dt (non-subcycled stepping), so the work per leaf is uniform.
-    """
-    return np.ones(len(stack), dtype=np.float64)
+    return ShardProgram(
+        copy_dst=flat(copy_d),
+        copy_src=flat(copy_s),
+        neg_dst=flat(neg_d),
+        neg_src=flat(neg_s),
+        coarse_gather=cat(coarse_g, (NUM_FIELDS, w2, hmx)),
+        coarse_scatter=cat(coarse_c, (NUM_FIELDS, ng, mx)),
+        fine_gather=cat(fine_g, (NUM_FIELDS, 2 * ng, mx)),
+        fine_scatter=cat(fine_c, (NUM_FIELDS, ng, hmx)),
+    )

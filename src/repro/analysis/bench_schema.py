@@ -95,27 +95,6 @@ def _amr_schema(data: dict, errors: list[str]) -> None:
     row = _require(data, "serial_kernels", dict, errors, "top level")
     if row is not None:
         _positive(row, (*_AMR_ROW, "speedup_vs_batched"), errors, "serial_kernels")
-    workers = _require(data, "workers", dict, errors, "top level")
-    if workers is None:
-        return
-    cores = _require(workers, "host_cores", int, errors, "workers")
-    if cores is not None and cores < 1:
-        errors.append("workers: host_cores must be >= 1")
-    scaling = _require(workers, "scaling", list, errors, "workers")
-    for i, row in enumerate(scaling or ()):
-        ctx = f"workers.scaling[{i}]"
-        if not isinstance(row, dict):
-            errors.append(f"{ctx}: must be an object")
-            continue
-        n = _require(row, "workers", int, errors, ctx)
-        if n is not None and n < 1:
-            errors.append(f"{ctx}: workers must be >= 1")
-        _positive(
-            row,
-            (*_AMR_ROW, "speedup_vs_batched", "speedup_vs_serial_kernels"),
-            errors,
-            ctx,
-        )
 
 
 def _policy_schema(data: dict, errors: list[str]) -> None:

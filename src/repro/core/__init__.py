@@ -49,8 +49,6 @@ from repro.core.config import ALConfig
 from repro.core.loop import ActiveLearner, CandidateCovarianceCache
 from repro.core.batch import BatchConfig, BatchResult, run_batch
 from repro.core.parallel import (
-    ShardWorkerError,
-    ShardWorkerPool,
     TrajectoryFailure,
     TrajectorySpec,
     run_trajectories,
@@ -105,8 +103,6 @@ __all__ = [
     "StopReason",
     "ActiveLearner",
     "CandidateCovarianceCache",
-    "ShardWorkerError",
-    "ShardWorkerPool",
     "TrajectoryFailure",
     "TrajectorySpec",
     "run_trajectories",

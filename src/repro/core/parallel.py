@@ -10,12 +10,14 @@ Determinism: every spec derives its own ``Generator`` from
 stream construction :mod:`repro.core.batch` has always used — so results
 are identical serial or parallel, at any worker count, and specs with the
 same ``(base_seed, traj_index)`` share a partition (paired comparisons
-across policies).
+across policies).  :func:`build_learner` is the one cold start of a
+trajectory and of a campaign-service campaign, so a spec selects what the
+same campaign selects in the service.
 
-Worker start: every pool in the package — this module's trajectory pool,
-:class:`ShardWorkerPool` and the campaign service's worker pool — starts
-its processes from :func:`worker_context`, a ``forkserver`` whose server
-has imported numpy, scipy and :mod:`repro.core.service` once.  A worker
+Worker start: both pools in the package — this module's trajectory pool
+and the campaign service's worker pool — start their processes from
+:func:`worker_context`, a ``forkserver`` whose server has imported
+numpy, scipy and :mod:`repro.core.service` once.  A worker
 is a fork of that server and reaches its first message in about
 10–20 ms, where a ``spawn`` interpreter spends 0.5–1 s importing the same
 modules.  The server starts on the first ``Process.start()``, which
@@ -105,6 +107,16 @@ class TrajectorySpec:
     n_restarts: int = 2
     learner_kwargs: dict = field(default_factory=dict)
 
+    @property
+    def config(self) -> ALConfig:
+        """The run's :class:`~repro.core.config.ALConfig`."""
+        return ALConfig(
+            n_restarts=self.n_restarts,
+            hyper_refit_interval=self.hyper_refit_interval,
+            max_iterations=self.max_iterations,
+            **self.learner_kwargs,
+        )
+
 
 @dataclass(frozen=True)
 class TrajectoryFailure:
@@ -129,8 +141,20 @@ class TrajectoryFailure:
     traceback: str = ""
 
 
-def _run_spec(dataset: Dataset, spec: TrajectorySpec) -> tuple[str, Trajectory]:
-    """Worker body: one fully seeded AL run."""
+def build_learner(spec, dataset: Dataset) -> ActiveLearner:
+    """Cold-start a learner at its spec's seed-tree position.
+
+    ``spec`` is a :class:`TrajectorySpec` or a
+    :class:`~repro.core.service.CampaignSpec`: both carry
+    ``policy_factory``, ``base_seed``, ``traj_index``, ``n_init``,
+    ``n_test`` and ``config``.  ``SeedSequence(entropy=base_seed,
+    spawn_key=(traj_index,))`` seeds the partition and the learner's RNG
+    stream.  Multi-fidelity configs price their fidelity surfaces
+    deterministically from the config (:meth:`ALConfig.priced`), so
+    every cold start of the same spec sees identical surfaces — and the
+    config's fingerprint covers the fidelity axis, so a checkpoint
+    written under one schedule refuses to resume under another.
+    """
     seed_seq = np.random.SeedSequence(
         entropy=spec.base_seed, spawn_key=(spec.traj_index,)
     )
@@ -138,16 +162,19 @@ def _run_spec(dataset: Dataset, spec: TrajectorySpec) -> tuple[str, Trajectory]:
     partition = random_partition(
         rng, len(dataset), n_init=spec.n_init, n_test=spec.n_test
     )
-    config = ALConfig(
-        n_restarts=spec.n_restarts,
-        hyper_refit_interval=spec.hyper_refit_interval,
-        max_iterations=spec.max_iterations,
-        **spec.learner_kwargs,
+    config = spec.config
+    return ActiveLearner(
+        config.priced(dataset),
+        partition,
+        policy=spec.policy_factory(),
+        rng=rng,
+        config=config,
     )
-    learner = ActiveLearner(
-        dataset, partition, policy=spec.policy_factory(), rng=rng, config=config
-    )
-    return spec.name, learner.run()
+
+
+def _run_spec(dataset: Dataset, spec: TrajectorySpec) -> tuple[str, Trajectory]:
+    """Worker body: one fully seeded AL run."""
+    return spec.name, build_learner(spec, dataset).run()
 
 
 def _run_spec_guarded(
@@ -228,245 +255,6 @@ def worker_context() -> multiprocessing.context.BaseContext:
     # server's alive pipe; any earlier, the stop would wait on them.
     util.Finalize(None, forkserver._forkserver._stop, exitpriority=-1)
     return ctx
-
-
-# --------------------------------------------------------------------------
-# Persistent shard workers (parallel AMR)
-#
-# run_trajectories' pool fans out *independent* jobs; the sharded AMR driver
-# (repro.amr.parallel) instead needs a persistent, synchronously-phased crew:
-# every worker owns a contiguous slice of one shared-memory PatchStack and
-# must run the same phase (exchange / sweep / wave speeds) before any worker
-# may start the next.  There is deliberately no OS barrier primitive here —
-# the parent IS the barrier: it broadcasts a phase command down one pipe per
-# worker and collects every reply before issuing the next phase, which on
-# measured hardware costs a fraction of a multiprocessing.Barrier cycle and
-# keeps all failure handling in one place.
-# --------------------------------------------------------------------------
-
-
-class ShardWorkerError(RuntimeError):
-    """A shard worker raised (or died) during a phase."""
-
-
-class _ShardWorkerState:
-    """Per-process state of one shard worker: shared views + programs."""
-
-    def __init__(self, rank: int) -> None:
-        self.rank = rank
-        self.shm = {}  # name -> SharedMemory, kept attached across installs
-        self.q = None
-        self.sx = None
-        self.sy = None
-        self.program = None
-        self.lo = 0
-        self.hi = 0
-        self.dx = None
-        self.stepper = None
-
-    def _attach(self, name: str):
-        from multiprocessing import resource_tracker, shared_memory
-
-        if name not in self.shm:
-            # Attaching registers the segment with the resource tracker
-            # (CPython registers unconditionally), and workers share the
-            # parent's tracker process — a worker registration would
-            # later fight the parent's own unlink bookkeeping.  Suppress
-            # registration for the attach; only the creating parent tracks
-            # and unlinks these segments.
-            orig = resource_tracker.register
-
-            def _skip(name_, rtype):  # pragma: no cover - trivial shim
-                if rtype != "shared_memory":
-                    orig(name_, rtype)
-
-            resource_tracker.register = _skip
-            try:
-                seg = shared_memory.SharedMemory(name=name)
-            finally:
-                resource_tracker.register = orig
-            self.shm[name] = seg
-        return self.shm[name]
-
-    def install(self, payload: dict) -> None:
-        import numpy as np
-
-        seg = self._attach(payload["q_name"])
-        self.q = np.ndarray(payload["q_shape"], dtype=np.float64, buffer=seg.buf)
-        scratch = self._attach(payload["scratch_name"])
-        cap = payload["scratch_cap"]
-        self.sx = np.ndarray((cap,), dtype=np.float64, buffer=scratch.buf)
-        self.sy = np.ndarray(
-            (cap,), dtype=np.float64, buffer=scratch.buf, offset=cap * 8
-        )
-        self.program = payload["program"]
-        self.lo = payload["lo"]
-        self.hi = payload["hi"]
-        self.dx = payload["dx"]
-        self.stepper = payload["stepper"]
-
-    def exchange(self) -> None:
-        self.program.execute(self.q, lib=self.stepper.lib)
-        obs.incr("amr.halo.gather_bytes", self.program.halo_gather_bytes)
-        obs.incr("amr.halo.scatter_bytes", self.program.halo_scatter_bytes)
-        obs.incr("amr.halo.local_bytes", self.program.local_bytes)
-        obs.incr("amr.halo.messages", self.program.halo_messages)
-        obs.incr("amr.shard.exchanges")
-
-    def sweep(self, axis: int, dt: float, with_speeds: bool = False) -> None:
-        if self.hi <= self.lo:  # a shard can own zero patches (W > P)
-            return
-        self.stepper.sweep(self.q[self.lo : self.hi], dt / self.dx, axis)
-        if with_speeds:
-            # Piggyback the next step's CFL wave speeds on the final sweep
-            # phase: saves one pool round-trip per step, and the values are
-            # identical to a dedicated phase (same post-step interiors).
-            self.speeds()
-
-    def speeds(self) -> None:
-        if self.hi <= self.lo:
-            return
-        lo, hi = self.lo, self.hi
-        self.stepper.wave_speeds(self.q[lo:hi], self.sx[lo:hi], self.sy[lo:hi])
-
-    def handle(self, cmd: str, payload):
-        if cmd == "install":
-            with obs.span("shard_install", cat="amr", rank=self.rank):
-                self.install(payload)
-            return None
-        if cmd == "exchange":
-            self.exchange()
-            return None
-        if cmd == "sweep":
-            self.sweep(*payload)
-            return None
-        if cmd == "speeds":
-            self.speeds()
-            return None
-        if cmd == "obs":
-            return obs.snapshot_state(reset_after=True)
-        if cmd == "ping":
-            return self.rank
-        raise ValueError(f"unknown shard command {cmd!r}")
-
-
-def _shard_worker_main(conn, rank: int, trace_enabled: bool) -> None:
-    """Entry point of one shard worker (must be importable)."""
-    if trace_enabled:
-        obs.enable_tracing()
-    state = _ShardWorkerState(rank)
-    while True:
-        try:
-            cmd, payload = conn.recv()
-        except (EOFError, KeyboardInterrupt):
-            break
-        if cmd == "close":
-            conn.send(("ok", None))
-            break
-        try:
-            conn.send(("ok", state.handle(cmd, payload)))
-        except Exception:  # noqa: BLE001 - report, never kill the pipe
-            conn.send(("error", _traceback.format_exc()))
-
-
-class ShardWorkerPool:
-    """A persistent crew of shard workers, phased by the parent.
-
-    Workers hold no hierarchy state of their own beyond what ``install``
-    ships (shared-memory names, their shard program and row slice), so the
-    pool outlives regrids and repartitions — only ``install`` is re-sent.
-    The parent acts as the phase barrier: :meth:`broadcast` returns only
-    after every worker has replied, so a subsequent phase can never observe
-    a half-finished predecessor.
-    """
-
-    def __init__(self, num_workers: int) -> None:
-        if num_workers < 1:
-            raise ValueError("num_workers must be >= 1")
-        ctx = worker_context()
-        self._conns = []
-        self._procs = []
-        for rank in range(num_workers):
-            parent_conn, child_conn = ctx.Pipe()
-            proc = ctx.Process(
-                target=_shard_worker_main,
-                args=(child_conn, rank, obs.tracing_enabled()),
-                daemon=True,
-                name=f"amr-shard-{rank}",
-            )
-            proc.start()
-            child_conn.close()
-            self._conns.append(parent_conn)
-            self._procs.append(proc)
-        self.broadcast("ping")  # handshake: every worker imported and ready
-
-    def __len__(self) -> int:
-        return len(self._procs)
-
-    def broadcast(self, cmd: str, payload=None) -> list:
-        """Send one phase command to every worker; gather every reply."""
-        for conn in self._conns:
-            conn.send((cmd, payload))
-        return self._gather(cmd)
-
-    def scatter(self, cmd: str, payloads: Sequence) -> list:
-        """Send per-worker payloads (e.g. shard-specific install specs)."""
-        if len(payloads) != len(self._conns):
-            raise ValueError("need exactly one payload per worker")
-        for conn, payload in zip(self._conns, payloads):
-            conn.send((cmd, payload))
-        return self._gather(cmd)
-
-    def _gather(self, cmd: str) -> list:
-        replies = []
-        errors = []
-        for rank, conn in enumerate(self._conns):
-            try:
-                status, value = conn.recv()
-            except (EOFError, ConnectionResetError) as exc:
-                raise ShardWorkerError(
-                    f"shard worker {rank} died during {cmd!r}: {exc!r}"
-                ) from exc
-            if status == "error":
-                errors.append((rank, value))
-            else:
-                replies.append(value)
-        if errors:
-            detail = "\n".join(f"[worker {r}]\n{tb}" for r, tb in errors)
-            raise ShardWorkerError(f"shard phase {cmd!r} failed:\n{detail}")
-        return replies
-
-    def drain_observability(self) -> None:
-        """Merge every worker's metrics/spans home, one lane per shard."""
-        for rank, payload in enumerate(self.broadcast("obs")):
-            if payload is not None:
-                obs.merge_state(payload, track=rank + 1)
-
-    def close(self) -> None:
-        """Shut the workers down; safe to call twice."""
-        for conn, proc in zip(self._conns, self._procs):
-            try:
-                if proc.is_alive():
-                    conn.send(("close", None))
-                    if conn.poll(2.0):
-                        conn.recv()
-            except (OSError, BrokenPipeError):
-                pass
-            finally:
-                conn.close()
-        for proc in self._procs:
-            proc.join(timeout=2.0)
-            if proc.is_alive():  # pragma: no cover - stuck worker
-                proc.terminate()
-        self._conns = []
-        self._procs = []
-
-    def __del__(self) -> None:  # pragma: no cover - interpreter teardown
-        try:
-            if self._procs:
-                self.close()
-        except Exception:
-            pass
 
 
 def run_trajectories(

@@ -92,8 +92,7 @@ import numpy as np
 from repro import obs
 from repro.core.config import ALConfig
 from repro.core.loop import ActiveLearner
-from repro.core.parallel import TrajectoryFailure, worker_context
-from repro.core.partitions import random_partition
+from repro.core.parallel import TrajectoryFailure, build_learner, worker_context
 from repro.core.trajectory import StopReason, Trajectory
 from repro.data.dataset import Dataset
 from repro.faults.model import FaultConfig, FaultEvent, FaultInjector, FaultKind
@@ -130,8 +129,9 @@ _FATAL_KINDS = frozenset({FaultKind.CRASH, FaultKind.OOM, FaultKind.TIMEOUT})
 class CampaignSpec:
     """One campaign: a seeded AL run plus its node-hour allocation.
 
-    The seed tree is shared with :class:`~repro.core.parallel.TrajectorySpec`
-    — ``SeedSequence(entropy=base_seed, spawn_key=(traj_index,))`` — so a
+    Both cold-start through :func:`~repro.core.parallel.build_learner`
+    with :class:`~repro.core.parallel.TrajectorySpec`'s seed tree —
+    ``SeedSequence(entropy=base_seed, spawn_key=(traj_index,))`` — so a
     campaign's fault-free result is identical to the same run executed by
     :func:`~repro.core.parallel.run_trajectories`.
 
@@ -247,31 +247,6 @@ def dataset_fingerprint(dataset: Dataset) -> str:
     for arr in (dataset.X, dataset.wall, dataset.cost, dataset.mem):
         h.update(np.ascontiguousarray(arr).tobytes())
     return h.hexdigest()[:16]
-
-
-def build_learner(spec: CampaignSpec, dataset: Dataset) -> ActiveLearner:
-    """Cold-start a campaign's learner at its seed-tree position.
-
-    Multi-fidelity configs price their fidelity surfaces
-    deterministically from the config (:meth:`ALConfig.priced`), so
-    every cold start of the same spec sees identical surfaces — and the
-    config's fingerprint covers the fidelity axis, so a checkpoint
-    written under one schedule refuses to resume under another.
-    """
-    seed_seq = np.random.SeedSequence(
-        entropy=spec.base_seed, spawn_key=(spec.traj_index,)
-    )
-    rng = np.random.default_rng(seed_seq)
-    partition = random_partition(
-        rng, len(dataset), n_init=spec.n_init, n_test=spec.n_test
-    )
-    return ActiveLearner(
-        spec.config.priced(dataset),
-        partition,
-        policy=spec.policy_factory(),
-        rng=rng,
-        config=spec.config,
-    )
 
 
 def policy_fingerprint(spec: CampaignSpec) -> str | None:
@@ -622,8 +597,11 @@ def _campaign_worker_main(conn, rank: int, trace_enabled: bool) -> None:
                     )
                     continue
             status, value = _run_slice(dataset, payload)
+            # Reset after every slice: a failed slice's metrics are
+            # dropped, as inline mode drops them, and never ride home
+            # with the next campaign's slice.
+            snap = obs.snapshot_state(reset_after=True)
             if status == "ok":
-                snap = obs.snapshot_state(reset_after=True)
                 value["obs"] = None if payload.get("drop_obs") else snap
             conn.send((status, value))
         except Exception as exc:  # noqa: BLE001 - report, never kill the pipe
@@ -660,10 +638,9 @@ class _WorkerHandle:
 class CampaignWorkerPool:
     """Campaign worker processes the service dispatches slices to.
 
-    Unlike :class:`~repro.core.parallel.ShardWorkerPool` (synchronous
-    phases, the parent is the barrier), campaign workers are *free
-    running*: each owns at most one in-flight slice and the service
-    multiplexes replies with :func:`multiprocessing.connection.wait`.
+    Campaign workers are *free running*: each owns at most one in-flight
+    slice and the service multiplexes replies with
+    :func:`multiprocessing.connection.wait`.
 
     Nothing here waits for a worker to boot.  Starting a worker ships it
     the dataset and returns; the worker is :attr:`~_WorkerHandle.booting`

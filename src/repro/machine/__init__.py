@@ -17,7 +17,7 @@ SLURM.  This subpackage reproduces that pipeline synthetically:
 """
 
 from repro.machine.spec import MachineSpec, EDISON
-from repro.machine.comms import ExchangeCalibration, LogPModel, calibrate_exchange
+from repro.machine.comms import LogPModel
 from repro.machine.perf_model import PerformanceModel, WorkEstimate, estimate_work
 from repro.machine.memory_model import MemoryModel
 from repro.machine.accounting import JobRecord, SlurmAccounting
@@ -26,9 +26,7 @@ from repro.machine.runner import JobConfig, JobRunner
 __all__ = [
     "MachineSpec",
     "EDISON",
-    "ExchangeCalibration",
     "LogPModel",
-    "calibrate_exchange",
     "PerformanceModel",
     "WorkEstimate",
     "estimate_work",

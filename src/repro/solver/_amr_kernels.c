@@ -1,10 +1,9 @@
-/* Compiled per-shard AMR kernels.
+/* Compiled AMR kernels.
  *
- * These routines are the execution engine of the sharded AMR workers
- * (repro.amr.parallel): each worker advances its contiguous slice of the
- * shape-stacked hierarchy with a fused finite-volume sweep, computes its
- * per-patch CFL wave speeds, and applies the index-compiled parts of the
- * ghost-exchange program.
+ * These routines are the execution engine of the batched AMR driver: they
+ * advance the shape-stacked hierarchy with a fused finite-volume sweep,
+ * compute its per-patch CFL wave speeds, and apply the index-compiled
+ * ghost-exchange program (repro.amr.shard).
  *
  * Bit-identity contract: every arithmetic expression below reproduces the
  * numpy reference (repro.solver.fv._sweep_stack and friends) operation for

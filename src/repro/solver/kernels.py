@@ -1,13 +1,11 @@
 """Runtime-compiled C kernels for batched AMR stepping.
 
-Both AMR drivers step the shape-stacked hierarchy through the routines in
-``_amr_kernels.c``: the fused sweep and the CFL wave speeds (dispatched
-by :class:`repro.amr.batch.StackStepper`) and the indexed copy, gather,
-prolong, restrict and scatter of a compiled exchange program
-(:class:`repro.amr.shard.ShardProgram`).  The serial batched
-:class:`~repro.amr.driver.AmrDriver` runs them over its whole stack with a
-one-shard program; each shard worker of :mod:`repro.amr.parallel` runs them
-over its own rows.  This module owns the build-and-load lifecycle:
+The batched :class:`~repro.amr.driver.AmrDriver` steps its shape-stacked
+hierarchy through the routines in ``_amr_kernels.c``: the fused sweep and
+the CFL wave speeds (dispatched by :class:`repro.amr.batch.StackStepper`)
+and the indexed copy, gather, prolong, restrict and scatter of a compiled
+exchange program (:class:`repro.amr.shard.ShardProgram`).  This module
+owns the build-and-load lifecycle:
 
 - **Build cache** — the shared library is compiled once per source hash
   into a per-user cache directory (override with ``REPRO_KERNEL_CACHE``)
@@ -25,7 +23,7 @@ over its own rows.  This module owns the build-and-load lifecycle:
   are bit-for-bit equal to the reference; ``tests/solver/test_kernels.py``
   pins this for every riemann x limiter combination.
 
-Worker processes call :func:`load` independently; they hit the same
+Every process calls :func:`load` independently; they all hit the same
 cache file, so the compile cost is paid once per machine (per cache
 directory), not once per process.
 """
@@ -211,12 +209,12 @@ def copy_indexed(
 ) -> None:
     """``flat[dst] = flat[src] * scale`` without numpy fancy-index overhead.
 
-    ``dst`` and ``src`` must be disjoint (the shard programs copy interiors
-    into ghost cells, never the reverse): the loop copies element by
-    element, while numpy's fancy assignment gathers the source first.
-    Index vectors are int32 (half the shard-program shipping cost of
-    int64; a stack would need >2^31 elements to overflow, far beyond any
-    hierarchy the driver builds).
+    ``dst`` and ``src`` must be disjoint (the exchange programs copy
+    interiors into ghost cells, never the reverse): the loop copies element
+    by element, while numpy's fancy assignment gathers the source first.
+    Index vectors are int32 (half the index memory of int64; a stack would
+    need >2^31 elements to overflow, far beyond any hierarchy the driver
+    builds).
     """
     lib = load()
     if lib is None:

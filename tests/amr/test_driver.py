@@ -3,9 +3,12 @@
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.amr import AmrConfig, AmrDriver
-from repro.mesh.balance import is_balanced
+from repro.mesh.balance import balance_deficits, is_balanced
 from repro.solver import ShockBubbleProblem
+from repro.solver.limiters import mc_limiter
+from repro.solver.riemann import hllc_flux
 from repro.solver.state import check_physical
 
 
@@ -135,3 +138,80 @@ class TestRegridding:
         calls = []
         driver.run(t_end=0.02, callback=lambda d: calls.append(d.t))
         assert len(calls) == driver.stats.num_steps
+
+
+def _advance(driver, nsteps=10):
+    """The benchmark stepping loop: dt / step / periodic regrid."""
+    dts = []
+    for k in range(nsteps):
+        dt = driver.compute_dt()
+        driver.step(dt)
+        if (k + 1) % driver.config.regrid_interval == 0:
+            driver.regrid()
+        dts.append(dt)
+    return dts
+
+
+class FullScanDriver(AmrDriver):
+    """The driver with the reference full-scan rebalance."""
+
+    def _rebalance(self, from_initial=False):
+        while deficits := balance_deficits(self.forest):
+            for tree, quad, _ in deficits:
+                if (tree, quad) in self.patches:
+                    self._refine_patch(tree, quad, from_initial)
+        self._balance_seeds.clear()
+
+
+class TestRebalance:
+    def test_max_level_5_matches_full_scan(self):
+        """A regrid whose new leaves sit deep inside an old leaf's neighbor
+        quadrant (first at the regrid after step 48): the worklist must
+        still refine that old leaf."""
+        cfg = AmrConfig(mx=8, min_level=1, max_level=5)
+        problem = ShockBubbleProblem(r0=0.2, rhoin=0.1)
+        ref = FullScanDriver(problem, cfg)
+        ref.run(t_end=0.03)
+        driver = AmrDriver(problem, cfg)
+        driver.run(t_end=0.03)
+        assert len(ref.patches) == 434
+        assert balance_deficits(driver.forest) == []
+        assert list(driver.patches) == list(ref.patches)
+        assert driver.stats.num_refinements == ref.stats.num_refinements
+        for key, p in ref.patches.items():
+            assert np.array_equal(driver.patches[key].interior, p.interior)
+
+
+class TestCallableSolver:
+    @pytest.mark.parametrize(
+        "field, fn", [("riemann", hllc_flux), ("limiter", mc_limiter)]
+    )
+    def test_callable_runs_the_numpy_path(self, field, fn):
+        """A callable solver or limiter (which fv accepts) cannot reach the
+        C kernels; the driver steps it through numpy, equal to the named
+        one."""
+        grid = dict(mx=8, min_level=1, max_level=3)
+        driver = AmrDriver(ShockBubbleProblem(), AmrConfig(**grid, **{field: fn}))
+        ref_dts = _advance(driver)
+        named = AmrDriver(ShockBubbleProblem(), AmrConfig(**grid))
+        assert _advance(named) == ref_dts
+        assert list(driver.patches) == list(named.patches)
+        for key, p in named.patches.items():
+            assert np.array_equal(driver.patches[key].q, p.q)
+        assert driver.conserved_totals() == named.conserved_totals()
+        assert not driver._stepper.compiled
+
+
+class TestPhaseTimers:
+    def test_phase_timers_recorded(self):
+        """The per-layer AMR metrics of the end-to-end benchmark read these
+        timers."""
+        obs.reset()
+        try:
+            _advance(AmrDriver(ShockBubbleProblem(), AmrConfig(mx=8, max_level=3)), 4)
+            snap = obs.snapshot()
+            for phase in ("amr_plan", "amr_exchange", "amr_sweep", "amr_dt",
+                          "amr_regrid"):
+                assert snap[phase].calls > 0, phase
+        finally:
+            obs.reset()

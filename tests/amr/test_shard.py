@@ -1,20 +1,15 @@
-"""Sharded ghost-exchange compilation: parity with the serial plan.
+"""Flat-index exchange compilation: parity with the numpy plan.
 
-``build_sharded_exchange`` recompiles an :class:`ExchangePlan` into
-per-rank flat-index programs; running every program must reproduce
-``ExchangePlan.execute`` bit for bit regardless of the shard count, in
-both the numpy and the compiled-kernel execution paths.  Also pins the
-staleness regression: ``covers`` must compare the shard *assignment*, not
-just the plan identity, because a rebalance can move a patch across a
-shard boundary without changing the leaf count.
+``build_sharded_exchange`` recompiles an :class:`ExchangePlan` into one
+flat-index program that the compiled kernels execute; running it must
+reproduce ``ExchangePlan.execute`` bit for bit.
 """
 
 import numpy as np
 import pytest
 
 from repro.amr import AmrConfig, AmrDriver
-from repro.amr.shard import build_sharded_exchange, shard_weights
-from repro.mesh.partition import partition_curve
+from repro.amr.shard import build_sharded_exchange
 from repro.solver import kernels
 from repro.solver.initial_conditions import ShockBubbleProblem
 
@@ -44,87 +39,19 @@ def _scrambled(stack) -> np.ndarray:
 
 
 class TestParity:
-    @pytest.mark.parametrize("num_shards", [1, 2, 4, 5])
-    def test_matches_plan_execute_numpy(self, stack, num_shards):
-        assignment = partition_curve(shard_weights(stack), num_shards)
-        sharded = build_sharded_exchange(stack, assignment)
-        ref = _scrambled(stack)
-        stack.plan.execute(ref)
-        got = _scrambled(stack)
-        sharded.execute_serial(got, use_kernels=False)
-        assert np.array_equal(got, ref)
-
     @pytest.mark.skipif(not kernels.available(), reason="no compiled kernels")
-    @pytest.mark.parametrize("num_shards", [1, 2, 4])
-    def test_matches_plan_execute_kernels(self, stack, num_shards):
-        assignment = partition_curve(shard_weights(stack), num_shards)
-        sharded = build_sharded_exchange(stack, assignment)
+    def test_matches_plan_execute_kernels(self, stack):
+        program = build_sharded_exchange(stack)
         ref = _scrambled(stack)
         stack.plan.execute(ref)
         got = _scrambled(stack)
-        sharded.execute_serial(got, use_kernels=True)
+        program.execute(got)
         assert np.array_equal(got, ref)
 
     def test_programs_are_int32(self, stack):
-        assignment = partition_curve(shard_weights(stack), 2)
-        sharded = build_sharded_exchange(stack, assignment)
-        for prog in sharded.programs:
-            for arr in (prog.copy_dst, prog.copy_src, prog.neg_dst,
-                        prog.neg_src, prog.coarse_gather, prog.coarse_scatter,
-                        prog.fine_gather, prog.fine_scatter):
-                assert arr.dtype == np.int32
-
-
-class TestHaloAccounting:
-    def test_single_shard_has_no_halo(self, stack):
-        assignment = partition_curve(shard_weights(stack), 1)
-        sharded = build_sharded_exchange(stack, assignment)
-        assert sharded.halo_bytes_per_exchange == 0
-        assert sharded.halo_messages_per_exchange == 0
-
-    def test_multi_shard_has_halo(self, stack):
-        assignment = partition_curve(shard_weights(stack), 4)
-        sharded = build_sharded_exchange(stack, assignment)
-        assert sharded.halo_bytes_per_exchange > 0
-        assert sharded.halo_messages_per_exchange > 0
-
-    def test_total_traffic_independent_of_shard_count(self, stack):
-        """Splitting only reclassifies local vs halo; the sum is fixed."""
-        totals = set()
-        for num_shards in (1, 2, 4):
-            assignment = partition_curve(shard_weights(stack), num_shards)
-            sharded = build_sharded_exchange(stack, assignment)
-            totals.add(sum(
-                p.local_bytes + p.halo_gather_bytes for p in sharded.programs
-            ))
-        assert len(totals) == 1
-
-
-class TestCoversStaleness:
-    def test_covers_same_plan_and_assignment(self, stack):
-        assignment = partition_curve(shard_weights(stack), 2)
-        sharded = build_sharded_exchange(stack, assignment)
-        assert sharded.covers(stack, assignment.copy())
-
-    def test_stale_when_assignment_moves_across_boundary(self, stack):
-        """The regression: a rebalance that shifts one patch to the next
-        shard leaves the stack (and its plan) untouched — ``covers`` must
-        still report stale, or workers would ghost-fill rows they no
-        longer own."""
-        assignment = partition_curve(shard_weights(stack), 2)
-        sharded = build_sharded_exchange(stack, assignment)
-        moved = assignment.copy()
-        boundary = int(np.searchsorted(moved, 1))
-        moved[boundary] = 0  # first rank-1 patch now belongs to rank 0
-        assert sharded.covers(stack, assignment)
-        assert not sharded.covers(stack, moved)
-
-    def test_stale_when_plan_rebuilt(self, stack):
-        """A new plan object (post-regrid stack) invalidates the programs
-        even if the assignment array is numerically identical."""
-        assignment = partition_curve(shard_weights(stack), 2)
-        sharded = build_sharded_exchange(stack, assignment)
-        cfg = AmrConfig(mx=8, min_level=1, max_level=3, batched=True)
-        other = AmrDriver(ShockBubbleProblem(), cfg).stack()
-        if len(other) == len(stack):
-            assert not sharded.covers(other, assignment)
+        program = build_sharded_exchange(stack)
+        for arr in (program.copy_dst, program.copy_src, program.neg_dst,
+                    program.neg_src, program.coarse_gather,
+                    program.coarse_scatter, program.fine_gather,
+                    program.fine_scatter):
+            assert arr.dtype == np.int32

@@ -14,13 +14,6 @@ AMR = {
     "batched": ROW,
     "serial_kernels": {**ROW, "speedup_vs_batched": 5.7},
     "speedup": 3.4,
-    "workers": {
-        "host_cores": 2,
-        "scaling": [
-            {**ROW, "workers": 1, "speedup_vs_batched": 4.9,
-             "speedup_vs_serial_kernels": 0.86},
-        ],
-    },
 }
 
 
@@ -32,16 +25,6 @@ def test_serial_kernel_row_is_required():
     data = copy.deepcopy(AMR)
     del data["serial_kernels"]
     assert validate(data) == ["top level: missing key 'serial_kernels'"]
-
-
-def test_scaling_rows_carry_both_speedups():
-    data = copy.deepcopy(AMR)
-    del data["workers"]["scaling"][0]["speedup_vs_serial_kernels"]
-    data["workers"]["scaling"][0]["workers"] = 0
-    assert validate(data) == [
-        "workers.scaling[0]: workers must be >= 1",
-        "workers.scaling[0]: missing key 'speedup_vs_serial_kernels'",
-    ]
 
 
 def test_rates_must_be_positive():

@@ -1,8 +1,11 @@
 """Tests for the process-pool trajectory runner."""
 
+import functools
+
 import numpy as np
 import pytest
 
+from repro.core import ALConfig, CampaignService, CampaignSpec, PortfolioPolicy
 from repro.core.parallel import (
     TrajectoryFailure,
     TrajectorySpec,
@@ -86,6 +89,42 @@ class TestParallelExecution:
     def test_invalid_worker_count(self, small_dataset):
         with pytest.raises(ValueError):
             run_trajectories(small_dataset, _specs(1), max_workers=0)
+
+
+class TestServiceEquivalence:
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_multi_fidelity_selects_what_the_service_selects(
+        self, small_dataset, workers
+    ):
+        """A trajectory cold-starts as a campaign does: a multi-fidelity
+        config prices its dataset (regression: it failed in the runner with
+        "multi-fidelity configurations need a MultiFidelityDataset")."""
+        portfolio = functools.partial(
+            PortfolioPolicy, memory_limit_MB=small_dataset.memory_limit()
+        )
+        mf = {"num_fidelities": 2, "batch_size": 2, "fidelity_seed": 1}
+        specs = [
+            TrajectorySpec(
+                name=f"t{i}", policy_factory=policy, base_seed=11,
+                traj_index=i, n_init=15, n_test=20, max_iterations=4,
+                learner_kwargs=kw,
+            )
+            for i, (policy, kw) in enumerate([(portfolio, mf), (RandGoodness, {})])
+        ]
+        with CampaignService(small_dataset) as svc:
+            for spec in specs:
+                svc.submit(CampaignSpec(
+                    campaign_id=spec.name, policy_factory=spec.policy_factory,
+                    base_seed=spec.base_seed, traj_index=spec.traj_index,
+                    n_init=spec.n_init, n_test=spec.n_test,
+                    config=ALConfig(max_iterations=4, **spec.learner_kwargs),
+                ))
+            assert set(svc.run().campaigns.values()) == {"done"}
+            served = {s.name: svc.result(s.name) for s in specs}
+        for name, traj in run_trajectories(small_dataset, specs, max_workers=workers):
+            assert isinstance(traj, Trajectory), traj
+            assert np.array_equal(traj.selected_indices, served[name].selected_indices)
+        assert {r.fidelity for r in served["t0"].records} == {0, 1}
 
 
 class TestDefaultWorkers:

@@ -1,10 +1,10 @@
 """The one worker start context: a preloaded forkserver, spawn as fallback.
 
-Every pool in the package starts its processes from
+Both pools in the package start their processes from
 :func:`repro.core.parallel.worker_context`.  These tests pin what that
 must not change: an interpreter that used every pool leaves no process
 behind when it exits (the forkserver included), and where the platform
-has no forkserver all three pools start through ``spawn`` with results
+has no forkserver both pools start through ``spawn`` with results
 identical to a serial run.
 """
 
@@ -22,7 +22,7 @@ import pytest
 
 import repro
 from repro.core import parallel
-from repro.core.parallel import ShardWorkerPool, TrajectorySpec, run_trajectories
+from repro.core.parallel import TrajectorySpec, run_trajectories
 from repro.core.policies import MaxSigma, RandUniform
 from repro.core.service import CampaignWorkerPool
 
@@ -34,9 +34,7 @@ import numpy as np
 from multiprocessing import resource_tracker
 
 from repro.core import ALConfig, CampaignService, CampaignSpec, MaxSigma
-from repro.core.parallel import (
-    ShardWorkerPool, TrajectorySpec, run_trajectories, worker_context,
-)
+from repro.core.parallel import TrajectorySpec, run_trajectories, worker_context
 from repro.data import CampaignConfig, run_campaign
 
 ds = run_campaign(
@@ -52,7 +50,6 @@ with CampaignService(ds, workers=2, steps_per_slice=1) as svc:
     svc.submit(CampaignSpec(campaign_id="c", policy_factory=MaxSigma, n_init=10,
                             n_test=10, config=ALConfig(max_iterations=2)))
     assert svc.run().done == 1
-ShardWorkerPool(2).close()
 resource_tracker._resource_tracker._stop()
 print(worker_context().get_start_method())
 """
@@ -129,13 +126,5 @@ def test_every_pool_falls_back_to_spawn(small_dataset, monkeypatch):
                 campaign.handshake(w)
         finally:
             campaign.close()
-        shard = ShardWorkerPool(2)  # returns after every worker's handshake
-        try:
-            assert all(
-                isinstance(p, multiprocessing.context.SpawnProcess)
-                for p in shard._procs
-            )
-        finally:
-            shard.close()
     finally:
         parallel.worker_context.cache_clear()

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.machine.comms import LogPModel, calibrate_exchange
+from repro.machine.comms import LogPModel
 from repro.machine.spec import EDISON, MachineSpec
 
 
@@ -72,66 +72,3 @@ class TestLogPModel:
     def test_ghost_exchange_rejects_negative(self, model):
         with pytest.raises(ValueError):
             model.ghost_exchange_time(-1.0, mx=8, ng=2)
-
-
-class TestCalibrateExchange:
-    """Golden values: measured halo traffic -> calibrated LogP estimate."""
-
-    @pytest.fixture
-    def model(self):
-        # Round numbers make the expected values exact by hand:
-        # message_time(b) = 1e-6 + b / 1e9.
-        return LogPModel(
-            MachineSpec(network_latency_s=1e-6, network_bandwidth_Bps=1e9)
-        )
-
-    def test_golden_values(self, model):
-        # 128 patches, 4 ranks, 96 strips of 2048 B crossing shards per
-        # exchange: remote_fraction = 96 / (4*128) = 0.1875, 24 messages
-        # per rank, each costing 1e-6 + 2048/1e9 s.
-        cal = calibrate_exchange(
-            model,
-            num_patches=128,
-            num_ranks=4,
-            halo_messages=96,
-            halo_bytes=96 * 2048,
-        )
-        assert cal.remote_fraction == pytest.approx(0.1875)
-        assert cal.mean_message_bytes == pytest.approx(2048.0)
-        assert cal.messages_per_rank == pytest.approx(24.0)
-        assert cal.predicted_time_s == pytest.approx(24.0 * (1e-6 + 2048 / 1e9))
-
-    def test_feeds_ghost_exchange_model(self, model):
-        """The calibrated fraction reproduces ghost_exchange_time exactly
-        when the measured strips match the model's assumed strip size."""
-        mx, ng = 16, 2
-        strip = 4 * ng * mx * 8
-        cal = calibrate_exchange(
-            model, num_patches=64, num_ranks=2,
-            halo_messages=40, halo_bytes=40 * strip,
-        )
-        per_rank = model.ghost_exchange_time(
-            64 / 2, mx=mx, ng=ng, remote_fraction=cal.remote_fraction
-        )
-        assert per_rank == pytest.approx(cal.predicted_time_s)
-
-    def test_no_halo_traffic(self, model):
-        cal = calibrate_exchange(
-            model, num_patches=10, num_ranks=1, halo_messages=0, halo_bytes=0
-        )
-        assert cal.remote_fraction == 0.0
-        assert cal.predicted_time_s == 0.0
-
-    def test_validation(self, model):
-        with pytest.raises(ValueError):
-            calibrate_exchange(
-                model, num_patches=0, num_ranks=1, halo_messages=0, halo_bytes=0
-            )
-        with pytest.raises(ValueError):
-            calibrate_exchange(
-                model, num_patches=1, num_ranks=0, halo_messages=0, halo_bytes=0
-            )
-        with pytest.raises(ValueError):
-            calibrate_exchange(
-                model, num_patches=1, num_ranks=1, halo_messages=-1, halo_bytes=0
-            )

@@ -2,13 +2,13 @@
 
 ``tests/mesh/test_sfc_partition.py`` pins concrete examples; here
 hypothesis drives the p4est partition rule through its structural
-guarantees — the ones the sharded AMR driver (``repro.amr.parallel``)
-leans on:
+guarantees — the ones the rank placement model
+(``repro.machine.placement``) leans on:
 
-- every rank owns one **contiguous Morton segment** (so shard programs can
-  address rows as ``[lo, hi)`` slices);
+- every rank owns one **contiguous Morton segment** (so a rank's leaves
+  are one ``[lo, hi)`` slice of the curve);
 - the per-rank **load is bounded** by the ideal share plus one leaf (so
-  the phase barrier waits on bounded imbalance);
+  the slowest rank waits on bounded imbalance);
 - the assignment is **stable** under a single-leaf refine/coarsen: leaves
   outside the edited family keep their rank bit for bit, because splitting
   a weight into four equal quarters (or merging four back) preserves every

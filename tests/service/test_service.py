@@ -17,6 +17,7 @@ from repro import obs
 from repro.core import (
     CampaignService,
     CampaignSpec,
+    RandUniform,
     TrajectoryFailure,
     TrajectorySpec,
     run_trajectories,
@@ -222,6 +223,32 @@ class TestObservability:
         assert inline_state["counters"] == proc_state["counters"]
         assert inline_state["calls"] == proc_state["calls"]
         assert inline_state["counters"]["service.slice.committed"] > 0
+
+    def test_failed_slice_metrics_stay_with_their_slice(self, small_dataset):
+        """A slice that raises drops its metrics in a process worker as
+        inline mode does; they must not ship with the next campaign's
+        slice on the same worker (regression: the worker kept them)."""
+        specs = [
+            CampaignSpec(
+                campaign_id=cid, policy_factory=policy, base_seed=3,
+                n_init=20, n_test=30, config=AL_CFG,
+            )
+            for cid, policy in (("exploder", ExplodingPolicy), ("rand", RandUniform))
+        ]
+        states = []
+        for workers in (0, 1):
+            obs.reset()
+            with CampaignService(
+                small_dataset, workers=workers, steps_per_slice=5
+            ) as svc:
+                for spec in specs:
+                    svc.submit(spec)
+                assert svc.run().campaigns == {"exploder": "failed", "rand": "done"}
+            states.append(obs.METRICS.state())
+            obs.reset()
+        inline, pooled = states
+        assert inline["counters"] == pooled["counters"]
+        assert inline["calls"] == pooled["calls"]
 
     def test_service_counters_track_report(self, small_dataset):
         obs.reset()

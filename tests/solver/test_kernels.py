@@ -1,9 +1,9 @@
 """Bit-exact parity of the compiled C kernels vs the numpy reference.
 
-The sharded AMR workers (``repro.amr.parallel``) step their rows through
-``repro.solver.kernels`` when a C compiler is available; the whole parallel
-bit-identity guarantee therefore rests on each kernel replicating the numpy
-expression tree exactly (same operation order, same guards, compiled with
+The batched AMR driver steps its stack through ``repro.solver.kernels``
+when a C compiler is available; its bit-identity with the numpy path
+therefore rests on each kernel replicating the numpy expression tree
+exactly (same operation order, same guards, compiled with
 ``-ffp-contract=off``).  Every comparison here is ``array_equal`` — no
 tolerances.
 """
@@ -92,7 +92,7 @@ class TestWaveSpeeds:
 
 
 class TestIndexedCopies:
-    # dst and src must be disjoint (ghost cells vs interiors in the shard
+    # dst and src must be disjoint (ghost cells vs interiors in the exchange
     # programs): the C loop copies element by element, numpy's fancy
     # assignment gathers the whole source first.
 
@@ -137,7 +137,7 @@ class TestIndexedCopies:
 class TestTransferBlocks:
     def test_prolong_blocks_matches_numpy(self):
         rng = np.random.default_rng(3)
-        blocks = rng.standard_normal((6, 1, 4))  # shard shape: (K*4, ng//2, mx//2)
+        blocks = rng.standard_normal((6, 1, 4))  # program shape: (K*4, ng//2, mx//2)
         dst = np.empty((6, 2, 8))
         kernels.prolong_blocks(
             np.ascontiguousarray(blocks.ravel()), 1, 4, dst.reshape(-1)
@@ -146,7 +146,7 @@ class TestTransferBlocks:
 
     def test_restrict_blocks_matches_numpy(self):
         rng = np.random.default_rng(4)
-        wide = rng.standard_normal((5, 4, 8))  # shard shape: (K*4, 2*ng, mx)
+        wide = rng.standard_normal((5, 4, 8))  # program shape: (K*4, 2*ng, mx)
         dst = np.empty((5, 2, 4))
         kernels.restrict_blocks(
             np.ascontiguousarray(wide.ravel()), 4, 8, dst.reshape(-1)
