@@ -381,22 +381,21 @@ def _add_simulate_cmd(sub: argparse._SubParsersAction) -> None:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    from repro.machine import EDISON, JobConfig, JobRunner, MemoryModel, PerformanceModel
+    from repro.machine import JobConfig, JobRunner
 
     config = JobConfig(
         p=args.p, mx=args.mx, maxlevel=args.maxlevel, r0=args.r0, rhoin=args.rhoin
     )
     runner = JobRunner()
     work = runner.work_from_simulation(config, t_end=args.t_end)
-    perf = PerformanceModel(EDISON, seconds_per_cell=5e-6)
-    mem = MemoryModel(EDISON)
+    wall, node_hours, max_rss = runner.price(config, work)
     print(f"config            : {config}")
     print(f"patches per level : {dict(work.patches_per_level)}")
     print(f"steps             : {work.num_steps}  regrids: {work.num_regrids}")
     print(f"cell updates      : {work.total_cell_updates:,.0f}")
-    print(f"predicted wall    : {perf.wall_time(work, config.p):.2f} s on {config.p} nodes")
-    print(f"predicted cost    : {perf.node_hours(work, config.p):.5f} node-hours")
-    print(f"predicted MaxRSS  : {mem.max_rss_MB(work, config.p):.3f} MB")
+    print(f"predicted wall    : {wall:.2f} s on {config.p} nodes")
+    print(f"predicted cost    : {node_hours:.5f} node-hours")
+    print(f"predicted MaxRSS  : {max_rss:.3f} MB")
     return 0
 
 

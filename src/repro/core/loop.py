@@ -6,7 +6,9 @@ the selection policy for up to ``batch_size`` candidates, "runs the
 experiments" by looking the samples up in the offline dataset, moves them
 into the learned set, and retrains both models once, warm-started from the
 previous hyperparameters.  Test-set RMSE, cumulative cost, and cumulative
-regret are recorded for every selected sample.
+regret are recorded for every selected sample.  The online learner
+(:mod:`repro.core.online`) runs the same loop and executes each pick on
+the simulated machine instead of looking it up.
 """
 
 from __future__ import annotations
@@ -362,9 +364,12 @@ class ActiveLearner:
         y_c = np.concatenate(
             [self._log_cost[init], np.asarray(self._targets_cost, dtype=np.float64)]
         )
-        idx_m = np.concatenate([init, np.asarray(self._learned_mem, dtype=np.int64)])
+        # An initial row whose MaxRSS was never observed (a run that ran out
+        # of memory) trains the cost model only.
+        init_m = init[np.isfinite(self._log_mem[init])]
+        idx_m = np.concatenate([init_m, np.asarray(self._learned_mem, dtype=np.int64)])
         y_m = np.concatenate(
-            [self._log_mem[init], np.asarray(self._targets_mem, dtype=np.float64)]
+            [self._log_mem[init_m], np.asarray(self._targets_mem, dtype=np.float64)]
         )
         levels.append((idx_c, y_c, idx_m, y_m))
         if len(levels) == 1:
@@ -386,25 +391,23 @@ class ActiveLearner:
             y_c = np.concatenate([lv[1] for lv in levels])
             y_m = np.concatenate([lv[3] for lv in levels])
         with obs.span("gp_fit", cat="al", optimize=optimize, n=int(X_c.shape[0])):
-            if optimize:
-                self.gpr_cost.fit(X_c, y_c)
-                self.gpr_mem.fit(X_m, y_m)
-            else:
-                self.gpr_cost.refactor(X_c, y_c)
-                self.gpr_mem.refactor(X_m, y_m)
+            for model, X, y in ((self.gpr_cost, X_c, y_c), (self.gpr_mem, X_m, y_m)):
+                if not y.size:
+                    continue  # no MaxRSS observed yet: the model keeps its prior
+                if optimize or not model.is_fitted:
+                    model.fit(X, y)
+                else:
+                    model.refactor(X, y)
 
     def _test_rmse(self) -> tuple[float, float, float]:
         t = self.partition.test_idx
         mu_c = self.gpr_cost.predict(self._U[t])
-        mu_m = self.gpr_mem.predict(self._U[t])
-        weighted = float("nan")
+        rmse_m = weighted = float("nan")
+        if self.gpr_mem.is_fitted:  # else no MaxRSS was observed yet
+            rmse_m = rmse_nonlog(self.gpr_mem.predict(self._U[t]), self.dataset.mem[t])
         if self.config.weight_rmse_by_cost:
             weighted = rmse_nonlog(mu_c, self.dataset.cost[t], weights=self.dataset.cost[t])
-        return (
-            rmse_nonlog(mu_c, self.dataset.cost[t]),
-            rmse_nonlog(mu_m, self.dataset.mem[t]),
-            weighted,
-        )
+        return rmse_nonlog(mu_c, self.dataset.cost[t]), rmse_m, weighted
 
     def _candidate_view(self) -> CandidateView:
         idx = np.asarray(self._remaining, dtype=np.int64)
@@ -695,19 +698,8 @@ class ActiveLearner:
         when the observation is lost.
         """
         cfg = self.config
-        faults = cfg.acquisition_faults
         ds_index = int(self._remaining.pop(pos) if top else self._remaining[pos])
-        outcome = (
-            faults.strike(self.rng)
-            if faults is not None and faults.enabled
-            else AcquisitionOutcome.OK
-        )
-        if top:
-            cost = float(self.dataset.cost[ds_index])
-            mem = float(self.dataset.mem[ds_index])
-        else:
-            cost = float(self._mf.cost[fid, ds_index])
-            mem = float(self._mf.mem[fid, ds_index])
+        cost, mem, outcome = self._acquire(ds_index, fid, top)
         self._cum_cost += cost
         if self._memory_limit is not None:
             self._cum_regret += individual_regret(cost, mem, self._memory_limit)
@@ -752,8 +744,8 @@ class ActiveLearner:
 
         # The sample (or an imputation of it) joins the training sets.
         u_new = self._U[ds_index]
-        target_cost = float(self._log_cost[ds_index])
-        target_mem = float(self._log_mem[ds_index])
+        target_cost = float(np.log10(cost))
+        target_mem = float(np.log10(mem))
         learn_mem = True
         if crashed:  # IMPUTE policy: both observations were lost
             target_cost = float(self.gpr_cost.predict(u_new[None, :])[0])
@@ -793,6 +785,29 @@ class ActiveLearner:
             )
         self._iteration += 1
         return not self._zero_refit
+
+    def _acquire(
+        self, ds_index: int, fid: int, top: bool
+    ) -> tuple[float, float, AcquisitionOutcome]:
+        """Run one pick's experiment: its node-hours, MaxRSS and outcome.
+
+        Offline, the experiment is a lookup in the job table (or in the
+        pick's priced fidelity surface below the top), struck by the
+        acquisition-fault model when one is enabled.  A learner whose picks
+        execute overrides this one method
+        (:class:`repro.core.online.OnlineActiveLearner`).
+        """
+        faults = self.config.acquisition_faults
+        outcome = (
+            faults.strike(self.rng)
+            if faults is not None and faults.enabled
+            else AcquisitionOutcome.OK
+        )
+        if top:
+            cost, mem = self.dataset.cost[ds_index], self.dataset.mem[ds_index]
+        else:
+            cost, mem = self._mf.cost[fid, ds_index], self._mf.mem[fid, ds_index]
+        return float(cost), float(mem), outcome
 
     def _record_fault(self, ds_index: int, kind: FaultKind, detail: str) -> None:
         obs.event(

@@ -9,31 +9,42 @@ Table I combinations), each selected configuration is executed by the
 :class:`~repro.machine.runner.JobRunner`, and the measured cost/memory
 feed the models.
 
-Differences from the offline :class:`~repro.core.loop.ActiveLearner`:
+:class:`OnlineActiveLearner` is an :class:`~repro.core.loop.ActiveLearner`
+whose picks execute: it overrides the one experiment method
+(``_acquire``) and lays out the learner's dataset, so the loop's fits,
+candidate view, test RMSE, stop rules, spans and checkpointable state
+apply unchanged.  The layout and how it differs from an offline run:
 
-- candidates are *configurations*, not dataset rows; repeats are allowed
-  only if ``allow_repeats`` is set (machine noise makes them informative);
-- there is no Test partition with measured truth — model quality is
-  tracked against noise-free machine-model ground truth on a held-out
-  subset of the grid (something a real experimenter cannot do; it is
-  reported for evaluation, exactly like the paper's simulator);
-- an out-of-memory selection *fails*: it returns no memory measurement,
-  costs its full price (the regret), and only the cost model learns.
+- the pool rows are the grid configurations, whose responses are unknown
+  (NaN) until a pick runs; repeats are allowed only if ``allow_repeats``
+  is set (machine noise makes them informative), which puts each
+  executed row back in the pool;
+- the Initial rows are the random runs executed before AL starts;
+- the Test rows are noise-free machine-model copies of a held-out subset
+  of the grid (something a real experimenter cannot do; it is reported
+  for evaluation, exactly like the paper's simulator).  As copies they
+  keep the partition disjoint while their configurations stay selectable;
+- an out-of-memory run is a censored pick: its cost is charged and
+  learned, its MaxRSS is recorded as ``inf`` and never reaches the memory
+  model, and its cost is charged as regret against the execution limit.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import bisect
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from repro.core.metrics import rmse_nonlog
-from repro.core.policies import CandidateView, RGMA, SelectionPolicy
-from repro.core.preprocessing import DesignTransform
-from repro.core.trajectory import IterationRecord, StopReason, Trajectory
+from repro.core.config import ALConfig
+from repro.core.loop import ActiveLearner
+from repro.core.partitions import Partition
+from repro.core.policies import RGMA, SelectionPolicy
+from repro.core.trajectory import StopReason, Trajectory
+from repro.data.dataset import Dataset
 from repro.data.space import ParameterSpace, TABLE1_SPACE
-from repro.gp.gpr import GPRegressor
-from repro.gp.kernels import default_kernel
+from repro.faults.acquisition import AcquisitionOutcome
+from repro.machine.accounting import JobRecord
 from repro.machine.runner import JobConfig, JobRunner
 
 
@@ -47,8 +58,11 @@ class OnlineResult:
     total_node_hours: float
 
 
-class OnlineActiveLearner:
+class OnlineActiveLearner(ActiveLearner):
     """AL driving real (simulated-machine) job executions.
+
+    The constructor runs the initial phase; :meth:`run` (or the inherited
+    :meth:`step`) runs the AL phase.
 
     Parameters
     ----------
@@ -88,180 +102,88 @@ class OnlineActiveLearner:
     ) -> None:
         if n_init < 1 or max_runs < 1 or n_eval < 1:
             raise ValueError("n_init, n_eval and max_runs must be >= 1")
-        self.runner = runner
-        self.policy = policy
-        self.rng = rng
-        self.space = space
-        self.n_init = n_init
-        self.max_runs = max_runs
-        self.hyper_refit_interval = int(hyper_refit_interval)
-        self.allow_repeats = allow_repeats
         if memory_limit_MB is None and isinstance(policy, RGMA):
             memory_limit_MB = policy.memory_limit_MB
+        self.runner = runner
+        self.allow_repeats = allow_repeats
         self.memory_limit_MB = memory_limit_MB
-
         self.grid = space.grid()
-        self._features = np.array([c.as_features() for c in self.grid])
-        self.scaler = DesignTransform(space.bounds())
-        self._U = self.scaler.transform(self._features)
-
-        # Held-out evaluation set with noise-free ground truth.
-        eval_idx = rng.choice(len(self.grid), size=min(n_eval, len(self.grid)), replace=False)
-        self._eval_idx = np.asarray(eval_idx)
-        perf = runner._perf()
-        mem = runner._mem()
-        truth_cost = []
-        truth_mem = []
-        for i in self._eval_idx:
-            work = runner.work_estimate(self.grid[i])
-            truth_cost.append(perf.node_hours(work, self.grid[i].p))
-            truth_mem.append(mem.max_rss_MB(work, self.grid[i].p))
-        self._truth_cost = np.array(truth_cost)
-        self._truth_mem = np.array(truth_mem)
-
-        kernel = default_kernel()
-        self.gpr_cost = GPRegressor(kernel=kernel, rng=rng, n_restarts=2)
-        self.gpr_mem = GPRegressor(
-            kernel=kernel.with_theta(kernel.theta), rng=rng, n_restarts=2
+        n = len(self.grid)
+        eval_idx = rng.choice(n, size=min(n_eval, n), replace=False)
+        init_idx = rng.choice(n, size=n_init, replace=False)
+        #: (grid index, record) of every executed job, in execution order.
+        self._runs: list[tuple[int, JobRecord]] = []
+        initial = [self._execute(int(i), rng) for i in init_idx]
+        measured = [
+            (r.wall_seconds, r.cost_node_hours, np.inf if r.failed else r.max_rss_MB)
+            for r in initial
+        ]
+        truth = [runner.price(self.grid[i]) for i in eval_idx]
+        responses = np.array([(np.nan,) * 3] * n + measured + truth)
+        features = np.array([c.as_features() for c in self.grid])
+        pool = np.arange(n) if allow_repeats else np.setdiff1d(np.arange(n), init_idx)
+        super().__init__(
+            Dataset(
+                X=features[np.concatenate([np.arange(n), init_idx, eval_idx])],
+                wall=responses[:, 0],
+                cost=responses[:, 1],
+                mem=responses[:, 2],
+                bounds=space.bounds(),
+            ),
+            Partition(
+                init_idx=np.arange(n, n + n_init),
+                active_idx=pool,
+                test_idx=np.arange(n + n_init, n + n_init + len(eval_idx)),
+            ),
+            policy=policy,
+            rng=rng,
+            config=ALConfig(
+                max_iterations=max_runs, hyper_refit_interval=hyper_refit_interval
+            ),
         )
 
-        # Mutable state: executed observations.
-        self._obs_U: list[np.ndarray] = []
-        self._obs_cost: list[float] = []
-        self._obs_mem_U: list[np.ndarray] = []
-        self._obs_mem: list[float] = []
-        self._available = np.ones(len(self.grid), dtype=bool)
-
-    # --------------------------------------------------------------- internals
-
-    def _execute(self, grid_index: int, job_id: int):
+    def _execute(self, grid_index: int, rng: np.random.Generator) -> JobRecord:
         record = self.runner.run(
             self.grid[grid_index],
-            self.rng,
-            job_id=job_id,
+            rng,
+            job_id=len(self._runs),
             memory_limit_MB=self.memory_limit_MB,
         )
-        u = self._U[grid_index]
-        self._obs_U.append(u)
-        self._obs_cost.append(np.log10(record.cost_node_hours))
-        if not record.failed:
-            self._obs_mem_U.append(u)
-            self._obs_mem.append(np.log10(record.max_rss_MB))
-        if not self.allow_repeats:
-            self._available[grid_index] = False
+        self._runs.append((grid_index, record))
         return record
 
-    def _fit(self, optimize: bool) -> None:
-        Uc = np.asarray(self._obs_U)
-        yc = np.asarray(self._obs_cost)
-        if optimize or not self.gpr_cost.is_fitted:
-            self.gpr_cost.fit(Uc, yc)
-        else:
-            self.gpr_cost.refactor(Uc, yc)
-        if self._obs_mem:
-            Um = np.asarray(self._obs_mem_U)
-            ym = np.asarray(self._obs_mem)
-            if optimize or not self.gpr_mem.is_fitted:
-                self.gpr_mem.fit(Um, ym)
-            else:
-                self.gpr_mem.refactor(Um, ym)
+    def _acquire(
+        self, ds_index: int, fid: int, top: bool
+    ) -> tuple[float, float, AcquisitionOutcome]:
+        record = self._execute(ds_index, self.rng)
+        if self.allow_repeats:
+            # The configuration stays selectable: back into the pool, in grid
+            # order, and the candidate caches rebuild for the restored row.
+            bisect.insort(self._remaining, ds_index)
+            self._cache_cost.invalidate()
+            self._cache_mem.invalidate()
+        if record.failed:  # out of memory: cost spent, MaxRSS unobserved
+            return record.cost_node_hours, np.inf, AcquisitionOutcome.CENSORED
+        return record.cost_node_hours, record.max_rss_MB, AcquisitionOutcome.OK
 
-    def _eval_rmse(self) -> tuple[float, float]:
-        mu_c = self.gpr_cost.predict(self._U[self._eval_idx])
-        rmse_c = rmse_nonlog(mu_c, self._truth_cost)
-        if self.gpr_mem.is_fitted:
-            mu_m = self.gpr_mem.predict(self._U[self._eval_idx])
-            rmse_m = rmse_nonlog(mu_m, self._truth_mem)
-        else:
-            rmse_m = float("nan")
-        return rmse_c, rmse_m
+    def start(self) -> None:
+        super().start()
+        # Regret is charged against the limit the jobs run under.
+        self._memory_limit = self.memory_limit_MB
 
-    def _view(self) -> tuple[CandidateView, np.ndarray]:
-        idx = np.flatnonzero(self._available)
-        U = self._U[idx]
-        mu_c, sd_c = self.gpr_cost.predict(U, return_std=True)
-        if self.gpr_mem.is_fitted:
-            mu_m, sd_m = self.gpr_mem.predict(U, return_std=True)
-        else:
-            # No memory data yet: everything looks safe (prior mean 0 =
-            # 1 MB), with prior uncertainty.
-            mu_m = np.zeros(len(idx))
-            sd_m = np.ones(len(idx))
-        return (
-            CandidateView(X=U, mu_cost=mu_c, sigma_cost=sd_c, mu_mem=mu_m, sigma_mem=sd_m),
-            idx,
-        )
-
-    # --------------------------------------------------------------------- run
+    def finalize(self, stop: StopReason | None = None) -> Trajectory:
+        trajectory = super().finalize(stop)
+        return replace(trajectory, policy_name=f"online_{trajectory.policy_name}")
 
     def run(self) -> OnlineResult:
-        """Initial phase, then AL-driven execution until the budget ends."""
-        executed: list[JobConfig] = []
-        failed: list[JobConfig] = []
-        total_nh = 0.0
-
-        init_idx = self.rng.choice(len(self.grid), size=self.n_init, replace=False)
-        job_id = 0
-        for gi in init_idx:
-            rec = self._execute(int(gi), job_id)
-            executed.append(self.grid[int(gi)])
-            total_nh += rec.cost_node_hours
-            if rec.failed:
-                failed.append(self.grid[int(gi)])
-            job_id += 1
-        self._fit(optimize=True)
-        rmse_c0, rmse_m0 = self._eval_rmse()
-
-        records: list[IterationRecord] = []
-        cum_cost = 0.0
-        cum_regret = 0.0
-        stop = StopReason.MAX_ITERATIONS
-        for iteration in range(self.max_runs):
-            view, idx = self._view()
-            if len(view) == 0:
-                stop = StopReason.EXHAUSTED
-                break
-            pos = self.policy.select(view, self.rng)
-            if pos is None:
-                stop = StopReason.MEMORY_CONSTRAINED
-                break
-            gi = int(idx[pos])
-            rec = self._execute(gi, job_id)
-            job_id += 1
-            executed.append(self.grid[gi])
-            total_nh += rec.cost_node_hours
-            cum_cost += rec.cost_node_hours
-            if rec.failed:
-                failed.append(self.grid[gi])
-                cum_regret += rec.cost_node_hours
-
-            optimize = (iteration % self.hyper_refit_interval) == 0
-            self._fit(optimize=optimize)
-            rmse_c, rmse_m = self._eval_rmse()
-            records.append(
-                IterationRecord(
-                    iteration=iteration,
-                    dataset_index=gi,
-                    cost=rec.cost_node_hours,
-                    mem=rec.max_rss_MB if not rec.failed else float("inf"),
-                    rmse_cost=rmse_c,
-                    rmse_mem=rmse_m,
-                    cumulative_cost=cum_cost,
-                    cumulative_regret=cum_regret,
-                )
-            )
-
-        trajectory = Trajectory(
-            policy_name=f"online_{self.policy.name}",
-            n_init=self.n_init,
-            records=tuple(records),
-            stop_reason=stop,
-            initial_rmse_cost=rmse_c0,
-            initial_rmse_mem=rmse_m0,
-        )
+        """AL-driven execution until the budget ends."""
+        trajectory = super().run()
+        total = 0.0
+        for _, record in self._runs:  # in execution order, initial runs first
+            total += record.cost_node_hours
         return OnlineResult(
             trajectory=trajectory,
-            executed=tuple(executed),
-            failed_configs=tuple(failed),
-            total_node_hours=total_nh,
+            executed=tuple(self.grid[i] for i, _ in self._runs),
+            failed_configs=tuple(self.grid[i] for i, r in self._runs if r.failed),
+            total_node_hours=total,
         )

@@ -1448,7 +1448,9 @@ class CampaignService:
             if payload.get("version") != CHECKPOINT_VERSION:
                 raise ServiceError(
                     f"checkpoint {campaign_id!r} has version "
-                    f"{payload.get('version')!r}, expected {CHECKPOINT_VERSION}"
+                    f"{payload.get('version')!r}, expected {CHECKPOINT_VERSION}; "
+                    "checkpoints are not migrated: finish those campaigns with "
+                    "the release that wrote them, or start a new store"
                 )
             spec: CampaignSpec = payload["spec"]
             stamped = payload["config_fingerprint"]

@@ -96,11 +96,8 @@ def _predicted_costs(
     """Noise-free (wall_seconds, node_hours) predictions for every combo."""
     walls = np.empty(len(grid))
     costs = np.empty(len(grid))
-    perf = runner._perf()
     for i, cfg in enumerate(grid):
-        work = runner.work_estimate(cfg)
-        walls[i] = perf.wall_time(work, cfg.p)
-        costs[i] = perf.node_hours(work, cfg.p)
+        walls[i], costs[i], _ = runner.price(cfg)
     return walls, costs
 
 

@@ -104,14 +104,6 @@ class JobRunner:
     t_end: float = 2.0
     amr_batched: bool = True
 
-    def _perf(self) -> PerformanceModel:
-        return self.perf if self.perf is not None else PerformanceModel(
-            self.spec, seconds_per_cell=5.0e-6
-        )
-
-    def _mem(self) -> MemoryModel:
-        return self.mem if self.mem is not None else MemoryModel(self.spec)
-
     def _accounting(self) -> SlurmAccounting:
         return self.accounting if self.accounting is not None else SlurmAccounting()
 
@@ -157,6 +149,24 @@ class JobRunner:
             num_regrids=stats.num_regrids,
         )
 
+    def price(
+        self, config: JobConfig, work: WorkEstimate | None = None
+    ) -> tuple[float, float, float]:
+        """Noise-free ``(wall_s, node_hours, max_rss_MB)`` of ``config``.
+
+        The machine models' prediction for ``work`` (the analytic profile
+        of :meth:`work_estimate` when omitted), without measurement noise.
+        """
+        if work is None:
+            work = self.work_estimate(config)
+        perf = self.perf
+        if perf is None:
+            perf = PerformanceModel(self.spec, seconds_per_cell=5.0e-6)
+        mem = self.mem if self.mem is not None else MemoryModel(self.spec)
+        wall = perf.wall_time(work, config.p)
+        # As PerformanceModel.node_hours, without a second wall_time pass.
+        return wall, wall * config.p / 3600.0, mem.max_rss_MB(work, config.p)
+
     # ------------------------------------------------------------------ runs
 
     def run(
@@ -192,8 +202,7 @@ class JobRunner:
             else:
                 raise ValueError(f"unknown mode {mode!r}")
 
-            wall = self._perf().wall_time(work, config.p)
-            rss = self._mem().max_rss_MB(work, config.p)
+            wall, _, rss = self.price(config, work)
             wall *= float(np.exp(rng.normal(0.0, self.wall_noise_sigma)))
             rss *= float(np.exp(rng.normal(0.0, self.rss_noise_sigma)))
 

@@ -5,9 +5,8 @@ everything it sees has to be computable from quantities that exist before
 any GP does:
 
 - **machine-model predictions** — the analytic work profile of
-  :func:`repro.machine.perf_model.estimate_work` priced through
-  :class:`~repro.machine.perf_model.PerformanceModel` and
-  :class:`~repro.machine.memory_model.MemoryModel` gives a log10
+  :func:`repro.machine.perf_model.estimate_work` priced noise-free by
+  :meth:`repro.machine.runner.JobRunner.price` gives a log10
   cost/memory prediction per candidate (the same models that generated the
   dataset's responses, so they are strong zero-cost priors);
 - **geometry vs. the training set** — min/mean distance and a local
@@ -39,7 +38,7 @@ import numpy as np
 
 from repro import obs
 from repro.data.dataset import Dataset
-from repro.machine import JobConfig, JobRunner, MemoryModel, PerformanceModel
+from repro.machine import JobConfig, JobRunner
 
 __all__ = ["FEATURE_NAMES", "FeatureExtractor", "PolicyContext", "machine_log_predictions"]
 
@@ -118,8 +117,6 @@ def machine_log_predictions(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     at most the 1920 distinct grid points.
     """
     runner = JobRunner()
-    perf = PerformanceModel(runner.spec, seconds_per_cell=5.0e-6)
-    mem = MemoryModel(runner.spec)
     cache: dict[tuple, tuple[float, float]] = {}
     log_cost = np.empty(X.shape[0])
     log_mem = np.empty(X.shape[0])
@@ -134,11 +131,8 @@ def machine_log_predictions(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
                 r0=float(row[3]),
                 rhoin=float(row[4]),
             )
-            work = runner.work_estimate(cfg)
-            hit = (
-                float(np.log10(perf.node_hours(work, cfg.p))),
-                float(np.log10(mem.max_rss_MB(work, cfg.p))),
-            )
+            _, node_hours, max_rss = runner.price(cfg)
+            hit = (float(np.log10(node_hours)), float(np.log10(max_rss)))
             cache[key] = hit
         log_cost[i], log_mem[i] = hit
     return log_cost, log_mem

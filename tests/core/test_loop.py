@@ -9,6 +9,7 @@ from repro.core.partitions import random_partition
 from repro.core.policies import MaxSigma, MinPred, RGMA, RandGoodness, RandUniform
 from repro.core.stopping import UncertaintyReduction
 from repro.core.trajectory import StopReason
+from repro.data.dataset import Dataset
 
 
 def make_learner(dataset, policy, seed=0, n_init=20, max_iterations=15, **kw):
@@ -146,3 +147,45 @@ class TestDeterminism:
         t2 = make_learner(small_dataset, RandGoodness(), seed=9, max_iterations=10).run()
         assert np.array_equal(t1.selected_indices, t2.selected_indices)
         assert np.allclose(t1.rmse_cost, t2.rmse_cost)
+
+
+class TestMemoryUnobservedRows:
+    """Initial rows whose MaxRSS was never observed train the cost model only."""
+
+    def _run(self, small_dataset, n_unobserved):
+        rng = np.random.default_rng(4)
+        part = random_partition(rng, len(small_dataset), n_init=6, n_test=30)
+        mem = small_dataset.mem.copy()
+        mem[part.init_idx[:n_unobserved]] = np.inf
+        ds = Dataset(
+            X=small_dataset.X,
+            wall=small_dataset.wall,
+            cost=small_dataset.cost,
+            mem=mem,
+            bounds=small_dataset.bounds,
+        )
+        learner = ActiveLearner(
+            ds,
+            part,
+            policy=RandGoodness(),
+            rng=rng,
+            config=ALConfig(max_iterations=4, hyper_refit_interval=2),
+        )
+        return part, learner, learner.run()
+
+    def test_unobserved_rows_skip_the_memory_model(self, small_dataset):
+        part, learner, traj = self._run(small_dataset, n_unobserved=2)
+        assert len(traj) == 4
+        assert learner.gpr_cost.X_train_.shape[0] == 6 + 4
+        assert learner.gpr_mem.X_train_.shape[0] == 4 + 4
+        observed = learner.scaler.transform(small_dataset.X[part.init_idx[2:]])
+        assert np.array_equal(learner.gpr_mem.X_train_[:4], observed)
+        assert np.isfinite(traj.initial_rmse_mem)
+
+    def test_no_observed_memory_keeps_the_prior(self, small_dataset):
+        """With no MaxRSS to learn from, the memory model stays unfitted
+        (NaN memory RMSE) until a pick observes one."""
+        _, learner, traj = self._run(small_dataset, n_unobserved=6)
+        assert np.isnan(traj.initial_rmse_mem)
+        assert np.isfinite(traj.rmse_mem).all()
+        assert learner.gpr_mem.X_train_.shape[0] == 4

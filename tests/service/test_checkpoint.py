@@ -221,7 +221,12 @@ class TestResumeRefusal:
         payload = store.load("camp-0")
         payload["version"] = 1
         store.save("camp-0", payload)
-        with pytest.raises(ServiceError, match="has version 1, expected 2"):
+        with pytest.raises(
+            ServiceError,
+            match="has version 1, expected 2; checkpoints are not migrated: "
+            "finish those campaigns with the release that wrote them, or "
+            "start a new store",
+        ):
             CampaignService(small_dataset, store=store)
 
 
