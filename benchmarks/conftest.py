@@ -10,9 +10,10 @@ shape-preserving configuration.  Set ``REPRO_BENCH_SCALE=full`` for
 paper-scale runs.
 
 Parallelism: the fig2/fig3/fig4 benchmarks fan their independent
-trajectories out over :func:`repro.core.run_trajectories`' process pool.
-``REPRO_BENCH_WORKERS`` overrides the worker count (1 = serial); results
-are worker-count-independent by seed design.
+trajectories out over :func:`repro.core.run_trajectories`' worker
+processes (the campaign service's pool).  ``REPRO_BENCH_WORKERS``
+overrides the worker count (1 = serial); results are
+worker-count-independent by seed design.
 """
 
 from __future__ import annotations

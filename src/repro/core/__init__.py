@@ -47,10 +47,11 @@ from repro.core.metrics import (
 from repro.core.trajectory import IterationRecord, Trajectory, StopReason
 from repro.core.config import ALConfig
 from repro.core.loop import ActiveLearner, CandidateCovarianceCache
-from repro.core.batch import BatchConfig, BatchResult, run_batch
-from repro.core.parallel import (
-    TrajectoryFailure,
+from repro.core.batch import (
+    BatchConfig,
+    BatchResult,
     TrajectorySpec,
+    run_batch,
     run_trajectories,
 )
 from repro.core.service import (
@@ -63,6 +64,7 @@ from repro.core.service import (
     CheckpointStore,
     ServiceError,
     ServiceReport,
+    TrajectoryFailure,
     build_learner,
     dataset_fingerprint,
     dumps_campaign,

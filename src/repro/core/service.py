@@ -37,27 +37,35 @@ module is that long-lived scheduler:
   Because faults only ever discard whole slices, campaign selection
   sequences under chaos are bit-identical to a fault-free run — the
   property the chaos test-suite pins.
-- **Per-campaign observability lanes.**  Worker metrics/spans ride home
-  with each committed slice, are buffered per campaign, and merge into
-  the global :mod:`repro.obs` state in campaign-submission order at
-  drain time — deterministic for any worker count or completion order.
+- **Per-campaign observability lanes.**  The metrics/spans a slice
+  recorded ride home with it — committed or failed — are buffered per
+  campaign, and merge into the global :mod:`repro.obs` state in
+  campaign-submission order at drain time — deterministic for any worker
+  count or completion order.  An interrupted :meth:`CampaignService.run`
+  still drains what earlier slices shipped.
 
 Two execution modes share every scheduling/commit/chaos code path:
 ``workers=0`` runs slices inline (fast, fully deterministic — what the
 property tests drive), ``workers=N`` runs them on ``N`` worker processes
-fed over pipes (what the chaos suite kills).
+fed over pipes (what the chaos suite kills).  The trajectory batch
+runner (:func:`repro.core.batch.run_trajectories`) is a chaos-free,
+store-free service whose campaigns each run in one slice.
 
-Workers start from :func:`~repro.core.parallel.worker_context`: each is a
-fork of a server that preloaded numpy, scipy and this module, and reaches
-its handshake in about 10–20 ms instead of the 0.5–1 s a ``spawn``
-interpreter spends importing them.  The server starts with the first
-worker, whose start waits for the preloading (0.6–1.2 s, once per
-process).  It fixes the environment and the preloaded code at that
-moment; each worker still takes its working directory and ``sys.path``
-from the parent, and starts with an empty observability registry and
-tracing off.  At interpreter exit the server is stopped after
-:mod:`multiprocessing` has terminated and joined the workers.  Where the
-platform has no ``forkserver``, workers are spawned.
+Workers start from :func:`worker_context`: each is a fork of a server
+that preloaded numpy, scipy and this module, and reaches its handshake
+in about 10–20 ms instead of the 0.5–1 s a ``spawn`` interpreter spends
+importing them.  The server starts with the first worker, whose start
+waits for the preloading (0.6–1.2 s, once per process).  It fixes the
+environment and the preloaded code at that moment; each worker still
+takes its working directory and ``sys.path`` from the parent, imports
+the parent's ``__main__`` (so scripts keep their ``if __name__ ==
+"__main__":`` guard), and starts with an empty observability registry
+and tracing off.  Everything a worker needs crosses the process
+boundary by pickling: policy factories must be classes or
+:func:`functools.partial` objects, not lambdas.  At interpreter exit the
+server is stopped after :mod:`multiprocessing` has terminated and joined
+the workers.  Where the platform has no ``forkserver``, workers are
+spawned.
 
 Worker boots stay off the critical path, which matters most under the
 ``spawn`` fallback: the pool starts every worker at once and never
@@ -71,10 +79,12 @@ A worker that dies before its handshake is a :class:`ServiceError`.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import heapq
 import io
 import json
+import multiprocessing
 import os
 import pickle
 import sys
@@ -92,7 +102,7 @@ import numpy as np
 from repro import obs
 from repro.core.config import ALConfig
 from repro.core.loop import ActiveLearner
-from repro.core.parallel import TrajectoryFailure, build_learner, worker_context
+from repro.core.partitions import random_partition
 from repro.core.trajectory import StopReason, Trajectory
 from repro.data.dataset import Dataset
 from repro.faults.model import FaultConfig, FaultEvent, FaultInjector, FaultKind
@@ -114,6 +124,30 @@ class CampaignStatus(str, Enum):
     FAILED = "failed"  # permanent error or retries exhausted
 
 
+@dataclass(frozen=True)
+class TrajectoryFailure:
+    """A run that died instead of returning a :class:`Trajectory`.
+
+    A failed campaign's result, and a failed trajectory's under
+    ``run_trajectories(on_error="return")``: one bad run (a policy that
+    raises, a worker that keeps dying) costs exactly one result — never
+    the whole batch.
+
+    Attributes
+    ----------
+    name : str
+        The failed run's campaign id or trajectory name.
+    error : str
+        ``repr`` of the exception (or the service's diagnosis).
+    traceback : str
+        Formatted traceback from the worker, for postmortems.
+    """
+
+    name: str
+    error: str
+    traceback: str = ""
+
+
 #: Checkpoint payload format version (bump on incompatible change).
 #: Version 2: one learner class for every round shape.
 CHECKPOINT_VERSION = 2
@@ -129,11 +163,11 @@ _FATAL_KINDS = frozenset({FaultKind.CRASH, FaultKind.OOM, FaultKind.TIMEOUT})
 class CampaignSpec:
     """One campaign: a seeded AL run plus its node-hour allocation.
 
-    Both cold-start through :func:`~repro.core.parallel.build_learner`
-    with :class:`~repro.core.parallel.TrajectorySpec`'s seed tree —
-    ``SeedSequence(entropy=base_seed, spawn_key=(traj_index,))`` — so a
+    A campaign cold-starts through :func:`build_learner` at its seed-tree
+    position — ``SeedSequence(entropy=base_seed, spawn_key=(traj_index,))``
+    — which :class:`~repro.core.batch.TrajectorySpec` shares, so a
     campaign's fault-free result is identical to the same run executed by
-    :func:`~repro.core.parallel.run_trajectories`.
+    :func:`~repro.core.batch.run_trajectories`.
 
     Attributes
     ----------
@@ -184,6 +218,34 @@ class CampaignSpec:
             raise ValueError("n_init and n_test must be positive")
         if self.steps_per_slice is not None and self.steps_per_slice < 1:
             raise ValueError("steps_per_slice must be >= 1")
+
+
+def build_learner(spec: CampaignSpec, dataset: Dataset) -> ActiveLearner:
+    """Cold-start a campaign's learner at its seed-tree position.
+
+    ``SeedSequence(entropy=base_seed, spawn_key=(traj_index,))`` seeds
+    the partition and the learner's RNG stream.  Multi-fidelity configs
+    price their fidelity surfaces deterministically from the config
+    (:meth:`ALConfig.priced`), so every cold start of the same spec sees
+    identical surfaces — and the config's fingerprint covers the
+    fidelity axis, so a checkpoint written under one schedule refuses to
+    resume under another.
+    """
+    seed_seq = np.random.SeedSequence(
+        entropy=spec.base_seed, spawn_key=(spec.traj_index,)
+    )
+    rng = np.random.default_rng(seed_seq)
+    partition = random_partition(
+        rng, len(dataset), n_init=spec.n_init, n_test=spec.n_test
+    )
+    config = spec.config
+    return ActiveLearner(
+        config.priced(dataset),
+        partition,
+        policy=spec.policy_factory(),
+        rng=rng,
+        config=config,
+    )
 
 
 @dataclass(frozen=True)
@@ -475,15 +537,17 @@ class CampaignQueue:
 # ------------------------------------------------------------ slice worker
 
 
-def _run_slice(dataset: Dataset, job: dict) -> tuple[str, dict | TrajectoryFailure]:
+def _run_slice(dataset: Dataset, job: dict) -> tuple[str, dict]:
     """Execute one campaign slice; shared by workers and inline mode.
 
     A slice is a pure function of its input checkpoint: restore (or
     cold-start) the learner, advance at most ``job["steps"]`` steps,
-    re-serialize.  Exceptions become :class:`TrajectoryFailure` data —
-    the same raising-across-pipes discipline as
-    :mod:`repro.core.parallel` — so a poisoned policy costs one campaign,
-    never the fleet.
+    re-serialize.  Exceptions become a :class:`TrajectoryFailure` under
+    ``"failure"`` — raising across a pipe would lose the traceback — so
+    a poisoned policy costs one campaign, never the fleet.  Either way
+    the result carries, under ``"obs"``, the metrics and spans the slice
+    recorded (unless chaos dropped them), and the registry is left empty
+    for the next slice.
     """
     cid = job["cid"]
     try:
@@ -506,31 +570,32 @@ def _run_slice(dataset: Dataset, job: dict) -> tuple[str, dict | TrajectoryFailu
         trajectory = learner.finalize() if finished else None
         with obs.span("campaign_dump", cat="service", campaign=cid):
             blob = dumps_campaign(learner, dataset)
-        return (
-            "ok",
-            {
-                "cid": cid,
-                "blob": blob,
-                "n_records_before": n_before,
-                "n_records": len(learner.records),
-                "new_indices": [
-                    int(r.dataset_index) for r in learner.records[n_before:]
-                ],
-                "iterations": learner.iteration,
-                "steps_done": steps_done,
-                "cum_cost": learner.cumulative_cost_spent,
-                "finished": finished,
-                "trajectory": trajectory,
-                "obs": None,
-            },
-        )
+        status, value = "ok", {
+            "cid": cid,
+            "blob": blob,
+            "n_records_before": n_before,
+            "n_records": len(learner.records),
+            "new_indices": [
+                int(r.dataset_index) for r in learner.records[n_before:]
+            ],
+            "iterations": learner.iteration,
+            "steps_done": steps_done,
+            "cum_cost": learner.cumulative_cost_spent,
+            "finished": finished,
+            "trajectory": trajectory,
+        }
     except Exception as exc:  # noqa: BLE001 - the boundary must be total
-        return (
-            "failed",
-            TrajectoryFailure(
-                name=cid, error=repr(exc), traceback=_traceback.format_exc()
-            ),
-        )
+        status, value = "failed", {"failure": _failure(cid, exc)}
+    payload = obs.snapshot_state(reset_after=True)
+    value["obs"] = None if job["drop_obs"] else payload
+    return status, value
+
+
+def _failure(name: str, exc: Exception) -> TrajectoryFailure:
+    """``exc``, being handled, as data that crosses a pipe intact."""
+    return TrajectoryFailure(
+        name=name, error=repr(exc), traceback=_traceback.format_exc()
+    )
 
 
 def _peak_rss_mb() -> float | None:
@@ -576,9 +641,8 @@ def _campaign_worker_main(conn, rank: int, trace_enabled: bool) -> None:
             conn.send(("ok", rank))
             continue
         if cmd != "slice":
-            conn.send(
-                ("failed", TrajectoryFailure(name="?", error=f"unknown command {cmd!r}"))
-            )
+            failure = TrajectoryFailure(name="?", error=f"unknown command {cmd!r}")
+            conn.send(("failed", {"failure": failure, "obs": None}))
             continue
         try:
             directive = payload.get("directive")
@@ -596,25 +660,39 @@ def _campaign_worker_main(conn, rank: int, trace_enabled: bool) -> None:
                         ("fault", {"kind": FaultKind.TIMEOUT.value, "cid": payload["cid"]})
                     )
                     continue
-            status, value = _run_slice(dataset, payload)
-            # Reset after every slice: a failed slice's metrics are
-            # dropped, as inline mode drops them, and never ride home
-            # with the next campaign's slice.
-            snap = obs.snapshot_state(reset_after=True)
-            if status == "ok":
-                value["obs"] = None if payload.get("drop_obs") else snap
-            conn.send((status, value))
+            conn.send(_run_slice(dataset, payload))
         except Exception as exc:  # noqa: BLE001 - report, never kill the pipe
             conn.send(
-                (
-                    "failed",
-                    TrajectoryFailure(
-                        name=payload.get("cid", "?") if isinstance(payload, dict) else "?",
-                        error=repr(exc),
-                        traceback=_traceback.format_exc(),
-                    ),
-                )
+                ("failed", {"failure": _failure(payload["cid"], exc), "obs": None})
             )
+
+
+@functools.cache
+def worker_context() -> multiprocessing.context.BaseContext:
+    """The start context of the worker pool, created on first use.
+
+    A ``forkserver`` whose server preloads this module (and with it the
+    learner stack), or ``spawn`` where the platform has no forkserver.
+    The module docstring says what the server fixes when it starts.  The
+    stdlib keeps one forkserver per process, so the preload applies to
+    any other ``forkserver`` context the process uses, and is ignored if
+    that server was already running.
+
+    Every live worker holds the server's "alive" pipe, and the server
+    exits once all holders have closed it, so its stop is registered to
+    run at interpreter exit *after* :mod:`multiprocessing` has terminated
+    and joined its children; any earlier, it would wait on the workers.
+    A process that used the pool leaves no server behind when it exits.
+    """
+    if "forkserver" not in multiprocessing.get_all_start_methods():
+        return multiprocessing.get_context("spawn")
+    from multiprocessing import forkserver, util
+
+    ctx = multiprocessing.get_context("forkserver")
+    ctx.set_forkserver_preload(["repro.core.service"])
+    # A negative priority runs after multiprocessing's exit handler.
+    util.Finalize(None, forkserver._forkserver._stop, exitpriority=-1)
+    return ctx
 
 
 class _WorkerHandle:
@@ -975,7 +1053,12 @@ class CampaignService:
             slice_steps=spec.steps_per_slice or self.steps_per_slice,
             ledger=CampaignLedger(budget_node_hours=spec.budget_node_hours),
             chaos_rng=self._fresh_chaos_rng(self._seq),
-            policy_fingerprint=policy_fingerprint(spec),
+            # Only a checkpoint reads the stamp.  Without a store no
+            # policy is built here, so a factory that raises fails its
+            # campaign's first slice like any other policy error.
+            policy_fingerprint=(
+                None if self.store is None else policy_fingerprint(spec)
+            ),
         )
         self._seq += 1
         self._campaigns[spec.campaign_id] = rec
@@ -1068,22 +1151,25 @@ class CampaignService:
         (in-flight un-committed slices are pure re-runnable work).
         """
         goal = None if max_slices is None else self._slices_committed + max_slices
-        if self.workers == 0:
-            while goal is None or self._slices_committed < goal:
-                if not self._run_one_inline():
-                    break
-        else:
-            if self._pool is None:
-                self._pool = CampaignWorkerPool(self.workers, self.dataset)
-            while goal is None or self._slices_committed < goal:
-                self._fill_workers()
-                # Whatever is still queued found no idle worker, so only
-                # then is a booting worker worth waiting for.
-                waiting = self._pool.waitable(need_worker=len(self._queue) > 0)
-                if not waiting:
-                    break
-                self._wait_and_handle(waiting)
-        self.drain_observability()
+        try:
+            if self.workers == 0:
+                while goal is None or self._slices_committed < goal:
+                    if not self._run_one_inline():
+                        break
+            else:
+                if self._pool is None:
+                    self._pool = CampaignWorkerPool(self.workers, self.dataset)
+                while goal is None or self._slices_committed < goal:
+                    self._fill_workers()
+                    # Whatever is still queued found no idle worker, so
+                    # only then is a booting worker worth waiting for.
+                    waiting = self._pool.waitable(need_worker=len(self._queue) > 0)
+                    if not waiting:
+                        break
+                    self._wait_and_handle(waiting)
+        finally:
+            # Also on an interrupt: what committed slices shipped stays.
+            self.drain_observability()
         return self.report()
 
     def report(self) -> ServiceReport:
@@ -1127,15 +1213,11 @@ class CampaignService:
             self._discard(rec, FaultKind(ticket.directive), ticket)
             return True
         job = self._make_job(rec, ticket)
-        # Bracket the slice with snapshots so its metrics/spans form the
-        # same per-campaign payload a process worker would ship, then
-        # restore the service's own accumulated state.
-        stash = obs.snapshot_state(reset_after=True)
-        status, value = _run_slice(self.dataset, job)
-        payload = obs.snapshot_state(reset_after=True)
-        obs.merge_state(stash)
+        # The slice ships the same per-campaign payload a process worker
+        # would; the caller's metrics and open spans stay as they were.
+        with obs.isolated():
+            status, value = _run_slice(self.dataset, job)
         if status == "ok":
-            value["obs"] = None if job["drop_obs"] else payload
             self._commit(rec, value, ticket)
         else:
             self._fail(rec, value)
@@ -1293,11 +1375,7 @@ class CampaignService:
         rec.steps_done += value["steps_done"]
         rec.slice_index += 1
         rec.attempt = 0
-        payload = value.get("obs")
-        if payload is not None:
-            rec.obs_metrics.merge(payload.get("metrics", {}))
-            if payload.get("trace") is not None:
-                rec.trace_payloads.append(payload["trace"])
+        self._keep_observability(rec, value["obs"])
         self._slices_committed += 1
         obs.incr("service.slice.committed")
         if value["finished"]:
@@ -1370,12 +1448,25 @@ class CampaignService:
             obs.incr("service.campaign.failed")
         self._checkpoint(rec)
 
-    def _fail(self, rec: _Campaign, failure: TrajectoryFailure) -> None:
-        """The slice itself raised: deterministic, so never retried."""
+    def _fail(self, rec: _Campaign, value: dict) -> None:
+        """The slice itself raised: deterministic, so never retried.
+
+        What the slice recorded before it raised ships on the campaign's
+        lane, as a committed slice's payload does.
+        """
+        self._keep_observability(rec, value["obs"])
         rec.status = CampaignStatus.FAILED
-        rec.failure = failure
+        rec.failure = value["failure"]
         obs.incr("service.campaign.failed")
         self._checkpoint(rec)
+
+    @staticmethod
+    def _keep_observability(rec: _Campaign, payload: dict | None) -> None:
+        """Buffer a slice's payload for :meth:`drain_observability`."""
+        if payload is not None:
+            rec.obs_metrics.merge(payload["metrics"])
+            if payload["trace"] is not None:
+                rec.trace_payloads.append(payload["trace"])
 
     def _finalize_budget(self, rec: _Campaign) -> None:
         """Close out a campaign whose ledger ran dry."""

@@ -29,8 +29,10 @@ Typical use::
     print(obs.report())                      # metrics table
 
 Cross-process: :func:`snapshot_state` / :func:`merge_state` ship a worker's
-metrics and spans home; :func:`repro.core.parallel.run_trajectories` does
-this automatically, merging deterministically in spec order.
+metrics and spans home; the campaign service
+(:class:`repro.core.service.CampaignService`, which also runs
+:func:`repro.core.batch.run_trajectories`) does this automatically,
+merging deterministically in submission order.
 """
 
 from __future__ import annotations
@@ -53,6 +55,7 @@ from repro.obs.recorder import (
     gauge,
     gauges,
     incr,
+    isolated,
     merge_state,
     report,
     reset,
@@ -84,6 +87,7 @@ __all__ = [
     "gauge",
     "gauges",
     "incr",
+    "isolated",
     "merge_state",
     "report",
     "reset",

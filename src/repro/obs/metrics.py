@@ -19,7 +19,7 @@ its cost is two clock reads per timed phase, so enabling/disabling
 observability never changes what the metrics tables collect.  Every process owns its own registry; worker registries are
 shipped home as :meth:`state` dicts and folded in with :meth:`merge`
 (deterministically, in the caller-chosen order — see
-:mod:`repro.core.parallel`).
+:mod:`repro.core.service`).
 """
 
 from __future__ import annotations
@@ -153,8 +153,8 @@ class MetricsRegistry:
         Timers and counters add; gauges keep the maximum (they record
         peak-style quantities); histogram buckets add.  Merging is
         commutative except for nothing — callers who care about
-        determinism (the parallel trajectory runner) merge in a fixed
-        order anyway.
+        determinism (the campaign service) merge in a fixed order
+        anyway.
         """
         with self._lock:
             for p, c in state.get("calls", {}).items():

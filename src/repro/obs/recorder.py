@@ -22,12 +22,15 @@ experiment sequences with tracing on or off.
 Worker processes ship their state home with :func:`snapshot_state`
 (drain + metrics dump, picklable) and the parent folds payloads in with
 :func:`merge_state` in whatever deterministic order it chooses
-(:mod:`repro.core.parallel` uses spec order).
+(:mod:`repro.core.service` uses campaign-submission order).
+:func:`isolated` runs a block in-process as a worker would run it, so an
+inline caller ships the same payload.
 """
 
 from __future__ import annotations
 
 import time
+from contextlib import contextmanager
 
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.spans import NOOP_SPAN, Tracer
@@ -181,13 +184,41 @@ def snapshot_state(reset_after: bool = False) -> dict:
     return state
 
 
+@contextmanager
+def isolated():
+    """Run a block on fresh state, as a worker would, then restore this one.
+
+    The block starts on an empty metrics registry and, while tracing, on
+    a fresh tracer with this one's epoch and an empty span stack, so the
+    :func:`snapshot_state` it takes holds exactly what a worker process
+    would ship.  On the way out, also when the block raises, the state
+    from before the block is back untouched — open spans keep their
+    children — plus whatever the block recorded and did not ship (its
+    spans on lane 0).
+    """
+    global _TRACER
+    before = METRICS.state()
+    METRICS.reset()
+    outer = _TRACER
+    if outer is not None:
+        _TRACER = Tracer()
+        _TRACER.epoch = outer.epoch
+    try:
+        yield
+    finally:
+        inner, _TRACER = _TRACER, outer
+        METRICS.merge(before)
+        if inner is not None and outer is not None:
+            outer.absorb(inner.drain(), track=0)
+
+
 def merge_state(state: dict, track: int = 0) -> None:
     """Fold a :func:`snapshot_state` payload into this process's state.
 
     Metrics always merge; spans merge only if tracing is enabled here
     too (they are re-idd onto lane ``track``).  Merging the same
     payloads in the same order produces the same registry and the same
-    span table — the determinism contract the parallel runner relies on.
+    span table — the determinism contract the campaign service relies on.
     """
     METRICS.merge(state.get("metrics", {}))
     trace = state.get("trace")

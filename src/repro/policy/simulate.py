@@ -95,7 +95,7 @@ def generate_decisions(
     """Replay RGMA campaigns through the service; return the decision log.
 
     Each campaign sits at its own seed-tree position (``base_seed``,
-    ``traj_index=i``) — the same tree :func:`~repro.core.parallel
+    ``traj_index=i``) — the same tree :func:`~repro.core.batch
     .run_trajectories` and production campaigns use — so the teacher's
     decisions are drawn from the exact distribution the served policy
     will face.

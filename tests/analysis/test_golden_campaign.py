@@ -17,7 +17,7 @@ import pytest
 from repro.analysis.aggregate import median_curve, quantile_band, stack_metric
 from repro.analysis.distributions import cost_distribution_table, violin_stats
 from repro.analysis.tradeoff import interpolate_rmse_at_cost, tradeoff_curve
-from repro.core.parallel import TrajectorySpec, run_trajectories
+from repro.core.batch import TrajectorySpec, run_trajectories
 from repro.core.policies import RandGoodness
 
 REL = 1e-6

@@ -2,10 +2,18 @@
 
 from __future__ import annotations
 
-import numpy as np
-import pytest
+import os
 
-from repro.data import CampaignConfig, run_campaign
+# One BLAS thread in this process and every worker, on every host, set
+# before numpy is first imported: the golden RMSE pins are recorded at
+# one thread, and threaded BLAS sums in a different order.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import numpy as np  # noqa: E402 - after the BLAS pin
+import pytest  # noqa: E402
+
+from repro.data import CampaignConfig, run_campaign  # noqa: E402
 
 
 @pytest.fixture

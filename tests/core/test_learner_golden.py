@@ -76,12 +76,12 @@ GOLDEN = {
             0.6539717876754608
         ],
         rmse_cost=[
-            2.829763370030293, 2.829763370030293, 2.829763370030293,
-            2.829763370030293, 2.823682746509255, 2.823682746509255,
-            2.823682746509255, 2.823682746509255, 2.8604790958075896,
-            2.8604790958075896, 2.8604790958075896, 2.8604790958075896,
-            2.7265890921814955, 2.7265890921814955, 2.7265890921814955,
-            2.7265890921814955
+            2.8297633731242935, 2.8297633731242935, 2.8297633731242935,
+            2.8297633731242935, 2.823682746584185, 2.823682746584185,
+            2.823682746584185, 2.823682746584185, 2.860479095797681,
+            2.860479095797681, 2.860479095797681, 2.860479095797681,
+            2.7265890921808813, 2.7265890921808813, 2.7265890921808813,
+            2.7265890921808813
         ],
         stop="max_iterations",
     ),
@@ -101,12 +101,12 @@ GOLDEN = {
             0.6896455779765811
         ],
         rmse_cost=[
-            2.829763370030293, 2.829763370030293, 2.829763370030293,
-            2.829763370030293, 2.874337903390041, 2.874337903390041,
-            2.874337903390041, 2.874337903390041, 2.849879966130537,
-            2.849879966130537, 2.849879966130537, 2.849879966130537,
-            2.9559820384102786, 2.9559820384102786, 2.9559820384102786,
-            2.9559820384102786
+            2.8297633731242935, 2.8297633731242935, 2.8297633731242935,
+            2.8297633731242935, 2.874337906014346, 2.874337906014346,
+            2.874337906014346, 2.874337906014346, 2.849879968847799,
+            2.849879968847799, 2.849879968847799, 2.849879968847799,
+            2.9559820384111757, 2.9559820384111757, 2.9559820384111757,
+            2.9559820384111757
         ],
         stop="max_iterations",
     ),

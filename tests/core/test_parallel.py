@@ -1,12 +1,14 @@
-"""Tests for the process-pool trajectory runner."""
+"""Tests for the trajectory batch runner (``run_trajectories``)."""
 
+import dataclasses
 import functools
 
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.core import ALConfig, CampaignService, CampaignSpec, PortfolioPolicy
-from repro.core.parallel import (
+from repro.core.batch import (
     TrajectoryFailure,
     TrajectorySpec,
     default_workers,
@@ -14,6 +16,7 @@ from repro.core.parallel import (
 )
 from repro.core.policies import MinPred, RandGoodness, RandUniform
 from repro.core.trajectory import Trajectory
+from tests.service.conftest import CountingPolicy, DyingPolicy, InterruptingPolicy
 
 
 class ExplodingPolicy(RandUniform):
@@ -30,6 +33,13 @@ class ExplodingPolicy(RandUniform):
         if self.calls >= 3:
             raise RuntimeError("injected mid-run explosion")
         return super().select(view, rng)
+
+
+class BrokenFactory(RandUniform):
+    """A policy whose construction raises."""
+
+    def __init__(self):
+        raise ValueError("no policy today")
 
 
 def _specs(n=3, **kw):
@@ -195,6 +205,43 @@ class TestWorkerCountDeterminism:
                     ref[pos][1].rmse_cost, runs[w][pos][1].rmse_cost
                 )
 
+    def test_dying_worker_costs_one_trajectory(self, small_dataset):
+        """A worker killed outright (``os._exit``) fails only the spec it
+        ran, once the service's retries give up; every other spec equals
+        its serial run (regression: the process pool failed every spec of
+        the call)."""
+        good = dict(n_init=15, n_test=20, max_iterations=4, hyper_refit_interval=2)
+        specs = [
+            TrajectorySpec(name=f"rg{i}", policy_factory=RandGoodness,
+                           base_seed=17, traj_index=i, **good)
+            for i in range(3)
+        ]
+        specs.insert(1, TrajectorySpec(name="dies", policy_factory=DyingPolicy,
+                                       base_seed=17, traj_index=9, **good))
+        out = run_trajectories(small_dataset, specs, max_workers=2, on_error="return")
+        assert [name for name, _ in out] == ["rg0", "dies", "rg1", "rg2"]
+        failures = [t for _, t in out if isinstance(t, TrajectoryFailure)]
+        assert [f.name for f in failures] == ["dies"]
+        assert "crash" in failures[0].error
+        serial = run_trajectories(
+            small_dataset, [s for s in specs if s.name != "dies"], max_workers=1
+        )
+        survivors = [(name, t) for name, t in out if name != "dies"]
+        for (n1, a), (n2, b) in zip(serial, survivors):
+            assert n1 == n2
+            assert isinstance(b, Trajectory)
+            assert np.array_equal(a.selected_indices, b.selected_indices)
+            assert np.array_equal(a.rmse_cost, b.rmse_cost)
+
+    def test_policy_construction_error_costs_one_trajectory(self, small_dataset):
+        """A factory that raises fails its own trajectory, not the call."""
+        specs = _specs(2)
+        specs[0] = dataclasses.replace(specs[0], policy_factory=BrokenFactory)
+        out = run_trajectories(small_dataset, specs, max_workers=1, on_error="return")
+        assert isinstance(out[0][1], TrajectoryFailure)
+        assert "no policy today" in out[0][1].error
+        assert isinstance(out[1][1], Trajectory)
+
     def test_failure_carries_worker_traceback(self, small_dataset):
         spec = TrajectorySpec(
             name="boom", policy_factory=ExplodingPolicy, base_seed=3,
@@ -225,55 +272,29 @@ class TestWorkerCountDeterminism:
             )
 
 
-class TestMidDrainCancellation:
-    """Regression: obs payloads already shipped by finished workers must be
-    merged even when the drain loop is cancelled on a later future."""
-
-    class _FakeFuture:
-        def __init__(self, value=None, exc=None):
-            self._value, self._exc = value, exc
-
-        def result(self):
-            if self._exc is not None:
-                raise self._exc
-            return self._value
-
-    class _FakePool:
-        def __init__(self, futures):
-            self._futures = iter(futures)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def submit(self, fn, spec):
-            return next(self._futures)
-
-    def test_finished_payloads_survive_cancellation(
-        self, small_dataset, monkeypatch
-    ):
-        from repro import obs
-        from repro.core import parallel
-
-        payload = {"metrics": {"counters": {"test.mid_drain.sentinel": 3}},
-                   "trace": None}
-        futures = [
-            self._FakeFuture(value=("a", object(), payload)),
-            self._FakeFuture(exc=KeyboardInterrupt()),
+class TestInterrupt:
+    def test_finished_payloads_survive_cancellation(self, small_dataset):
+        """An interrupt during the second trajectory keeps what was
+        recorded before it: a counter from before the call, both campaign
+        submissions, and the first trajectory's metrics (regression: the
+        inline service dropped all three)."""
+        specs = [
+            TrajectorySpec(
+                name=name, policy_factory=policy, base_seed=31, traj_index=i,
+                n_init=15, n_test=20, max_iterations=4,
+            )
+            for i, (name, policy) in enumerate(
+                [("counted", CountingPolicy), ("interrupted", InterruptingPolicy)]
+            )
         ]
-        monkeypatch.setattr(
-            parallel,
-            "ProcessPoolExecutor",
-            lambda *a, **kw: self._FakePool(futures),
-        )
         obs.reset()
         try:
+            obs.incr("test.before_run", 3)
             with pytest.raises(KeyboardInterrupt):
-                run_trajectories(small_dataset, _specs(2), max_workers=2)
-            counters = obs.METRICS.state()["counters"]
-            # The first worker's payload was merged before the cancellation.
-            assert counters.get("test.mid_drain.sentinel") == 3
+                run_trajectories(small_dataset, specs, max_workers=1)
+            counters = obs.counters()
+            assert counters.get("test.before_run") == 3
+            assert counters.get("service.campaign.submitted") == 2
+            assert counters.get("test.selections") == 4
         finally:
             obs.reset()

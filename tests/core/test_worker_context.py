@@ -1,11 +1,11 @@
 """The one worker start context: a preloaded forkserver, spawn as fallback.
 
-Both pools in the package start their processes from
-:func:`repro.core.parallel.worker_context`.  These tests pin what that
-must not change: an interpreter that used every pool leaves no process
-behind when it exits (the forkserver included), and where the platform
-has no forkserver both pools start through ``spawn`` with results
-identical to a serial run.
+The campaign service's worker pool, which also runs ``run_trajectories``,
+starts its processes from :func:`repro.core.service.worker_context`.
+These tests pin what that must not change: an interpreter that used the
+pool through both entry points leaves no process behind when it exits
+(the forkserver included), and where the platform has no forkserver the
+pool starts through ``spawn`` with results identical to a serial run.
 """
 
 from __future__ import annotations
@@ -14,27 +14,29 @@ import multiprocessing
 import os
 import subprocess
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import repro
-from repro.core import parallel
-from repro.core.parallel import TrajectorySpec, run_trajectories
+from repro.core import service
+from repro.core.batch import TrajectorySpec, run_trajectories
 from repro.core.policies import MaxSigma, RandUniform
 from repro.core.service import CampaignWorkerPool
 
-#: Uses every pool once, closes each, and exits.  The stdlib resource
-#: tracker is not the package's to stop; the script stops it itself, as
-#: the end-to-end benchmark does, so what is left is the package's.
+#: Uses the pool through both entry points, closes it, and exits.  The
+#: stdlib resource tracker is not the package's to stop; the script stops
+#: it itself, as the end-to-end benchmark does, so what is left is the
+#: package's.
 EXIT_SCRIPT = """
 import numpy as np
 from multiprocessing import resource_tracker
 
-from repro.core import ALConfig, CampaignService, CampaignSpec, MaxSigma
-from repro.core.parallel import TrajectorySpec, run_trajectories, worker_context
+from repro.core import (
+    ALConfig, CampaignService, CampaignSpec, MaxSigma, TrajectorySpec, run_trajectories,
+)
+from repro.core.service import worker_context
 from repro.data import CampaignConfig, run_campaign
 
 ds = run_campaign(
@@ -93,16 +95,16 @@ def test_every_pool_falls_back_to_spawn(small_dataset, monkeypatch):
     methods = [m for m in multiprocessing.get_all_start_methods() if m != "forkserver"]
     monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: methods)
     started = []
+    start = CampaignWorkerPool._start
 
-    class SpyExecutor(ProcessPoolExecutor):
-        def __init__(self, *args, mp_context, **kwargs):
-            started.append(mp_context.get_start_method())
-            super().__init__(*args, mp_context=mp_context, **kwargs)
+    def spy(pool, handle):
+        start(pool, handle)
+        started.append(handle.proc)
 
-    monkeypatch.setattr(parallel, "ProcessPoolExecutor", SpyExecutor)
-    parallel.worker_context.cache_clear()
+    monkeypatch.setattr(CampaignWorkerPool, "_start", spy)
+    service.worker_context.cache_clear()
     try:
-        assert parallel.worker_context().get_start_method() == "spawn"
+        assert service.worker_context().get_start_method() == "spawn"
         specs = [
             TrajectorySpec(
                 name=f"traj{i}", policy_factory=policy, base_seed=31, traj_index=i,
@@ -112,19 +114,11 @@ def test_every_pool_falls_back_to_spawn(small_dataset, monkeypatch):
         ]
         pooled = run_trajectories(small_dataset, specs, max_workers=2)
         serial = run_trajectories(small_dataset, specs, max_workers=1)
-        assert started == ["spawn"]
+        assert len(started) == 2
+        assert all(isinstance(p, multiprocessing.context.SpawnProcess) for p in started)
         for (n1, a), (n2, b) in zip(serial, pooled):
             assert n1 == n2
             assert np.array_equal(a.selected_indices, b.selected_indices)
             assert np.array_equal(a.rmse_cost, b.rmse_cost)
-
-        campaign = CampaignWorkerPool(2, small_dataset)
-        try:
-            for w in campaign.workers:
-                assert isinstance(w.proc, multiprocessing.context.SpawnProcess)
-                assert w.conn.poll(120)
-                campaign.handshake(w)
-        finally:
-            campaign.close()
     finally:
-        parallel.worker_context.cache_clear()
+        service.worker_context.cache_clear()

@@ -16,7 +16,7 @@ import pytest
 
 from repro.core.config import ALConfig
 from repro.core.loop import ActiveLearner
-from repro.core.parallel import TrajectorySpec, run_trajectories
+from repro.core.batch import TrajectorySpec, run_trajectories
 from repro.core.partitions import random_partition
 from repro.core.policies import RandGoodness, RandUniform
 from repro.core.trajectory import Trajectory

@@ -6,13 +6,15 @@ lanes — independent of worker scheduling, including when a trajectory
 dies mid-run.
 """
 
+import collections
+import dataclasses
 import os
 
 import numpy as np
 import pytest
 
 from repro import obs
-from repro.core.parallel import TrajectoryFailure, TrajectorySpec, run_trajectories
+from repro.core.batch import TrajectoryFailure, TrajectorySpec, run_trajectories
 from repro.core.policies import RandUniform
 from repro.core.trajectory import Trajectory
 
@@ -66,6 +68,10 @@ class TestMetricMerge:
                 traj_index=9, n_init=15, n_test=20, max_iterations=4,
             )
         ]
+        obs.METRICS.reset()
+        run_trajectories(small_dataset, specs[:2], max_workers=WORKERS)
+        clean_fits = obs.snapshot()["fit"].calls
+        obs.METRICS.reset()
         out = run_trajectories(
             small_dataset, specs, max_workers=WORKERS, on_error="return"
         )
@@ -73,7 +79,7 @@ class TestMetricMerge:
         assert kinds.count(Trajectory) == 2 and kinds.count(TrajectoryFailure) == 1
         # The exploding run fit its models before dying; those metrics
         # arrived with the other workers' payloads.
-        assert obs.snapshot()["fit"].calls > 0
+        assert obs.snapshot()["fit"].calls > clean_fits
         assert obs.counters().get("lml_eval", 0) > 0
 
 
@@ -88,16 +94,26 @@ class TestSpanMerge:
         return spans
 
     def test_worker_spans_land_on_spec_lanes(self, small_dataset):
-        spans = self._traced_run(small_dataset, _specs(3))
-        trajectories = [s for s in spans if s.name == "trajectory"]
-        assert sorted(s.track for s in trajectories) == [1, 2, 3]
+        # Spec i stops after i + 2 picks, so its lane has i + 3 iteration
+        # spans (the last one ends the run): lanes follow spec order.
+        specs = [
+            dataclasses.replace(s, max_iterations=i + 2)
+            for i, s in enumerate(_specs(3))
+        ]
+        spans = self._traced_run(small_dataset, specs)
+        slices = [s for s in spans if s.name == "campaign_slice"]
+        assert sorted(s.track for s in slices) == [1, 2, 3]
         # Parent links survive the id remap: every al_iteration hangs off
-        # its lane's trajectory span.
+        # its lane's root campaign_slice span.
         by_id = {s.span_id: s for s in spans}
+        iterations = collections.Counter()
         for s in spans:
             if s.name == "al_iteration":
-                assert by_id[s.parent_id].name == "trajectory"
-                assert by_id[s.parent_id].track == s.track
+                root = by_id[s.parent_id]
+                assert (root.name, root.parent_id) == ("campaign_slice", 0)
+                assert root.track == s.track
+                iterations[s.track] += 1
+        assert iterations == {1: 3, 2: 4, 3: 5}
 
     def test_merge_is_deterministic_across_runs(self, small_dataset):
         a = self._traced_run(small_dataset, _specs(3))
@@ -113,12 +129,34 @@ class TestSpanMerge:
             )
         ]
         spans = self._traced_run(small_dataset, specs)
-        trajectories = {s.track: s for s in spans if s.name == "trajectory"}
-        # All three lanes ship their spans: the exploding run's trajectory
+        slices = {s.track for s in spans if s.name == "campaign_slice"}
+        dumps = {s.track for s in spans if s.name == "campaign_dump"}
+        # All three lanes ship their spans: the exploding run's slice
         # span closes on the way out of the raise, but only the two clean
-        # specs reach the success annotations.
-        assert set(trajectories) == {1, 2, 3}
-        assert "iterations" in trajectories[1].attrs
-        assert "iterations" in trajectories[2].attrs
-        assert "iterations" not in trajectories[3].attrs
+        # specs go on to dump their learner.
+        assert slices == {1, 2, 3}
+        assert dumps == {1, 2}
         assert any(s.name == "al_iteration" and s.track == 3 for s in spans)
+
+    def test_serial_run_keeps_the_callers_spans(self, small_dataset):
+        """A serial run inside an open caller span leaves the caller's
+        spans as they were (regression: the inline slice bracket truncated
+        the caller's stack and re-parented its children) and still puts
+        each spec on its own lane."""
+        obs.disable_tracing()
+        obs.enable_tracing()
+        try:
+            with obs.span("caller"):
+                with obs.span("caller_child"):
+                    pass
+                run_trajectories(small_dataset, _specs(2), max_workers=1)
+            spans = obs.tracer().spans()
+        finally:
+            obs.disable_tracing()
+            obs.METRICS.reset()
+        main = {s.name: s for s in spans if s.track == 0}
+        assert set(main) == {"caller", "caller_child"}
+        assert main["caller_child"].parent_id == main["caller"].span_id
+        slices = [s for s in spans if s.name == "campaign_slice"]
+        assert sorted(s.track for s in slices) == [1, 2]
+        assert all(s.parent_id == 0 for s in slices)

@@ -11,6 +11,7 @@ import os
 
 import pytest
 
+from repro import obs
 from repro.core import (
     ALConfig,
     CampaignService,
@@ -79,3 +80,18 @@ class DyingPolicy(RandUniform):
 
     def select(self, view, rng):
         os._exit(23)
+
+
+class CountingPolicy(RandUniform):
+    """Counts its selections in the metrics registry."""
+
+    def select(self, view, rng):
+        obs.incr("test.selections")
+        return super().select(view, rng)
+
+
+class InterruptingPolicy(RandUniform):
+    """Interrupts the run at its first selection, as Ctrl-C would."""
+
+    def select(self, view, rng):
+        raise KeyboardInterrupt

@@ -25,8 +25,10 @@ from repro.core import (
 
 from tests.service.conftest import (
     AL_CFG,
+    CountingPolicy,
     DyingPolicy,
     ExplodingPolicy,
+    InterruptingPolicy,
     POLICIES3,
     make_specs,
     run_fleet,
@@ -225,9 +227,10 @@ class TestObservability:
         assert inline_state["counters"]["service.slice.committed"] > 0
 
     def test_failed_slice_metrics_stay_with_their_slice(self, small_dataset):
-        """A slice that raises drops its metrics in a process worker as
-        inline mode does; they must not ship with the next campaign's
-        slice on the same worker (regression: the worker kept them)."""
+        """A slice that raises ships its metrics with its failure, in a
+        process worker as inline; they must not ship with the next
+        campaign's slice on the same worker (regression: the worker kept
+        them)."""
         specs = [
             CampaignSpec(
                 campaign_id=cid, policy_factory=policy, base_seed=3,
@@ -249,6 +252,36 @@ class TestObservability:
         inline, pooled = states
         assert inline["counters"] == pooled["counters"]
         assert inline["calls"] == pooled["calls"]
+
+    def test_interrupt_keeps_recorded_state(self, small_dataset):
+        """A KeyboardInterrupt from the second campaign's policy keeps a
+        counter recorded before run(), both submissions, and the first
+        campaign's committed-slice metrics (regression: the inline
+        service erased all three)."""
+        specs = [
+            CampaignSpec(
+                campaign_id=cid, policy_factory=policy, base_seed=3,
+                n_init=20, n_test=30, config=AL_CFG,
+            )
+            for cid, policy in (
+                ("counted", CountingPolicy), ("ctrl-c", InterruptingPolicy)
+            )
+        ]
+        obs.reset()
+        try:
+            obs.incr("test.before_run", 3)
+            with CampaignService(small_dataset, steps_per_slice=8) as svc:
+                for spec in specs:
+                    svc.submit(spec)
+                with pytest.raises(KeyboardInterrupt):
+                    svc.run()
+            counters = obs.counters()
+            assert counters.get("test.before_run") == 3
+            assert counters.get("service.campaign.submitted") == 2
+            assert counters.get("test.selections") == AL_CFG.max_iterations
+            assert counters.get("service.slice.committed") == 1
+        finally:
+            obs.reset()
 
     def test_service_counters_track_report(self, small_dataset):
         obs.reset()

@@ -235,10 +235,11 @@ class TestFreshWorkerState:
             finally:
                 pool.close()
             assert_reaped([worker.proc])
-            # The same slice inline, bracketed the way the service does.
+            # The same slice inline, on an empty registry as the service
+            # runs it; the slice ships what it recorded.
             obs.reset()
             _, inline = service_mod._run_slice(small_dataset, job)
-            expected = obs.snapshot_state(reset_after=True)
+            expected = inline["obs"]
         finally:
             obs.disable_tracing()
             obs.reset()
