@@ -311,8 +311,10 @@ class ActiveLearner:
         # Mutable AL state.  The cost and memory models keep separate
         # learned lists because a censored acquisition (MaxRSS lost) feeds
         # only the cost model; targets ride along so the impute policy can
-        # substitute posterior means for lost observations.
-        self._remaining = list(partition.active_idx)
+        # substitute posterior means for lost observations.  The pool holds
+        # Python ints: a checkpoint pickles them in one opcode each, where
+        # numpy scalars take a reduce call apiece.
+        self._remaining = partition.active_idx.tolist()
         self._learned: list[int] = []
         self._targets_cost: list[float] = []
         self._learned_mem: list[int] = []

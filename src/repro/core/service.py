@@ -26,7 +26,13 @@ module is that long-lived scheduler:
   slice is re-run from the same checkpoint and — by the learner's
   resume bit-identity — selects exactly the same samples.  Nothing is
   lost, nothing is duplicated; commit-time contiguity assertions make a
-  violation loud instead of silent.
+  violation loud instead of silent.  A commit is folded into the
+  campaign's state at once and written to the store in one atomic
+  file.  With worker processes that write waits until the freed
+  workers have their next slices, and :meth:`CampaignService.run`
+  writes every pending one before it returns or raises.  A parent that
+  dies in between leaves the previous checkpoint, and the slice it
+  re-runs from there selects the same samples.
 - **Chaos harness.**  With a :class:`ChaosConfig`, every dispatch passes
   a synthetic accounting record through the PR-2 fault layer
   (:class:`~repro.faults.model.FaultInjector`) under a per-campaign RNG:
@@ -79,6 +85,7 @@ A worker that dies before its handshake is a :class:`ServiceError`.
 
 from __future__ import annotations
 
+import copy
 import functools
 import hashlib
 import heapq
@@ -363,12 +370,13 @@ def dumps_campaign(learner: ActiveLearner, dataset: Dataset) -> bytes:
     The blob holds live state only, and serializing leaves ``learner``
     untouched (its caches stay warm).  The candidate cross-covariance
     caches pickle empty (they are exact and rebuilt from the kernel on
-    first use, bit-identically); the GP models pickle their factors and
-    kernel workspaces without capacity headroom or evaluation scratch.
-    The dataset is interned via persistent-id.  Everything else — the
-    RNG, the pool, the partial records — rides along, and pickle
-    memoization preserves the learner/model RNG *sharing*, so a restored
-    learner continues the identical stream.
+    first use, bit-identically); the GP models pickle the lower
+    triangles of their Cholesky factors, and their kernel workspaces
+    without capacity headroom or evaluation scratch.  The dataset is
+    interned via persistent-id.  Everything else — the RNG, the pool
+    (Python ints), the partial records (each a tuple of its fields) —
+    rides along, and pickle memoization preserves the learner/model RNG
+    *sharing*, so a restored learner continues the identical stream.
     """
     buf = io.BytesIO()
     _InterningPickler(buf, dataset).dump(learner)
@@ -1010,6 +1018,9 @@ class CampaignService:
         self._slices_committed = 0
         self._slices_discarded = 0
         self._fault_counts: dict[str, int] = {}
+        #: Checkpoint payloads taken but not yet written, by campaign;
+        #: a dict only while :meth:`run` multiplexes worker processes.
+        self._unsaved: dict[str, dict] | None = None
 
         if store is None:
             self.store: CheckpointStore | None = None
@@ -1149,6 +1160,11 @@ class CampaignService:
         has exactly the first ``k`` commits checkpointed, and a fresh
         service over the same store continues from there bit-identically
         (in-flight un-committed slices are pure re-runnable work).
+
+        With worker processes, a commit's checkpoint is written after
+        the freed workers have been handed their next slices; the run
+        writes every deferred checkpoint before it returns or raises.
+        Inline, each commit is written as it happens.
         """
         goal = None if max_slices is None else self._slices_committed + max_slices
         try:
@@ -1159,8 +1175,13 @@ class CampaignService:
             else:
                 if self._pool is None:
                     self._pool = CampaignWorkerPool(self.workers, self.dataset)
+                self._unsaved = {}
                 while goal is None or self._slices_committed < goal:
                     self._fill_workers()
+                    # The commits of the last wait reach the disk only
+                    # now, while the workers they freed run their next
+                    # slices.
+                    self._save_unsaved()
                     # Whatever is still queued found no idle worker, so
                     # only then is a booting worker worth waiting for.
                     waiting = self._pool.waitable(need_worker=len(self._queue) > 0)
@@ -1168,8 +1189,13 @@ class CampaignService:
                         break
                     self._wait_and_handle(waiting)
         finally:
-            # Also on an interrupt: what committed slices shipped stays.
+            # Also on an interrupt: what committed slices shipped stays,
+            # and every commit counted so far is written.
             self.drain_observability()
+            try:
+                self._save_unsaved()
+            finally:
+                self._unsaved = None
         return self.report()
 
     def report(self) -> ServiceReport:
@@ -1504,6 +1530,15 @@ class CampaignService:
     # ------------------------------------------------------------ checkpoints
 
     def _checkpoint(self, rec: _Campaign) -> None:
+        """Write the campaign's state, or defer it inside a process run.
+
+        While :meth:`run` multiplexes workers, the payload is taken now
+        and written by :meth:`_save_unsaved` once the freed workers have
+        their next slices.  The next dispatch draws its chaos verdict
+        from this campaign's stream, so the payload keeps a copy of the
+        stream as it is now: the file is what an immediate write would
+        have produced.
+        """
         if self.store is None:
             return
         payload = {
@@ -1531,8 +1566,25 @@ class CampaignService:
             "policy_fingerprint": rec.policy_fingerprint,
         }
         cid = rec.spec.campaign_id
+        if self._unsaved is None:
+            self._save(cid, payload)
+        else:
+            payload["chaos_rng"] = copy.deepcopy(rec.chaos_rng)
+            self._unsaved[cid] = payload
+
+    def _save(self, cid: str, payload: dict) -> None:
         with obs.span("service.checkpoint", cat="service", campaign=cid):
             self.store.save(cid, payload)
+
+    def _save_unsaved(self) -> None:
+        """Write every deferred checkpoint, oldest first.
+
+        Each entry leaves the buffer before its write, so after a failed
+        write a second call goes on with the rest.
+        """
+        while self._unsaved:
+            cid = next(iter(self._unsaved))
+            self._save(cid, self._unsaved.pop(cid))
 
     def _attach_existing(self) -> None:
         for campaign_id, payload in self.store.load_all().items():

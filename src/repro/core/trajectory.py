@@ -9,6 +9,7 @@ run stopped.  Batch analysis (:mod:`repro.core.batch`,
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -75,6 +76,15 @@ class IterationRecord:
     failed: bool = False
     censored: bool = False
     fidelity: int = -1
+
+    def __reduce__(self):
+        # A tuple of the fields, restored through __init__: checkpoints
+        # carry every record, and the slotted dataclass's own state hooks
+        # call fields() once per record each way.
+        return IterationRecord, _record_fields(self)
+
+
+_record_fields = operator.attrgetter(*IterationRecord.__slots__)
 
 
 @dataclass(frozen=True)

@@ -21,6 +21,8 @@ jitter; otherwise it falls back to the exact full factorization.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import scipy.linalg
 from scipy.linalg import cho_solve, cholesky, solve_triangular
@@ -148,19 +150,33 @@ class GPRegressor:
     def __getstate__(self) -> dict:
         """Live state only: no capacity headroom, no LML scratch.
 
-        ``_L`` pickles as its live ``(n, n)`` block; the capacity buffer
-        behind it, the flat LML buffers and the fit-time stash are
-        rebuilt on demand, so leaving them out changes no value.  The
-        kernel workspace rides along (its nodes trim themselves), so a
-        restored model *extends* it on the next fit, exactly as the
-        pickled one would have.
+        ``_L`` pickles as the row-major lower triangle of its live
+        ``(n, n)`` block, ``n(n+1)/2`` values: every path that builds it
+        (``dpotrf`` with ``clean=1``, scipy's ``cholesky``, the rank-1
+        extension's zeroed buffer) leaves zeros above the diagonal.  The
+        capacity buffer behind it, the flat LML buffers and the fit-time
+        stash are rebuilt on demand, so leaving them out changes no
+        value.  The kernel workspace rides along (its nodes trim
+        themselves), so a restored model *extends* it on the next fit,
+        exactly as the pickled one would have.
         """
         state = self.__dict__.copy()
         state.update(_L_buf=None, _chol_flat=None, _grad_flat=None, _eval_stash=None)
+        L = self._L
+        if L is not None:
+            state["_L"] = L[np.tri(L.shape[0], dtype=bool)]
         return state
 
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)
+        packed = self._L
+        if packed is not None and packed.ndim == 1:
+            # n(n+1)/2 values back into a square factor, bit for bit; a
+            # square one (pickled before packing) is taken as it is.
+            n = (math.isqrt(8 * packed.size + 1) - 1) // 2
+            L = np.zeros((n, n))
+            L[np.tri(n, dtype=bool)] = packed
+            self._L = L
         self._L_buf = self._L  # capacity == size until the next extension
 
     # ------------------------------------------------------------------ LML

@@ -2,9 +2,9 @@
 
 Campaign checkpoints pickle the learner's two :class:`GPRegressor` models
 after every committed slice.  The pickle drops what the model rebuilds on
-demand — the Cholesky capacity buffer behind ``_L``, the flat LML
-scratch, the kernel workspace's headroom and evaluation buffers — and
-keeps everything a value depends on.  These tests pin both halves: the
+demand — the Cholesky capacity buffer behind ``_L``, the zeros above
+``_L``'s diagonal, the flat LML scratch, the kernel workspace's headroom
+and evaluation buffers — and keeps everything a value depends on.  These tests pin both halves: the
 round trip is bit-for-bit, and the restored model takes the same fast
 paths (rank-1 extension, workspace extension) as the live one.
 """
@@ -84,9 +84,39 @@ class TestCompactPickle:
         for arr in _structure(clone):
             assert arr.shape[-2:] == (n, n)
         assert not hasattr(clone._ws._root, "_eval_flat")
+        # ... the factor ships its lower triangle only, and comes back
+        # square, bit for bit, with zeros above the diagonal ...
+        n_train = gp._L.shape[0]
+        assert gp.__getstate__()["_L"].shape == (n_train * (n_train + 1) // 2,)
+        assert clone._L.shape == (n_train, n_train)
+        assert clone._L.tobytes() == np.ascontiguousarray(gp._L).tobytes()
+        assert not np.triu(clone._L, 1).any()
         # ... and pickling left the live model's buffers in place.
         assert gp._L_buf is buf and gp._L.base is buf
         assert gp._chol_flat is not None
+
+    def test_every_factor_path_leaves_zeros_above_the_diagonal(self, kernel_name):
+        """The packed pickle keeps only the lower triangle, so each way a
+        factor is built must leave nothing above it."""
+        X, y = _data(40)
+        fitted = GPRegressor(kernel=KERNELS[kernel_name](), rng=np.random.default_rng(1))
+        fitted.fit(X[:30], y[:30])  # the optimizer's dpotrf factor
+        direct = GPRegressor(
+            kernel=KERNELS[kernel_name](),
+            rng=np.random.default_rng(1),
+            use_workspace=False,
+        )
+        direct.fit(X[:30], y[:30])  # scipy's cholesky
+        extended = pickle.loads(pickle.dumps(fitted))
+        extended.refactor(X[:33], y[:33])  # the rank-1 extension's buffer
+        assert extended.last_factor_mode_ == "rank1"
+        full = pickle.loads(pickle.dumps(fitted))
+        full.refactor(X[5:35], y[5:35])  # a from-scratch refactor
+        assert full.last_factor_mode_ == "full"
+        for gp in (fitted, direct, extended, full):
+            assert not np.triu(gp._L, 1).any()
+            clone = pickle.loads(pickle.dumps(gp))
+            assert clone._L.tobytes() == np.ascontiguousarray(gp._L).tobytes()
 
     def test_restored_model_takes_the_same_fast_paths(self, kernel_name):
         gp, X, y = _grown(kernel_name)

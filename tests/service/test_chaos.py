@@ -166,3 +166,45 @@ class TestChaosResume:
             }
         assert set(report.campaigns.values()) == {"done"}
         assert selections == reference_selections
+
+    @pytest.mark.parametrize("kill_after", [1, 3])
+    def test_process_kill_resume_strikes_the_uninterrupted_faults(
+        self, tmp_path, small_dataset, reference_selections, kill_after
+    ):
+        """With worker processes a commit is written after the next
+        dispatch, whose verdict draws from the campaign's chaos stream.
+        The checkpoint still holds the stream as of the commit, so a
+        fleet killed and resumed strikes exactly the faults of one run
+        through.  Two campaigns on two workers: each commit's campaign is
+        the next one dispatched."""
+        chaos = chaos_config("mixed")
+        specs = make_specs(2)
+
+        def serve(store, max_slices=None):
+            with CampaignService(
+                small_dataset,
+                store=store,
+                workers=2,
+                steps_per_slice=3,
+                chaos=chaos,
+            ) as svc:
+                if not svc.campaigns():
+                    for spec in specs:
+                        svc.submit(spec)
+                report = svc.run(max_slices=max_slices)
+                return report, {
+                    s.campaign_id: (
+                        svc.fault_events(s.campaign_id),
+                        svc.result(s.campaign_id),
+                    )
+                    for s in specs
+                }
+
+        _, whole = serve(None)
+        serve(tmp_path, max_slices=kill_after)
+        report, resumed = serve(tmp_path)
+        assert set(report.campaigns.values()) == {"done"}
+        for cid, (faults, traj) in resumed.items():
+            assert tuple(traj.selected_indices) == reference_selections[cid]
+            assert faults == whole[cid][0]
+        assert any(faults for faults, _ in whole.values())

@@ -31,6 +31,7 @@ from repro.core import (
 )
 from repro.core import service as service_module
 from repro.core.loop import CandidateCovarianceCache
+from repro.core.trajectory import IterationRecord
 from repro.data import CampaignConfig, run_campaign
 from repro.gp.gpr import GPRegressor
 from repro.gp.kernels import _WsNode
@@ -105,6 +106,23 @@ class TestBlobRoundTrip:
         np.testing.assert_array_equal(
             dumped.finalize().selected_indices, plain.finalize().selected_indices
         )
+
+    def test_restored_pool_and_records_hold_plain_values(self, small_dataset):
+        """The pool restores as Python ints and every record field for
+        field, type included (NaN equal to NaN)."""
+        live = build_learner(make_specs(1)[0], small_dataset)
+        live.start()
+        for _ in range(3):
+            assert live.step()
+        restored = loads_campaign(dumps_campaign(live, small_dataset), small_dataset)
+        assert restored._remaining == live._remaining
+        assert {type(i) for i in restored._remaining} == {int}
+        assert len(restored.records) == len(live.records) == 3
+        for got, want in zip(restored.records, live.records):
+            for f in dataclasses.fields(IterationRecord):
+                a, b = getattr(got, f.name), getattr(want, f.name)
+                assert type(a) is type(b), f.name
+                assert a == b or (a != a and b != b), f.name
 
 
 class TestUncompactedBlobs:
@@ -291,3 +309,107 @@ class TestKillResume:
             np.testing.assert_array_equal(
                 again.selected_indices, traj.selected_indices
             )
+
+
+class _FailingStore(CheckpointStore):
+    """A store whose ``fail_at``-th save raises, as a full disk would."""
+
+    def __init__(self, root, fail_at: int) -> None:
+        super().__init__(root)
+        self.saves = 0
+        self.fail_at = fail_at
+
+    def save(self, campaign_id: str, payload: dict) -> None:
+        self.saves += 1
+        if self.saves == self.fail_at:
+            raise OSError("no space left on device")
+        super().save(campaign_id, payload)
+
+
+def _slices_on_disk(root) -> int:
+    store = CheckpointStore(root)
+    return sum(store.load(cid)["slice_index"] for cid in store.campaign_ids())
+
+
+def _resume_inline(root, dataset) -> dict:
+    with CampaignService(dataset, store=root, steps_per_slice=2) as svc:
+        report = svc.run()
+        assert set(report.campaigns.values()) == {"done"}
+        return {
+            cid: tuple(svc.result(cid).selected_indices) for cid in report.campaigns
+        }
+
+
+class TestDeferredWrites:
+    """With worker processes a commit is written after the freed workers
+    have their next slices.  However the run ends, every commit it
+    counted is on disk, and a fresh service resumes exactly."""
+
+    @pytest.mark.parametrize("where", ["wait", "dispatch"])
+    def test_interrupt_leaves_every_counted_commit_on_disk(
+        self, tmp_path, small_dataset, reference_selections, monkeypatch, where
+    ):
+        """A KeyboardInterrupt after three commits, from the parent's wait
+        for results (every commit is written by then) or from the next
+        dispatch (the last wait's commits are not yet written)."""
+        svc = CampaignService(
+            small_dataset, store=tmp_path, workers=2, steps_per_slice=1
+        )
+        raised = []
+
+        def interrupt_after_commits():
+            committed = svc.report().slices_committed
+            if not raised and committed >= 3:
+                raised.append((committed, _slices_on_disk(tmp_path)))
+                raise KeyboardInterrupt
+
+        if where == "wait":
+            real = service_module.connection.wait
+
+            def wait(*args, **kwargs):
+                interrupt_after_commits()
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(service_module.connection, "wait", wait)
+        else:
+            real = service_module.CampaignWorkerPool.idle
+
+            def idle(pool):
+                interrupt_after_commits()
+                return real(pool)
+
+            monkeypatch.setattr(service_module.CampaignWorkerPool, "idle", idle)
+        with svc:
+            for spec in make_specs():
+                svc.submit(spec)
+            with pytest.raises(KeyboardInterrupt):
+                svc.run()
+            committed = svc.report().slices_committed
+        monkeypatch.undo()
+        (counted, written), = raised
+        assert counted == committed >= 3
+        if where == "wait":
+            assert written == committed
+        else:
+            assert written < committed
+        assert _slices_on_disk(tmp_path) == committed
+        assert _resume_inline(tmp_path, small_dataset) == reference_selections
+
+    def test_failed_write_raises_and_the_store_resumes(
+        self, tmp_path, small_dataset, reference_selections
+    ):
+        """The fifth save (the second after the three submissions) fails:
+        run() raises it, writes the other deferred checkpoints, and the
+        store lags that one campaign by one commit, which resuming re-runs."""
+        store = _FailingStore(tmp_path, fail_at=5)
+        with CampaignService(
+            small_dataset, store=store, workers=2, steps_per_slice=1
+        ) as svc:
+            for spec in make_specs():
+                svc.submit(spec)
+            with pytest.raises(OSError, match="no space left"):
+                svc.run()
+            committed = svc.report().slices_committed
+        assert store.saves >= 5
+        assert _slices_on_disk(tmp_path) == committed - 1
+        assert _resume_inline(tmp_path, small_dataset) == reference_selections
