@@ -14,7 +14,6 @@ import numpy as np
 
 from repro.analysis import format_table
 from repro.core import ActiveLearner, ALConfig, MaxSigma, random_partition
-from repro.gp.local import LocalGPRegressor
 
 SEEDS = (0, 1)
 ITERATIONS = 40
@@ -23,8 +22,6 @@ ITERATIONS = 40
 def run_variant(dataset, seed, refit, **learner_kw):
     rng = np.random.default_rng(seed)
     part = random_partition(rng, len(dataset), n_init=50, n_test=200)
-    if learner_kw.pop("local_gp", False):
-        learner_kw["model_factory"] = lambda: LocalGPRegressor(n_regions=4, rng=rng)
     learner = ActiveLearner(
         dataset,
         part,
@@ -43,7 +40,10 @@ def run_variant(dataset, seed, refit, **learner_kw):
 VARIANTS = {
     "baseline": {},
     "log2_p_mx": dict(log2_features=(0, 1)),
-    "local_gp_k4": dict(local_gp=True),
+    # LocalGPRegressor's own default of one LML restart, not the config's 2.
+    "local_gp_k4": dict(
+        surrogate="local", surrogate_options={"n_regions": 4, "n_restarts": 1}
+    ),
 }
 
 

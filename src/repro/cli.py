@@ -541,7 +541,6 @@ def _service_from_args(args: argparse.Namespace, workers: int = 0):
         store=args.store,
         workers=workers,
         steps_per_slice=getattr(args, "steps_per_slice", None) or 8,
-        queue_capacity=getattr(args, "queue_capacity", None),
         chaos=_chaos_config(args) if hasattr(args, "chaos_seed") else None,
     )
 
@@ -575,8 +574,6 @@ def _add_serve_cmd(sub: argparse._SubParsersAction) -> None:
     p.add_argument("--workers", type=int, default=0,
                    help="worker processes (0 = run slices inline)")
     p.add_argument("--steps-per-slice", type=int, default=8)
-    p.add_argument("--queue-capacity", type=int, default=None,
-                   help="ready-queue bound (backpressure); default unbounded")
     p.add_argument("--max-slices", type=int, default=None,
                    help="stop after this many committed slices (kill switch)")
     _add_chaos_flags(p)

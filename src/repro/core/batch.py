@@ -56,7 +56,7 @@ class TrajectorySpec:
         The run's :class:`~repro.core.config.ALConfig` fields.
     learner_kwargs : dict
         Any further :class:`~repro.core.config.ALConfig` fields (e.g.
-        ``stopping_rule``, ``cache_candidates``).
+        ``stopping_rule``, ``surrogate``).
     """
 
     name: str

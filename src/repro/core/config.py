@@ -19,7 +19,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Any
 
 from repro.core.stopping import StoppingRule
 from repro.faults.acquisition import AcquisitionFaultModel, FailurePolicy
@@ -52,18 +52,6 @@ class ALConfig:
     #: (``rho = diag(test costs)``), the scale-dependent metric Sec. V-D
     #: argues suits cost-efficient AL.
     weight_rmse_by_cost: bool = False
-    #: Zero-argument factory producing the surrogate for *each* of the cost
-    #: and memory responses — anything with the ``fit`` / ``refactor`` /
-    #: ``predict(return_std=True)`` surface of
-    #: :class:`~repro.gp.gpr.GPRegressor`, e.g.
-    #: :class:`repro.gp.local.LocalGPRegressor`.  Overrides ``kernel``,
-    #: ``n_restarts`` and ``surrogate``.
-    model_factory: Callable[[], Any] | None = None
-    #: Maintain the candidate cross-covariance matrices across rounds
-    #: (:class:`~repro.core.loop.CandidateCovarianceCache`) instead of
-    #: rebuilding them every round.  Exact; disable only to benchmark or to
-    #: cross-check against the straight-line path.
-    cache_candidates: bool = True
     #: Failure model for the "run the experiment" step.  ``None`` (or a
     #: disabled model) is the paper-faithful path, bit-identical to a
     #: fault-free build; an enabled model makes each acquisition crash or
@@ -76,21 +64,18 @@ class ALConfig:
     #: GP posterior mean instead of the lost observation (censored
     #: acquisitions impute only memory; the observed cost is kept).
     on_failure: FailurePolicy = FailurePolicy.NEXT_BEST
-    #: Evaluate hyperparameter refits through the cached kernel workspace
-    #: (:class:`repro.gp.kernels.KernelWorkspace`) extended across
-    #: acquisitions.  Ignored with a ``model_factory``; disable to force
-    #: the direct reference LML path (parity tests).
-    use_workspace: bool = True
     #: Registered surrogate backend (:data:`repro.registry.surrogate_registry`)
-    #: behind the cost/memory models when no ``model_factory`` is given:
-    #: ``"dense"`` (exact GPRegressor), ``"iterative"``, ``"sparse"``,
-    #: ``"local"``, ``"treed"``, or ``"multifidelity"`` (which a fidelity
-    #: axis selects automatically).
+    #: behind the cost and memory models: ``"dense"`` (exact GPRegressor),
+    #: ``"iterative"``, ``"sparse"``, ``"local"``, ``"treed"``, or
+    #: ``"multifidelity"`` (which a fidelity axis selects automatically).
+    #: Third-party models register under a name of their own.
     surrogate: str = "dense"
     #: Extra constructor keywords for the selected surrogate backend
-    #: (e.g. ``{"exact_lml_max_n": 2000}`` or ``{"n_inducing": 64}``),
-    #: normalized to a sorted tuple of pairs so the config stays hashable
-    #: and its fingerprint deterministic.
+    #: (e.g. ``{"exact_lml_max_n": 2000}``, ``{"n_inducing": 64}``, or
+    #: ``{"use_workspace": False}`` to force the direct reference LML path
+    #: instead of the cached kernel workspace), normalized to a sorted
+    #: tuple of pairs so the config stays hashable and its fingerprint
+    #: deterministic.
     surrogate_options: tuple[tuple[str, Any], ...] = ()
     #: Declarative policy selection, used when the learner is constructed
     #: without an explicit policy object: a registered policy name
@@ -137,8 +122,6 @@ class ALConfig:
         object.__setattr__(
             self, "weight_rmse_by_cost", bool(self.weight_rmse_by_cost)
         )
-        object.__setattr__(self, "cache_candidates", bool(self.cache_candidates))
-        object.__setattr__(self, "use_workspace", bool(self.use_workspace))
         # Surrogate/policy names resolve through the registries
         # (:mod:`repro.registry`): anything registered — built-in or
         # third-party — is a valid configuration value, and unknown
@@ -197,11 +180,10 @@ class ALConfig:
         """JSON-able summary of the resolved configuration.
 
         Object-valued fields collapse to names: the kernel to its ``repr``,
-        the stopping rule and model factory to their type/function names,
-        the fault model to its enabled flag.  Embedded in
-        :class:`~repro.core.trajectory.Trajectory` metadata and in exported
-        trace files, so a trajectory (or trace) carries the configuration
-        that produced it.
+        the stopping rule to its type name, the fault model to its enabled
+        flag.  Embedded in :class:`~repro.core.trajectory.Trajectory`
+        metadata and in exported trace files, so a trajectory (or trace)
+        carries the configuration that produced it.
         """
         faults = self.acquisition_faults
         return {
@@ -216,19 +198,18 @@ class ALConfig:
             "max_iterations": self.max_iterations,
             "log2_features": list(self.log2_features),
             "weight_rmse_by_cost": self.weight_rmse_by_cost,
-            "model_factory": (
-                None
-                if self.model_factory is None
-                else getattr(
-                    self.model_factory, "__name__", type(self.model_factory).__name__
-                )
-            ),
-            "cache_candidates": self.cache_candidates,
+            # Three keys of deleted fields stay, each at the default the
+            # field had, because checkpoints are stamped with this dict's
+            # hash: without them every store written before the deletion
+            # would refuse to resume.  A workspace switched off through
+            # surrogate_options shows there, as it always did.
+            "model_factory": None,
+            "cache_candidates": True,
             "acquisition_faults": (
                 None if faults is None else {"enabled": bool(faults.enabled)}
             ),
             "on_failure": self.on_failure.value,
-            "use_workspace": self.use_workspace,
+            "use_workspace": True,
             "surrogate": self.surrogate,
             "surrogate_options": [[k, v] for k, v in self.surrogate_options],
             "policy": self.policy,

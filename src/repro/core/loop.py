@@ -285,28 +285,22 @@ class ActiveLearner:
             [] for _ in range(cfg.num_fidelities - 1)
         ]
 
-        if cfg.model_factory is not None:
-            self.gpr_cost = cfg.model_factory()
-            self.gpr_mem = cfg.model_factory()
-        else:
-            base_kernel = cfg.kernel if cfg.kernel is not None else default_kernel()
-            opts = dict(cfg.surrogate_options)
-            # The two models get structurally independent kernel copies
-            # (with_theta) so their workspaces/fits never alias.  The
-            # backend name resolves through the surrogate registry
-            # (repro.registry) — any registered model plugs in here.
-            kernels = (base_kernel, base_kernel.with_theta(base_kernel.theta))
-            self.gpr_cost, self.gpr_mem = (
-                build_surrogate(
-                    cfg.surrogate,
-                    kernel=k,
-                    rng=rng,
-                    n_restarts=cfg.n_restarts,
-                    use_workspace=cfg.use_workspace,
-                    options=opts,
-                )
-                for k in kernels
+        base_kernel = cfg.kernel if cfg.kernel is not None else default_kernel()
+        # The two models get structurally independent kernel copies
+        # (with_theta) so their workspaces/fits never alias.  The backend
+        # name resolves through the surrogate registry (repro.registry) —
+        # any registered model plugs in here.
+        kernels = (base_kernel, base_kernel.with_theta(base_kernel.theta))
+        self.gpr_cost, self.gpr_mem = (
+            build_surrogate(
+                cfg.surrogate,
+                kernel=k,
+                rng=rng,
+                n_restarts=cfg.n_restarts,
+                options=cfg.surrogate_options,
             )
+            for k in kernels
+        )
 
         # Mutable AL state.  The cost and memory models keep separate
         # learned lists because a censored acquisition (MaxRSS lost) feeds
@@ -421,12 +415,8 @@ class ActiveLearner:
             return CandidateView(
                 X=U, mu_cost=nan, sigma_cost=nan, mu_mem=nan, sigma_mem=nan
             )
-        if self.config.cache_candidates:
-            mu_c, sd_c = self._cache_cost.predict(U)
-            mu_m, sd_m = self._cache_mem.predict(U)
-        else:
-            mu_c, sd_c = self.gpr_cost.predict(U, return_std=True)
-            mu_m, sd_m = self.gpr_mem.predict(U, return_std=True)
+        mu_c, sd_c = self._cache_cost.predict(U)
+        mu_m, sd_m = self._cache_mem.predict(U)
         return CandidateView(
             X=U, mu_cost=mu_c, sigma_cost=sd_c, mu_mem=mu_m, sigma_mem=sd_m
         )
@@ -725,9 +715,8 @@ class ActiveLearner:
             # The sample is lost entirely: remove it from the cached
             # cross-covariances (row only — it never joins the kernel)
             # and leave both models untouched.
-            if cfg.cache_candidates:
-                self._cache_cost.drop(pos)
-                self._cache_mem.drop(pos)
+            self._cache_cost.drop(pos)
+            self._cache_mem.drop(pos)
             if self._policy_hooks:
                 self.policy.observe_drop(pos, cost=cost)
             self._record_fault(
@@ -763,7 +752,7 @@ class ActiveLearner:
         if learn_mem:
             self._learned_mem.append(ds_index)
             self._targets_mem.append(target_mem)
-        if cfg.cache_candidates and not self._zero_refit:
+        if not self._zero_refit:
             U_rem = self._U[np.asarray(self._remaining, dtype=np.int64)]
             self._cache_cost.acquire(pos, U_rem, u_new)
             if learn_mem:

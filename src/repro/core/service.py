@@ -18,8 +18,7 @@ module is that long-lived scheduler:
   :class:`~repro.machine.accounting.CampaignLedger`) *within* a
   round-robin round, so big allocations run first but nothing starves:
   a campaign that just ran re-enters at the next round, behind every
-  campaign still waiting in the current one.  Capacity-bounded, with a
-  FIFO backlog for backpressure.
+  campaign still waiting in the current one.
 - **Exactly-once selections.**  A slice is a pure function of its input
   checkpoint; its result *commits* atomically (blob + counters +
   ledger) or is discarded whole.  A crashed, OOM-killed, or timed-out
@@ -68,7 +67,8 @@ the parent's ``__main__`` (so scripts keep their ``if __name__ ==
 "__main__":`` guard), and starts with an empty observability registry
 and tracing off.  Everything a worker needs crosses the process
 boundary by pickling: policy factories must be classes or
-:func:`functools.partial` objects, not lambdas.  At interpreter exit the
+:func:`functools.partial` objects, not lambdas (a job that does not
+pickle fails its campaign at dispatch).  At interpreter exit the
 server is stopped after :mod:`multiprocessing` has terminated and joined
 the workers.  Where the platform has no ``forkserver``, workers are
 spawned.
@@ -97,10 +97,10 @@ import pickle
 import sys
 import time
 import traceback as _traceback
-from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
 from multiprocessing import connection
+from multiprocessing.reduction import ForkingPickler
 from pathlib import Path
 from typing import Callable, Iterator
 
@@ -457,7 +457,7 @@ class CheckpointStore:
 
 
 class CampaignQueue:
-    """Bounded, budget-ordered round-robin queue of ready campaigns.
+    """Budget-ordered round-robin queue of ready campaigns.
 
     Ready entries live in a heap keyed ``(round, -remaining_budget,
     seq)``: within a round-robin round the campaign with the *most*
@@ -469,34 +469,19 @@ class CampaignQueue:
     consecutive slices of any campaign, every other ready campaign is
     scheduled at least once, whatever the budgets.
 
-    ``capacity`` bounds the *ready* heap; submissions beyond it park in
-    a FIFO backlog (admission happens as pops free space) — the
-    backpressure surface a driver feeding thousands of campaigns sees.
+    The queue is unbounded: every submission is admitted at once.
     """
 
-    def __init__(self, capacity: int | None = None) -> None:
-        if capacity is not None and capacity < 1:
-            raise ValueError("capacity must be >= 1 (or None for unbounded)")
-        self.capacity = capacity
+    def __init__(self) -> None:
         self._heap: list[tuple[int, float, int, str]] = []
-        self._backlog: deque[tuple[int, float, int, str]] = deque()
         self._members: set[str] = set()
         self._round_floor = 0
-        self.parked_total = 0
 
     def __len__(self) -> int:
-        return len(self._heap) + len(self._backlog)
+        return len(self._heap)
 
     def __contains__(self, campaign_id: str) -> bool:
         return campaign_id in self._members
-
-    @property
-    def ready_size(self) -> int:
-        return len(self._heap)
-
-    @property
-    def backlog_size(self) -> int:
-        return len(self._backlog)
 
     def push(
         self,
@@ -504,8 +489,8 @@ class CampaignQueue:
         remaining_node_hours: float,
         seq: int,
         round_: int | None = None,
-    ) -> bool:
-        """Enqueue a campaign; returns False when parked in the backlog.
+    ) -> None:
+        """Enqueue a campaign.
 
         ``round_=None`` admits at the current round floor (new work joins
         the round in progress rather than jumping ahead of it).
@@ -514,32 +499,19 @@ class CampaignQueue:
             raise ValueError(f"campaign {campaign_id!r} is already queued")
         if round_ is None:
             round_ = self._round_floor
-        entry = (round_, -float(remaining_node_hours), seq, campaign_id)
         self._members.add(campaign_id)
-        if self.capacity is not None and len(self._heap) >= self.capacity:
-            self._backlog.append(entry)
-            self.parked_total += 1
-            return False
-        heapq.heappush(self._heap, entry)
-        return True
+        heapq.heappush(
+            self._heap, (round_, -float(remaining_node_hours), seq, campaign_id)
+        )
 
     def pop(self) -> tuple[str, int] | None:
         """Highest-priority ready campaign as ``(campaign_id, round)``."""
-        if not self._heap:
-            self._admit()
         if not self._heap:
             return None
         round_, _negrem, _seq, campaign_id = heapq.heappop(self._heap)
         self._round_floor = max(self._round_floor, round_)
         self._members.discard(campaign_id)
-        self._admit()
         return campaign_id, round_
-
-    def _admit(self) -> None:
-        while self._backlog and (
-            self.capacity is None or len(self._heap) < self.capacity
-        ):
-            heapq.heappush(self._heap, self._backlog.popleft())
 
 
 # ------------------------------------------------------------ slice worker
@@ -982,8 +954,6 @@ class CampaignService:
         :class:`CampaignWorkerPool` and multiplexes.
     steps_per_slice : int
         Default AL steps per slice (per-campaign override on the spec).
-    queue_capacity : int, optional
-        Ready-queue bound; see :class:`CampaignQueue`.
     chaos : ChaosConfig, optional
         Enable the chaos harness.
     """
@@ -995,7 +965,6 @@ class CampaignService:
         *,
         workers: int = 0,
         steps_per_slice: int = 8,
-        queue_capacity: int | None = None,
         chaos: ChaosConfig | None = None,
     ) -> None:
         if workers < 0:
@@ -1011,7 +980,7 @@ class CampaignService:
             if chaos is not None and chaos.faults.enabled
             else None
         )
-        self._queue = CampaignQueue(queue_capacity)
+        self._queue = CampaignQueue()
         self._campaigns: dict[str, _Campaign] = {}
         self._seq = 0
         self._pool: CampaignWorkerPool | None = None
@@ -1253,22 +1222,34 @@ class CampaignService:
 
     def _fill_workers(self) -> None:
         for worker in list(self._pool.idle()):
-            rec = self._next_pending()
-            if rec is None:
-                return
-            ticket = self._decide(rec)
-            job = self._make_job(rec, ticket)
-            try:
-                worker.conn.send(("slice", job))
-            except OSError:
-                # The worker died while idle: replace it and queue the
-                # same job behind the fresh one's dataset.  It is booting
-                # and busy at once; its handshake arrives first.
-                self._pool.respawn(worker)
-                worker.conn.send(("slice", job))
-            if ticket.directive == "timeout":
-                ticket.deadline = time.monotonic() + self.chaos.timeout_kill_s
-            worker.ticket = ticket
+            while worker.ticket is None:
+                rec = self._next_pending()
+                if rec is None:
+                    return
+                ticket = self._decide(rec)
+                job = self._make_job(rec, ticket)
+                try:
+                    # Pickled before anything is written, as
+                    # ``Connection.send`` would, so a job that does not
+                    # pickle leaves the pipe clean.
+                    message = ForkingPickler.dumps(("slice", job))
+                except Exception as exc:  # noqa: BLE001 - pickling errors vary
+                    # A lambda policy factory, say: this campaign fails,
+                    # and the worker, still idle, takes the next one.
+                    failure = _failure(rec.spec.campaign_id, exc)
+                    self._fail(rec, {"failure": failure, "obs": None})
+                    continue
+                try:
+                    worker.conn.send_bytes(message)
+                except OSError:
+                    # The worker died while idle: replace it and queue the
+                    # same job behind the fresh one's dataset.  It is
+                    # booting and busy at once; its handshake arrives first.
+                    self._pool.respawn(worker)
+                    worker.conn.send_bytes(message)
+                if ticket.directive == "timeout":
+                    ticket.deadline = time.monotonic() + self.chaos.timeout_kill_s
+                worker.ticket = ticket
 
     def _wait_and_handle(self, waiting: list[_WorkerHandle]) -> None:
         deadlines = [

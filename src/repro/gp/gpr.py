@@ -56,9 +56,7 @@ class GPRegressor:
     n_restarts : int
         Extra random restarts of the LML optimization on the *first* fit.
         Subsequent fits warm-start from the incumbent hyperparameters and
-        use a single optimization run unless ``restart_every_fit`` is set.
-    restart_every_fit : bool
-        Re-randomize on every fit (slower, used in validation tests).
+        use a single optimization run.
     rng : numpy.random.Generator, optional
         Source for restart draws; required when ``n_restarts > 0``.
     incremental : bool
@@ -97,7 +95,6 @@ class GPRegressor:
         kernel: Kernel | None = None,
         normalize_y: bool = True,
         n_restarts: int = 2,
-        restart_every_fit: bool = False,
         rng: np.random.Generator | None = None,
         incremental: bool = True,
         use_workspace: bool = True,
@@ -106,7 +103,6 @@ class GPRegressor:
         self.kernel = kernel if kernel is not None else default_kernel()
         self.normalize_y = normalize_y
         self.n_restarts = int(n_restarts)
-        self.restart_every_fit = restart_every_fit
         self.rng = rng
         self.incremental = bool(incremental)
         self.use_workspace = bool(use_workspace)
@@ -390,11 +386,7 @@ class GPRegressor:
             self._eval_stash = None
             self._stash_armed = ws is not None
             best_theta, best_lml = self._optimize(start.theta, X, yc, bounds, ws)
-            restarts = (
-                self.n_restarts
-                if (self._fit_count == 0 or self.restart_every_fit)
-                else 0
-            )
+            restarts = self.n_restarts if self._fit_count == 0 else 0
             for _ in range(restarts):
                 assert self.rng is not None
                 theta0 = self.rng.uniform(bounds[:, 0], bounds[:, 1])

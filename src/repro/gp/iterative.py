@@ -494,7 +494,6 @@ class IterativeGPRegressor(GPRegressor):
         kernel: Kernel | None = None,
         normalize_y: bool = True,
         n_restarts: int = 2,
-        restart_every_fit: bool = False,
         rng: np.random.Generator | None = None,
         incremental: bool = True,
         use_workspace: bool = True,
@@ -514,7 +513,6 @@ class IterativeGPRegressor(GPRegressor):
             kernel=kernel,
             normalize_y=normalize_y,
             n_restarts=n_restarts,
-            restart_every_fit=restart_every_fit,
             rng=rng,
             incremental=incremental,
             use_workspace=use_workspace,
@@ -653,11 +651,7 @@ class IterativeGPRegressor(GPRegressor):
                 objective, theta0, method="L-BFGS-B", jac=True, bounds=bounds
             )
             best_theta, best_lml = res.x, -float(res.fun)
-            restarts = (
-                self.n_restarts
-                if (self._fit_count == 0 or self.restart_every_fit)
-                else 0
-            )
+            restarts = self.n_restarts if self._fit_count == 0 else 0
             for _ in range(restarts):
                 assert self.rng is not None
                 t0 = self.rng.uniform(bounds[:, 0], bounds[:, 1])

@@ -9,8 +9,9 @@ partitioned variant: k-means regions over the (unit-cube) inputs, one
 blending of the nearest regions' predictions.
 
 The class mirrors the ``fit`` / ``predict`` / ``refactor`` surface of
-:class:`GPRegressor`, so :class:`repro.core.loop.ActiveLearner` can swap it
-in via its ``model_factory`` hook.
+:class:`GPRegressor` and is registered as ``"local"``, so
+:class:`repro.core.loop.ActiveLearner` swaps it in through
+``ALConfig(surrogate="local", surrogate_options={"n_regions": ...})``.
 """
 
 from __future__ import annotations

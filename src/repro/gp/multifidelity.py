@@ -175,7 +175,6 @@ class MultiFidelityGPRegressor(GPRegressor):
                     kernel=self.kernel.with_theta(self.kernel.theta),
                     normalize_y=self.normalize_y,
                     n_restarts=self.n_restarts,
-                    restart_every_fit=self.restart_every_fit,
                     rng=self.rng,
                     incremental=self.incremental,
                     use_workspace=self.use_workspace,

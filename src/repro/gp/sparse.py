@@ -42,8 +42,9 @@ candidate rows stay valid across AL iterations
 (``cross_appends_on_acquire = False``); re-clustering bumps
 ``cross_version_`` so caches rebuild exactly when the basis moved.
 
-The class mirrors :class:`~repro.gp.gpr.GPRegressor`'s surface so the AL
-loop accepts it through ``model_factory`` or ``ALConfig.surrogate``.
+The class mirrors :class:`~repro.gp.gpr.GPRegressor`'s surface and is
+registered as ``"sparse"``, so the AL loop takes it through
+``ALConfig.surrogate``.
 """
 
 from __future__ import annotations

@@ -103,7 +103,6 @@ def build_surrogate(
     kernel=None,
     rng=None,
     n_restarts: int | None = None,
-    use_workspace: bool = True,
     options=(),
 ) -> Any:
     """Construct the registered surrogate ``name`` with the loop's inputs.
@@ -111,11 +110,11 @@ def build_surrogate(
     The single surrogate factory behind ``ALConfig.surrogate``: resolves
     ``name`` through :data:`repro.registry.surrogate_registry` (unknown
     names raise listing the registered keys) and adapts to the model's
-    constructor signature — ``kernel``/``rng``/``n_restarts``/
-    ``use_workspace`` are forwarded only when the class accepts them, so
-    e.g. the sparse model (no ``n_restarts``) needs no special case.
-    ``options`` (the config's ``surrogate_options``) always win over the
-    adapted defaults.
+    constructor signature — ``kernel``/``rng``/``n_restarts`` are
+    forwarded only when the class accepts them, so e.g. the sparse model
+    (no ``n_restarts``) needs no special case.  ``options`` (the config's
+    ``surrogate_options``) always win over the adapted defaults; every
+    other constructor argument, ``use_workspace`` included, is set there.
     """
     import inspect
 
@@ -137,8 +136,6 @@ def build_surrogate(
         kwargs.setdefault("rng", rng)
     if accepts("n_restarts") and n_restarts is not None:
         kwargs.setdefault("n_restarts", n_restarts)
-    if accepts("use_workspace"):
-        kwargs.setdefault("use_workspace", use_workspace)
     return cls(**kwargs)
 
 

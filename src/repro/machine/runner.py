@@ -86,13 +86,6 @@ class JobRunner:
         Log-normal sigma of MaxRSS variability.
     t_end : float
         Physical end time of the canonical campaign run.
-    amr_batched : bool
-        Use the shape-stacked AMR stepping backend for ``mode="simulate"``
-        runs (bit-identical to the per-patch reference, just faster).  It
-        steps through the compiled C kernels of :mod:`repro.solver.kernels`
-        when a C compiler is available — the first simulated job on a
-        machine then pays their one-time build — and through numpy
-        otherwise; the records are identical either way.
     """
 
     spec: MachineSpec = EDISON
@@ -102,7 +95,6 @@ class JobRunner:
     wall_noise_sigma: float = 0.04
     rss_noise_sigma: float = 0.015
     t_end: float = 2.0
-    amr_batched: bool = True
 
     def _accounting(self) -> SlurmAccounting:
         return self.accounting if self.accounting is not None else SlurmAccounting()
@@ -126,18 +118,17 @@ class JobRunner:
 
         The run uses the true solver at the configured resolution; callers
         keep ``t_end`` short and ``maxlevel`` modest, then the machine model
-        extrapolates cost as it does for the analytic path.
+        extrapolates cost as it does for the analytic path.  The run steps
+        the shape-stacked AMR backend through the compiled C kernels of
+        :mod:`repro.solver.kernels` when a C compiler is available — the
+        first simulated job on a machine then pays their one-time build —
+        and through numpy otherwise; the records are identical either way.
         """
         from repro.amr import AmrConfig, AmrDriver
         from repro.solver import ShockBubbleProblem
 
         problem = ShockBubbleProblem(r0=config.r0, rhoin=config.rhoin)
-        amr_cfg = AmrConfig(
-            mx=config.mx,
-            min_level=1,
-            max_level=config.maxlevel,
-            batched=self.amr_batched,
-        )
+        amr_cfg = AmrConfig(mx=config.mx, min_level=1, max_level=config.maxlevel)
         driver = AmrDriver(problem, amr_cfg)
         stats = driver.run(t_end=self.t_end if t_end is None else t_end)
         hist = driver.forest.level_histogram()

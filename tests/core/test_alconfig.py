@@ -18,7 +18,7 @@ class TestValidation:
         assert cfg.n_restarts == 2
         assert cfg.hyper_refit_interval == 1
         assert cfg.on_failure is FailurePolicy.NEXT_BEST
-        assert cfg.cache_candidates is True
+        assert cfg.surrogate == "dense"
 
     def test_rejects_bad_refit_interval(self):
         with pytest.raises(ValueError, match="hyper_refit_interval must be >= 1"):
@@ -33,10 +33,10 @@ class TestValidation:
             ALConfig(max_iterations=-1)
 
     def test_normalizes_field_types(self):
-        cfg = ALConfig(log2_features=[0, 1], on_failure="drop", cache_candidates=1)
+        cfg = ALConfig(log2_features=[0, 1], on_failure="drop", weight_rmse_by_cost=1)
         assert cfg.log2_features == (0, 1)
         assert cfg.on_failure is FailurePolicy.DROP
-        assert cfg.cache_candidates is True
+        assert cfg.weight_rmse_by_cost is True
 
     def test_frozen(self):
         with pytest.raises(dataclasses.FrozenInstanceError):
@@ -68,7 +68,7 @@ class TestLearnerIntegration:
         assert learner.hyper_refit_interval == 4
 
     def test_config_object_path(self, small_dataset, rng):
-        cfg = ALConfig(max_iterations=2, n_restarts=0, cache_candidates=False)
+        cfg = ALConfig(max_iterations=2, n_restarts=0, surrogate="iterative")
         learner = _learner(small_dataset, rng, config=cfg)
         assert learner.config is cfg
 
@@ -83,8 +83,8 @@ class TestDescribe:
             kernel=default_kernel(),
             max_iterations=7,
             log2_features=(0, 2),
-            model_factory=default_kernel,
             on_failure=FailurePolicy.DROP,
+            surrogate_options={"use_workspace": False},
         )
         desc = cfg.describe()
         text = json.dumps(desc)
@@ -92,7 +92,7 @@ class TestDescribe:
         assert back["max_iterations"] == 7
         assert back["log2_features"] == [0, 2]
         assert back["on_failure"] == "drop"
-        assert back["model_factory"] == "default_kernel"
+        assert back["surrogate_options"] == [["use_workspace", False]]
         assert isinstance(back["kernel"], str)
 
     def test_trajectory_embeds_config(self, small_dataset, rng):
@@ -106,3 +106,33 @@ class TestDescribe:
         assert traj.config == learner.config.describe()
         assert traj.config["max_iterations"] == 2
         json.dumps(traj.config)  # must stay serializable for trace metadata
+
+
+class TestFingerprintMatchesPreviousRelease:
+    """Checkpoints carry ``ALConfig.fingerprint()``, and a store refuses
+    to resume a campaign whose stamp differs from its config's.
+
+    These values were computed by the release that still had the
+    ``model_factory``, ``cache_candidates`` and ``use_workspace`` fields;
+    :meth:`ALConfig.describe` keeps their keys so its stores resume.  A
+    failure here means stores written by that release would be refused:
+    restore the missing ``describe()`` key, or bump ``CHECKPOINT_VERSION``
+    (which refuses old stores loudly) and re-record the values.
+    """
+
+    @pytest.mark.parametrize(
+        "fields, fingerprint",
+        [
+            ({}, "96920e3eb3f800b8"),
+            ({"max_iterations": 8}, "c60d3b0c0d511934"),
+            (
+                {"num_fidelities": 2, "batch_size": 4, "round_budget_node_hours": 0.3},
+                "a29b0a30b09c5952",
+            ),
+            # The workspace switch as the CLI spells it
+            # (``--surrogate dense,use_workspace=false``).
+            ({"surrogate_options": {"use_workspace": False}}, "842cd49c16341dc7"),
+        ],
+    )
+    def test_fingerprint_is_unchanged(self, fields, fingerprint):
+        assert ALConfig(**fields).fingerprint() == fingerprint

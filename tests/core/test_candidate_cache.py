@@ -7,6 +7,8 @@ hyperparameter refits (cache invalidation) and frozen-theta refactors
 (incremental column updates).
 """
 
+import contextlib
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,23 @@ from repro.core.config import ALConfig
 from repro.core.loop import ActiveLearner, CandidateCovarianceCache
 from repro.core.partitions import random_partition
 from repro.core.policies import RGMA, RandGoodness
-from repro.gp.local import LocalGPRegressor
+
+
+@contextlib.contextmanager
+def straight_line_scoring(monkeypatch):
+    """Score every pool with the models' own ``predict`` while active.
+
+    The reference the candidate cache must equal: each round predicts
+    over the whole pool, and the cache never fills (so its row drops and
+    column appends see an empty cache and do nothing).
+    """
+    with monkeypatch.context() as m:
+        m.setattr(
+            CandidateCovarianceCache,
+            "predict",
+            lambda self, U: self.model.predict(U, return_std=True),
+        )
+        yield
 
 
 class ViewCheckingPolicy:
@@ -68,19 +86,18 @@ class TestCachedViewsMatchFresh:
 
 class TestFastSlowTrajectoryEquivalence:
     @pytest.mark.parametrize("refit", [1, 3])
-    def test_same_selections_and_rmse(self, small_dataset, refit):
+    def test_same_selections_and_rmse(self, small_dataset, refit, monkeypatch):
         """Acceptance: fast-path trajectories match the straight-line loop
         (same selected indices; RMSE series within 1e-8)."""
 
         def run(fast):
-            learner = _learner(
-                small_dataset, RandGoodness(), seed=11, refit=refit,
-                cache_candidates=fast,
-            )
-            if not fast:
-                learner.gpr_cost.incremental = False
-                learner.gpr_mem.incremental = False
-            return learner.run()
+            learner = _learner(small_dataset, RandGoodness(), seed=11, refit=refit)
+            if fast:
+                return learner.run()
+            learner.gpr_cost.incremental = False
+            learner.gpr_mem.incremental = False
+            with straight_line_scoring(monkeypatch):
+                return learner.run()
 
         t_fast, t_slow = run(True), run(False)
         assert np.array_equal(t_fast.selected_indices, t_slow.selected_indices)
@@ -123,9 +140,8 @@ class TestCacheMechanics:
             small_dataset,
             RandGoodness(),
             seed=3,
-            model_factory=lambda: LocalGPRegressor(
-                n_regions=2, rng=np.random.default_rng(0), n_restarts=0
-            ),
+            surrogate="local",
+            surrogate_options={"n_regions": 2, "n_restarts": 0},
         )
         traj = learner.run()
         assert len(traj) == 15

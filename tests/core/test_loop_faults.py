@@ -13,6 +13,7 @@ from repro.core.loop import ActiveLearner
 from repro.core.partitions import random_partition
 from repro.core.policies import MinPred, RandUniform
 from repro.faults import AcquisitionFaultModel, FailurePolicy
+from tests.core.test_candidate_cache import straight_line_scoring
 
 
 def _learner(dataset, seed=11, policy=None, **kw):
@@ -171,22 +172,28 @@ class TestCensoring:
 
 class TestCacheUnderFaults:
     @pytest.mark.parametrize("on_failure", ["drop", "next_best", "impute"])
-    def test_cache_on_off_identical_with_faults(self, small_dataset, on_failure):
+    def test_cache_on_off_identical_with_faults(
+        self, small_dataset, on_failure, monkeypatch
+    ):
         """The cached-candidate path must stay exact when acquisitions
         crash or get censored — drops delete rows, never append columns."""
         faults = AcquisitionFaultModel(crash_probability=0.3, censor_probability=0.3)
-        runs = {}
-        for cache in (True, False):
-            traj = _learner(
+
+        def run(cache):
+            learner = _learner(
                 small_dataset,
                 seed=31,
                 policy=MinPred(),
                 acquisition_faults=faults,
                 on_failure=on_failure,
                 max_iterations=5,
-                cache_candidates=cache,
-            ).run()
-            runs[cache] = traj
+            )
+            if cache:
+                return learner.run()
+            with straight_line_scoring(monkeypatch):
+                return learner.run()
+
+        runs = {cache: run(cache) for cache in (True, False)}
         assert np.array_equal(
             runs[True].selected_indices, runs[False].selected_indices
         )

@@ -14,7 +14,7 @@ from repro.core.batch import (
     default_workers,
     run_trajectories,
 )
-from repro.core.policies import MinPred, RandGoodness, RandUniform
+from repro.core.policies import MaxSigma, MinPred, RandGoodness, RandUniform
 from repro.core.trajectory import Trajectory
 from tests.service.conftest import CountingPolicy, DyingPolicy, InterruptingPolicy
 
@@ -80,10 +80,11 @@ class TestSerialExecution:
         spec = TrajectorySpec(
             name="s", policy_factory=RandUniform, base_seed=1, n_init=15,
             n_test=20, max_iterations=2,
-            learner_kwargs={"cache_candidates": False},
+            learner_kwargs={"weight_rmse_by_cost": True},
         )
         out = run_trajectories(small_dataset, [spec], max_workers=1)
         assert len(out[0][1]) == 2
+        assert out[0][1].config["weight_rmse_by_cost"] is True
 
 
 class TestParallelExecution:
@@ -230,6 +231,29 @@ class TestWorkerCountDeterminism:
         for (n1, a), (n2, b) in zip(serial, survivors):
             assert n1 == n2
             assert isinstance(b, Trajectory)
+            assert np.array_equal(a.selected_indices, b.selected_indices)
+            assert np.array_equal(a.rmse_cost, b.rmse_cost)
+
+    def test_unpicklable_spec_costs_one_trajectory(self, small_dataset):
+        """A spec whose job cannot be pickled to a worker (a lambda policy
+        factory) fails its own trajectory; the others equal their serial
+        runs (regression: the pickling error escaped ``CampaignService.run``
+        and took every result of the call with it)."""
+        good = dict(n_init=15, n_test=20, max_iterations=4, hyper_refit_interval=2)
+        specs = [
+            TrajectorySpec(name=f"ms{i}", policy_factory=MaxSigma,
+                           base_seed=17, traj_index=i, **good)
+            for i in range(3)
+        ]
+        specs[1] = dataclasses.replace(specs[1], policy_factory=lambda: MaxSigma())
+        serial = run_trajectories(small_dataset, specs, max_workers=1)
+        assert all(isinstance(t, Trajectory) for _, t in serial)
+        out = run_trajectories(small_dataset, specs, max_workers=2, on_error="return")
+        assert [name for name, _ in out] == ["ms0", "ms1", "ms2"]
+        assert [type(t) for _, t in out] == [Trajectory, TrajectoryFailure, Trajectory]
+        assert "pickle" in out[1][1].error.lower()
+        for pos in (0, 2):
+            a, b = serial[pos][1], out[pos][1]
             assert np.array_equal(a.selected_indices, b.selected_indices)
             assert np.array_equal(a.rmse_cost, b.rmse_cost)
 

@@ -127,7 +127,9 @@ class TestMultiFidelityLearner:
         part = random_partition(
             np.random.default_rng(11), len(small_dataset), n_init=20, n_test=40
         )
-        cfg = ALConfig(max_iterations=10, use_workspace=use_workspace)
+        cfg = ALConfig(
+            max_iterations=10, surrogate_options={"use_workspace": use_workspace}
+        )
         base = ActiveLearner(
             small_dataset,
             part,

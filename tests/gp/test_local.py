@@ -125,6 +125,7 @@ class TestLocalGPRegressor:
 
 class TestLocalGPInActiveLearning:
     def test_model_factory_hook(self, small_dataset):
+        """The loop builds the local model from its registry name."""
         from repro.core import ActiveLearner, ALConfig, MaxSigma, random_partition
 
         rng = np.random.default_rng(3)
@@ -136,9 +137,11 @@ class TestLocalGPInActiveLearning:
             rng=rng,
             config=ALConfig(
                 max_iterations=8,
-                model_factory=lambda: LocalGPRegressor(n_regions=3, rng=rng),
+                surrogate="local",
+                surrogate_options={"n_regions": 3, "n_restarts": 1},
             ),
         )
+        assert isinstance(learner.gpr_cost, LocalGPRegressor)
         traj = learner.run()
         assert len(traj) == 8
         assert np.all(np.isfinite(traj.rmse_cost))

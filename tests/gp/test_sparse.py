@@ -167,7 +167,8 @@ class TestApiLoop:
             rng=rng,
             config=ALConfig(
                 max_iterations=6,
-                model_factory=lambda: SparseGPRegressor(n_inducing=20, rng=rng),
+                surrogate="sparse",
+                surrogate_options={"n_inducing": 20},
             ),
         )
         traj = learner.run()

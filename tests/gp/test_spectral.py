@@ -101,22 +101,3 @@ class TestApi:
             SpectralGPRegressor(n_frequencies=0, rng=rng)
         with pytest.raises(ValueError):
             SpectralGPRegressor(rng=None)
-
-    def test_works_in_active_learning(self, small_dataset):
-        from repro.core import ActiveLearner, ALConfig, MaxSigma, random_partition
-
-        rng = np.random.default_rng(4)
-        part = random_partition(rng, len(small_dataset), n_init=25, n_test=30)
-        learner = ActiveLearner(
-            small_dataset,
-            part,
-            policy=MaxSigma(),
-            rng=rng,
-            config=ALConfig(
-                max_iterations=5,
-                model_factory=lambda: SpectralGPRegressor(n_frequencies=40, rng=rng),
-            ),
-        )
-        traj = learner.run()
-        assert len(traj) == 5
-        assert np.all(np.isfinite(traj.rmse_cost))

@@ -133,7 +133,8 @@ class TestPrediction:
             rng=rng,
             config=ALConfig(
                 max_iterations=5,
-                model_factory=lambda: TreedGPRegressor(max_leaf_size=80, rng=rng),
+                surrogate="treed",
+                surrogate_options={"max_leaf_size": 80, "n_restarts": 1},
             ),
         )
         traj = learner.run()

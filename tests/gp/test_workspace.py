@@ -250,7 +250,9 @@ class TestTrajectoryParity:
                 part,
                 policy_cls(),
                 rng,
-                config=ALConfig(max_iterations=12, use_workspace=use_ws),
+                config=ALConfig(
+                    max_iterations=12, surrogate_options={"use_workspace": use_ws}
+                ),
             )
             traj = learner.run()
             return traj, learner.gpr_cost.kernel_.theta, learner.gpr_mem.kernel_.theta
@@ -268,3 +270,39 @@ class TestTrajectoryParity:
         assert counts["ws_extend"] > 0
         assert counts["lml_eval"] > 0
         obs.METRICS.reset()
+
+
+class TestSwitchReachesEveryBackend:
+    """``surrogate_options={"use_workspace": False}`` is the one way to
+    turn the workspace off in the loop, so it must reach the models of
+    every backend, and the models must then take no workspace path."""
+
+    @pytest.mark.parametrize("use_ws", [True, False])
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"surrogate": "dense"},
+            {"surrogate": "iterative"},
+            {"surrogate": "sparse"},
+            {"surrogate": "local"},
+            {"surrogate": "treed"},
+            {"num_fidelities": 2, "batch_size": 2},
+        ],
+        ids=["dense", "iterative", "sparse", "local", "treed", "multifidelity"],
+    )
+    def test_option_reaches_models_and_counters(self, small_dataset, fields, use_ws):
+        switch = {} if use_ws else {"surrogate_options": {"use_workspace": False}}
+        cfg = ALConfig(max_iterations=3, n_restarts=0, **fields, **switch)
+        rng = np.random.default_rng(5)
+        part = random_partition(rng, len(small_dataset), n_init=20, n_test=30)
+        learner = ActiveLearner(cfg.priced(small_dataset), part, rng=rng, config=cfg)
+        assert learner.gpr_cost.use_workspace is use_ws
+        assert learner.gpr_mem.use_workspace is use_ws
+        obs.METRICS.reset()
+        learner.run()
+        ws = {
+            k: v for k, v in obs.METRICS.counters().items()
+            if k.startswith("ws_") and v
+        }
+        obs.METRICS.reset()
+        assert bool(ws) is use_ws, ws

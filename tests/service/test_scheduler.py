@@ -1,10 +1,9 @@
 """Property tests for the campaign queue's scheduling invariants.
 
-Three contracts, each checked over hypothesis-generated budget vectors:
-priority order within a round (most remaining node-hours first), round-
-robin starvation freedom (re-entering at ``round + 1`` means nobody laps
-anybody), and backpressure (the ready heap never exceeds capacity and
-nothing parked is ever lost).
+Two contracts, each checked over hypothesis-generated budget vectors:
+priority order within a round (most remaining node-hours first), and
+round-robin starvation freedom (re-entering at ``round + 1`` means nobody
+laps anybody).
 """
 
 from __future__ import annotations
@@ -83,37 +82,3 @@ class TestStarvationFreedom:
         q.push(cid, 1.0, 0, round_=round_ + 1)
         q.push("late", 1e9, 1)  # round floor is still 0
         assert q.pop()[0] == "late"
-
-
-class TestBackpressure:
-    @given(
-        capacity=st.integers(min_value=1, max_value=5),
-        remaining=budgets_st,
-    )
-    @settings(max_examples=50, deadline=None)
-    def test_ready_heap_bounded_and_nothing_lost(self, capacity, remaining):
-        q = CampaignQueue(capacity)
-        parked = 0
-        for i, r in enumerate(remaining):
-            admitted = q.push(f"c{i}", r, i)
-            parked += not admitted
-            assert q.ready_size <= capacity
-        assert q.parked_total == parked == max(0, len(remaining) - capacity)
-        assert len(q) == len(remaining)
-        out = []
-        while (nxt := q.pop()) is not None:
-            out.append(nxt[0])
-            assert q.ready_size <= capacity
-        assert sorted(out) == sorted(f"c{i}" for i in range(len(remaining)))
-
-    def test_backlog_admits_fifo(self):
-        q = CampaignQueue(1)
-        q.push("a", 1.0, 0)
-        q.push("parked-first", 1.0, 1)
-        q.push("parked-second", 1e9, 2)
-        assert q.backlog_size == 2
-        assert [q.pop()[0] for _ in range(3)] == ["a", "parked-first", "parked-second"]
-
-    def test_capacity_must_be_positive(self):
-        with pytest.raises(ValueError):
-            CampaignQueue(0)

@@ -8,6 +8,7 @@ land on the same global registry state).
 
 from __future__ import annotations
 
+import dataclasses
 import pickle
 
 import numpy as np
@@ -132,6 +133,32 @@ class TestFailurePaths:
             }
         assert got == reference_selections
 
+    def test_unpicklable_job_fails_only_its_campaign(
+        self, small_dataset, reference_selections
+    ):
+        """A job that cannot be pickled to the one worker (a lambda policy
+        factory) fails its campaign at dispatch; the worker, still idle,
+        takes the next campaign, and the others select what they select
+        inline."""
+        specs = make_specs()
+        lam = dataclasses.replace(
+            specs[0], campaign_id="lambda", policy_factory=lambda: RandUniform()
+        )
+        with CampaignService(small_dataset, workers=1, steps_per_slice=2) as svc:
+            for spec in [lam, *specs]:
+                svc.submit(spec)
+            report = svc.run()
+            failure = svc.result("lambda")
+            got = {
+                s.campaign_id: tuple(svc.result(s.campaign_id).selected_indices)
+                for s in specs
+            }
+        assert report.campaigns["lambda"] == "failed"
+        assert report.slices_discarded == 0
+        assert isinstance(failure, TrajectoryFailure)
+        assert "pickle" in failure.error.lower()
+        assert got == reference_selections
+
     def test_inline_exception_fails_without_retry(self, small_dataset):
         spec = CampaignSpec(
             campaign_id="exploder",
@@ -183,17 +210,6 @@ class TestLifecycle:
             svc.run()
             with pytest.raises(ServiceError):
                 svc.pause("camp-0")
-
-    def test_queue_backpressure_parks_submissions(self, small_dataset):
-        specs = make_specs(5)
-        with CampaignService(
-            small_dataset, steps_per_slice=3, queue_capacity=2
-        ) as svc:
-            for spec in specs:
-                svc.submit(spec)
-            assert svc._queue.parked_total >= 3
-            report = svc.run()
-        assert set(report.campaigns.values()) == {"done"}
 
     def test_max_slices_bounds_commits(self, small_dataset):
         with CampaignService(small_dataset, steps_per_slice=1) as svc:
