@@ -522,8 +522,11 @@ def _run_slice(dataset: Dataset, job: dict) -> tuple[str, dict]:
 
     A slice is a pure function of its input checkpoint: restore (or
     cold-start) the learner, advance at most ``job["steps"]`` steps,
-    re-serialize.  Exceptions become a :class:`TrajectoryFailure` under
-    ``"failure"`` — raising across a pipe would lose the traceback — so
+    re-serialize.  A slice that finishes its campaign re-serializes only
+    when ``job["keep_finished_blob"]`` says the parent keeps finished
+    blobs (it has a store to write them to); otherwise it ships
+    ``blob=None``, since nothing would read it.  Exceptions become a
+    :class:`TrajectoryFailure` under ``"failure"`` — raising across a pipe would lose the traceback — so
     a poisoned policy costs one campaign, never the fleet.  Either way
     the result carries, under ``"obs"``, the metrics and spans the slice
     recorded (unless chaos dropped them), and the registry is left empty
@@ -548,8 +551,10 @@ def _run_slice(dataset: Dataset, job: dict) -> tuple[str, dict]:
                 steps_done += 1
         finished = learner.finished
         trajectory = learner.finalize() if finished else None
-        with obs.span("campaign_dump", cat="service", campaign=cid):
-            blob = dumps_campaign(learner, dataset)
+        blob = None
+        if not finished or job["keep_finished_blob"]:
+            with obs.span("campaign_dump", cat="service", campaign=cid):
+                blob = dumps_campaign(learner, dataset)
         status, value = "ok", {
             "cid": cid,
             "blob": blob,
@@ -1024,7 +1029,12 @@ class CampaignService:
     # ------------------------------------------------------------- submission
 
     def submit(self, spec: CampaignSpec) -> str:
-        """Register a campaign and enqueue it; returns its id."""
+        """Register a campaign and enqueue it; returns its id.
+
+        With a store, the first checkpoint is written before the
+        campaign is registered: a spec that does not pickle raises here
+        and leaves neither a listed campaign nor a file behind.
+        """
         if spec.campaign_id in self._campaigns:
             raise ValueError(f"campaign {spec.campaign_id!r} already exists")
         rec = _Campaign(
@@ -1040,13 +1050,13 @@ class CampaignService:
                 None if self.store is None else policy_fingerprint(spec)
             ),
         )
+        self._checkpoint(rec)
         self._seq += 1
         self._campaigns[spec.campaign_id] = rec
         self._queue.push(
             spec.campaign_id, rec.ledger.remaining_node_hours, rec.seq, round_=rec.round
         )
         obs.incr("service.campaign.submitted")
-        self._checkpoint(rec)
         return spec.campaign_id
 
     def _fresh_chaos_rng(self, seq: int) -> np.random.Generator | None:
@@ -1346,6 +1356,8 @@ class CampaignService:
             "directive": ticket.directive,
             "sleep_s": sleep_s,
             "drop_obs": ticket.directive == "rss_lost",
+            # Only a checkpoint reads a finished campaign's blob.
+            "keep_finished_blob": self.store is not None,
         }
 
     # ------------------------------------------------------------ transitions

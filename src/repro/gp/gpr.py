@@ -28,10 +28,10 @@ import scipy.linalg
 from scipy.linalg import cho_solve, cholesky, solve_triangular
 from scipy.linalg.blas import dger
 from scipy.linalg.lapack import dpotrf, dpotri, dpotrs
-from scipy.optimize import minimize
 
 from repro import obs
 from repro.gp.kernels import Kernel, KernelWorkspace, default_kernel
+from repro.gp.optimize import lbfgsb
 from repro.registry import register_surrogate
 
 #: Jitter ladder tried when the covariance is numerically indefinite.
@@ -590,15 +590,8 @@ class GPRegressor:
             lml, grad = self._lml(theta, X, yc, eval_gradient=True, ws=ws)
             return -lml, -grad
 
-        theta0 = np.clip(theta0, bounds[:, 0], bounds[:, 1])
-        res = minimize(
-            objective,
-            theta0,
-            method="L-BFGS-B",
-            jac=True,
-            bounds=bounds,
-        )
-        return res.x, -float(res.fun)
+        theta, f = lbfgsb(objective, theta0, bounds)
+        return theta, -float(f)
 
     # ---------------------------------------------------------------- predict
 

@@ -53,7 +53,6 @@ import time
 import numpy as np
 from scipy.linalg import cho_solve, cholesky, eigh_tridiagonal, solve_triangular
 from scipy.linalg.blas import dgemm
-from scipy.optimize import minimize
 
 from repro import obs
 from repro.gp.gpr import _CHOL_ERRORS, GPRegressor
@@ -64,6 +63,7 @@ from repro.gp.kernels import (
     WhiteKernel,
     _grow_square,
 )
+from repro.gp.optimize import lbfgsb
 from repro.registry import register_surrogate
 
 __all__ = [
@@ -645,21 +645,16 @@ class IterativeGPRegressor(GPRegressor):
             lml, grad = self._lml_stochastic(theta, X, yc, ws, Z, buf)
             return -lml, -grad
 
-        theta0 = np.clip(start.theta, bounds[:, 0], bounds[:, 1])
         with obs.span("stochastic_fit", cat="gp", n=n):
-            res = minimize(
-                objective, theta0, method="L-BFGS-B", jac=True, bounds=bounds
-            )
-            best_theta, best_lml = res.x, -float(res.fun)
+            best_theta, f = lbfgsb(objective, start.theta, bounds)
+            best_lml = -float(f)
             restarts = self.n_restarts if self._fit_count == 0 else 0
             for _ in range(restarts):
                 assert self.rng is not None
                 t0 = self.rng.uniform(bounds[:, 0], bounds[:, 1])
-                res = minimize(
-                    objective, t0, method="L-BFGS-B", jac=True, bounds=bounds
-                )
-                if -float(res.fun) > best_lml:
-                    best_theta, best_lml = res.x, -float(res.fun)
+                theta, f = lbfgsb(objective, t0, bounds)
+                if -float(f) > best_lml:
+                    best_theta, best_lml = theta, -float(f)
         return start.with_theta(best_theta)
 
     def _lml_stochastic(self, theta, X, yc, ws, Z, inner):

@@ -25,9 +25,14 @@ evaluation is a scale-exp pass over preallocated buffers, and the LML
 gradient trace ``tr(inner · ∂K/∂θ_j)`` is computed *fused* per component
 (:meth:`KernelWorkspace.grad_dot`) instead of materializing the dense
 ``(n, n, n_theta)`` stack that ``__call__(eval_gradient=True)`` returns.
-The direct ``__call__`` path stays untouched as the reference
-implementation; workspace parity against it is pinned at ≤ 1e-10 relative
-by ``tests/gp/test_workspace.py``.
+The direct ``__call__`` path is the reference implementation; workspace
+parity against it is pinned at ≤ 1e-10 relative by
+``tests/gp/test_workspace.py``.  Without gradients it is also the path
+every cross covariance takes (candidate caches, predictions), so it
+builds ``Constant * k + White`` in one pass: no constant or white matrix
+is materialized and the distance and exponential passes run in place,
+with each element getting the same IEEE operations as the plain
+expressions (byte identity pinned by ``tests/gp/test_kernel_call.py``).
 """
 
 from __future__ import annotations
@@ -51,16 +56,18 @@ def _sqdist(X: np.ndarray, Y: np.ndarray, length_scale: np.ndarray) -> np.ndarra
     """Pairwise squared distances of scaled inputs, shape (n, m).
 
     Vectorized via the ||a||^2 + ||b||^2 - 2 a.b expansion; clipped at zero
-    to kill the tiny negatives floating-point cancellation produces.
+    to kill the tiny negatives floating-point cancellation produces.  Two
+    (n, m) arrays are allocated and every further pass runs in place;
+    each element gets the same operations, in the same order, as
+    ``maximum((|a|^2 + |b|^2) - 2.0 * (a @ b), 0.0)``.
     """
     Xs = X / length_scale
     Ys = Y / length_scale
-    d = (
-        np.sum(Xs**2, axis=1)[:, None]
-        + np.sum(Ys**2, axis=1)[None, :]
-        - 2.0 * (Xs @ Ys.T)
-    )
-    return np.maximum(d, 0.0)
+    d = np.sum(Xs**2, axis=1)[:, None] + np.sum(Ys**2, axis=1)[None, :]
+    ab = Xs @ Ys.T
+    ab *= 2.0
+    d -= ab
+    return np.maximum(d, 0.0, out=d)
 
 
 class Kernel(ABC):
@@ -241,9 +248,11 @@ class RBF(Kernel):
             # Kill the ~1e-16 cancellation residue of the expansion: exact
             # zeros on the diagonal keep sqrt-based gradients clean.
             np.fill_diagonal(d2, 0.0)
-        K = np.exp(-0.5 * d2)
         if not eval_gradient:
-            return K
+            # The distances are not needed again: exponentiate in place.
+            d2 *= -0.5
+            return np.exp(d2, out=d2)
+        K = np.exp(-0.5 * d2)
         if Y is not None:
             raise ValueError("gradients only defined for K(X, X)")
         if not self.anisotropic:
@@ -350,11 +359,25 @@ class _Composite(Kernel):
 
 
 class Sum(_Composite):
-    """``k1 + k2``."""
+    """``k1 + k2``.
+
+    Without gradients a :class:`WhiteKernel` term is never materialized:
+    a cross covariance is the other term's matrix (``k + 0.0 == k`` for
+    the stationary kernels' values, all ``>= +0``), and a square one gets
+    the noise added on its diagonal in place.
+    """
 
     def __call__(self, X, Y=None, eval_gradient: bool = False):
         if not eval_gradient:
-            return self.k1(X, Y) + self.k2(X, Y)
+            for white, other in ((self.k2, self.k1), (self.k1, self.k2)):
+                if isinstance(white, WhiteKernel):
+                    K = other(X, Y)
+                    if Y is None:
+                        K.flat[:: K.shape[0] + 1] += white.noise_level
+                    return K
+            K = self.k1(X, Y)
+            K += self.k2(X, Y)
+            return K
         K1, G1 = self.k1(X, Y, eval_gradient=True)
         K2, G2 = self.k2(X, Y, eval_gradient=True)
         return K1 + K2, np.concatenate([G1, G2], axis=2)
@@ -364,11 +387,23 @@ class Sum(_Composite):
 
 
 class Product(_Composite):
-    """``k1 * k2`` with the product-rule gradient."""
+    """``k1 * k2`` with the product-rule gradient.
+
+    Without gradients a :class:`ConstantKernel` factor is never
+    materialized: the other factor's fresh matrix is scaled in place
+    (``c * k == k * c`` bit for bit).
+    """
 
     def __call__(self, X, Y=None, eval_gradient: bool = False):
         if not eval_gradient:
-            return self.k1(X, Y) * self.k2(X, Y)
+            for const, other in ((self.k1, self.k2), (self.k2, self.k1)):
+                if isinstance(const, ConstantKernel):
+                    K = other(X, Y)
+                    K *= const.constant
+                    return K
+            K = self.k1(X, Y)
+            K *= self.k2(X, Y)
+            return K
         K1, G1 = self.k1(X, Y, eval_gradient=True)
         K2, G2 = self.k2(X, Y, eval_gradient=True)
         K = K1 * K2

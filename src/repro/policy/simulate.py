@@ -22,6 +22,7 @@ consumers never pay the service import.
 from __future__ import annotations
 
 import functools
+import tempfile
 
 import numpy as np
 
@@ -103,30 +104,31 @@ def generate_decisions(
     if memory_limit_MB is None:
         memory_limit_MB = dataset.memory_limit()
     cfg = ALConfig(max_iterations=iterations)
-    svc = CampaignService(dataset, store=None, steps_per_slice=steps_per_slice)
-    ids = []
-    for i in range(n_campaigns):
-        ids.append(
-            svc.submit(
-                CampaignSpec(
-                    campaign_id=f"sim-{i}",
-                    policy_factory=functools.partial(
-                        RecordingRGMA, memory_limit_MB=memory_limit_MB
-                    ),
-                    base_seed=base_seed,
-                    traj_index=i,
-                    n_init=n_init,
-                    n_test=n_test,
-                    config=cfg,
-                )
-            )
+    specs = [
+        CampaignSpec(
+            campaign_id=f"sim-{i}",
+            policy_factory=functools.partial(
+                RecordingRGMA, memory_limit_MB=memory_limit_MB
+            ),
+            base_seed=base_seed,
+            traj_index=i,
+            n_init=n_init,
+            n_test=n_test,
+            config=cfg,
         )
-    svc.run()
-
+        for i in range(n_campaigns)
+    ]
     decisions: list[tuple[np.ndarray, int]] = []
-    for cid in ids:
-        learner = loads_campaign(svc._campaigns[cid].blob, dataset)
-        decisions.extend(learner.policy.decisions)
+    # The decisions ride the learner, and only a service with a store
+    # keeps a finished campaign's learner: checkpoint to a scratch store.
+    with tempfile.TemporaryDirectory(prefix="repro-simulate-") as root:
+        svc = CampaignService(dataset, store=root, steps_per_slice=steps_per_slice)
+        for spec in specs:
+            svc.submit(spec)
+        svc.run()
+        for spec in specs:
+            blob = svc.store.load(spec.campaign_id)["blob"]
+            decisions.extend(loads_campaign(blob, dataset).policy.decisions)
     return DecisionLog.from_decisions(
         decisions,
         meta={

@@ -145,11 +145,30 @@ class TestSpanMerge:
         slices = {s.track for s in spans if s.name == "campaign_slice"}
         dumps = {s.track for s in spans if s.name == "campaign_dump"}
         # All three lanes ship their spans: the exploding run's slice
-        # span closes on the way out of the raise, but only the two clean
-        # specs go on to dump their learner.
+        # span closes on the way out of the raise.  No lane dumps its
+        # learner: the clean specs finish in their one slice, and a
+        # store-free service keeps no finished blob.
         assert slices == {1, 2, 3}
-        assert dumps == {1, 2}
+        assert dumps == set()
         assert any(s.name == "al_iteration" and s.track == 3 for s in spans)
+
+    def test_finished_campaigns_ship_no_blob(self, small_dataset):
+        """Nothing reads a finished trajectory's learner blob, so no
+        worker dumps one; the pooled results still equal the serial run."""
+        spans = self._traced_run(small_dataset, _specs(3))
+        assert {s.name for s in spans} >= {"campaign_slice", "al_iteration"}
+        assert not [s for s in spans if s.name == "campaign_dump"]
+        pooled = run_trajectories(small_dataset, _specs(3), max_workers=WORKERS)
+        serial = run_trajectories(small_dataset, _specs(3), max_workers=1)
+        assert [name for name, _ in pooled] == [name for name, _ in serial]
+        for (_, a), (_, b) in zip(pooled, serial):
+            # Field by field, NaN equal to NaN (unweighted runs record NaN).
+            np.testing.assert_equal(
+                [dataclasses.astuple(r) for r in a.records],
+                [dataclasses.astuple(r) for r in b.records],
+            )
+            assert a.initial_rmse_cost == b.initial_rmse_cost
+            assert a.initial_rmse_mem == b.initial_rmse_mem
 
     def test_serial_run_keeps_the_callers_spans(self, small_dataset):
         """A serial run inside an open caller span leaves the caller's

@@ -288,6 +288,29 @@ class TestKillResume:
             assert info.status == "done"
             assert info.iterations == 5
 
+    @pytest.mark.parametrize("workers", [0, 2])
+    def test_store_keeps_a_finished_campaigns_blob(
+        self, tmp_path, small_dataset, workers
+    ):
+        """A store-backed service still writes the learner of a campaign
+        that finished; resuming and auditing a store read that blob."""
+        spec = make_specs(1)[0]
+        with CampaignService(
+            small_dataset, store=tmp_path, workers=workers, steps_per_slice=2
+        ) as svc:
+            svc.submit(spec)
+            svc.run()
+            traj = svc.result(spec.campaign_id)
+        payload = CheckpointStore(tmp_path).load(spec.campaign_id)
+        assert payload["status"] == "done"
+        learner = loads_campaign(payload["blob"], small_dataset)
+        # Field by field, NaN equal to NaN (unweighted runs record NaN).
+        np.testing.assert_equal(
+            [dataclasses.astuple(r) for r in learner.records],
+            [dataclasses.astuple(r) for r in traj.records],
+        )
+        assert len(traj.records) == 5
+
     def test_budget_exhaustion_survives_resume(self, tmp_path, small_dataset):
         tiny = CampaignSpec(
             campaign_id="tiny-budget",

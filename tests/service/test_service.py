@@ -187,6 +187,28 @@ class TestLifecycle:
             with pytest.raises(KeyError):
                 svc.result("nope")
 
+    def test_unpicklable_spec_is_not_registered_with_a_store(
+        self, small_dataset, reference_selections, tmp_path
+    ):
+        """With a store, a spec that does not pickle fails at submit,
+        before the campaign is listed or queued: the service runs on, and
+        the store holds nothing under the bad id."""
+        good = make_specs(1)[0]
+        bad = dataclasses.replace(
+            good, campaign_id="lambda", policy_factory=lambda: RandUniform()
+        )
+        with CampaignService(small_dataset, store=tmp_path, steps_per_slice=2) as svc:
+            with pytest.raises((pickle.PicklingError, AttributeError, TypeError)):
+                svc.submit(bad)
+            assert svc.campaigns() == []
+            assert svc.run().campaigns == {}
+            svc.submit(good)
+            svc.run()
+            got = tuple(svc.result(good.campaign_id).selected_indices)
+            assert svc.store.campaign_ids() == [good.campaign_id]
+        assert got == reference_selections[good.campaign_id]
+        assert not (tmp_path / "lambda.ckpt").exists()
+
     def test_pause_holds_and_resume_releases(self, small_dataset, reference_selections):
         specs = make_specs(2)
         with CampaignService(small_dataset, steps_per_slice=2) as svc:
