@@ -35,6 +35,7 @@ from pathlib import Path
 
 import numpy as np
 
+from repro import obs
 from repro.gp import GPRegressor, IterativeGPRegressor, SparseGPRegressor
 from repro.gp.surrogate import cross_points
 
@@ -51,6 +52,12 @@ PARITY_ROUNDS = 20
 FIT_N = 600
 
 CHECKPOINTS_BY_SCALE = {"quick": (600,), "full": (600, 5000, 20000)}
+#: The iterative backend's work, as counted in repro.obs (precond_rank is
+#: a gauge), reported for the last checkpoint.
+ITER_COUNTERS = (
+    "ws_hit", "ws_extend", "ws_rebuild",
+    "cg_solves", "cg_iters", "lanczos_steps", "precond_rank", "matvecs",
+)
 
 BENCH_JSON = Path(__file__).parent.parent / "BENCH_select.json"
 
@@ -148,13 +155,13 @@ def test_perf_selection_throughput(report):
         sps = {}
         setup = {}
         for name in ("dense", "iterative", "sparse"):
+            obs.reset()
             model, setup_s = _setup_backend(name, kernel, X[:n], y[:n])
+            if name == "iterative":
+                work = {**obs.counters(), **obs.gauges()}
+                iter_counters = {k: int(work.get(k, 0)) for k in ITER_COUNTERS}
             sps[name] = _selections_per_sec(model, U)
             setup[name] = setup_s
-            if name == "iterative":
-                iter_counters = {
-                    k: int(v) for k, v in model.workspace_counters().items()
-                }
         speedup = sps["iterative"] / sps["dense"]
         rows.append(
             f"{n:>8}  {sps['dense']:>10.1f}  {sps['iterative']:>12.1f}  "

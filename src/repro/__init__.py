@@ -41,7 +41,6 @@ from repro.core import (
     BatchResult,
     MaxSigma,
     MinPred,
-    POLICIES,
     Partition,
     RGMA,
     RandGoodness,
@@ -79,7 +78,6 @@ __all__ = [
     "BatchResult",
     "MaxSigma",
     "MinPred",
-    "POLICIES",
     "Partition",
     "RGMA",
     "RandGoodness",

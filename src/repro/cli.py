@@ -34,7 +34,7 @@ import sys
 import numpy as np
 
 from repro import obs
-from repro.core import ActiveLearner, ALConfig, POLICIES, random_partition
+from repro.core import ActiveLearner, ALConfig, RandGoodness, random_partition
 from repro.data import load_csv, load_npz, render_table1, run_campaign, save_csv, save_npz
 from repro.faults import AcquisitionFaultModel, FaultConfig, RetryPolicy
 from repro.registry import policy_registry, surrogate_registry
@@ -464,7 +464,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
     learner = ActiveLearner(
         dataset,
         partition,
-        policy=POLICIES["rand_goodness"](),
+        policy=RandGoodness(),
         rng=rng,
         config=ALConfig(
             max_iterations=args.iterations,
@@ -663,47 +663,47 @@ def cmd_campaign_submit(args: argparse.Namespace) -> int:
     with _service_from_args(args) as service:
         try:
             cfg = _selection_config(args, max_iterations=args.iterations)
+            name, opts = cfg.policy, dict(cfg.policy_options)
+            policy_cls = policy_registry.get(name)
+            if name in ("rgma", "portfolio", "amortized"):
+                opts.setdefault("memory_limit_MB", service.dataset.memory_limit())
+            if name == "amortized":
+                path = opts.pop("policy_file", None)
+                if not path:
+                    print(
+                        "error: --policy amortized requires a policy file: "
+                        "pass --policy amortized,policy_file=PATH "
+                        "(train one with `python -m repro.policy train`)",
+                        file=sys.stderr,
+                    )
+                    return 2
+                from repro.policy import load_amortized_policy
+
+                factory = functools.partial(
+                    load_amortized_policy,
+                    path,
+                    memory_limit_MB=opts["memory_limit_MB"],
+                    epsilon=float(opts.get("epsilon", 0.05)),
+                )
+            else:
+                factory = functools.partial(policy_cls, **opts) if opts else policy_cls
+            spec = CampaignSpec(
+                campaign_id=args.id,
+                policy_factory=factory,
+                base_seed=args.base_seed,
+                traj_index=args.traj_index,
+                n_init=args.n_init,
+                n_test=args.n_test,
+                config=cfg,
+                budget_node_hours=(
+                    args.budget if args.budget is not None else float("inf")
+                ),
+                steps_per_slice=args.steps_per_slice,
+            )
+            service.submit(spec)
         except (KeyError, ValueError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
-        name, opts = cfg.policy, dict(cfg.policy_options)
-        policy_cls = policy_registry.get(name)
-        if name in ("rgma", "portfolio", "amortized"):
-            opts.setdefault("memory_limit_MB", service.dataset.memory_limit())
-        if name == "amortized":
-            path = opts.pop("policy_file", None)
-            if not path:
-                print(
-                    "error: --policy amortized requires a policy file: "
-                    "pass --policy amortized,policy_file=PATH "
-                    "(train one with `python -m repro.policy train`)",
-                    file=sys.stderr,
-                )
-                return 2
-            from repro.policy import load_amortized_policy
-
-            factory = functools.partial(
-                load_amortized_policy,
-                path,
-                memory_limit_MB=opts["memory_limit_MB"],
-                epsilon=float(opts.get("epsilon", 0.05)),
-            )
-        else:
-            factory = functools.partial(policy_cls, **opts) if opts else policy_cls
-        spec = CampaignSpec(
-            campaign_id=args.id,
-            policy_factory=factory,
-            base_seed=args.base_seed,
-            traj_index=args.traj_index,
-            n_init=args.n_init,
-            n_test=args.n_test,
-            config=cfg,
-            budget_node_hours=(
-                args.budget if args.budget is not None else float("inf")
-            ),
-            steps_per_slice=args.steps_per_slice,
-        )
-        service.submit(spec)
         print(f"submitted {args.id} ({name}, "
               f"max_iterations={args.iterations})")
     return 0

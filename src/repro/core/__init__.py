@@ -36,7 +36,6 @@ from repro.core.policies import (
     MinPred,
     RandGoodness,
     RGMA,
-    POLICIES,
 )
 from repro.core.metrics import (
     rmse_nonlog,
@@ -95,7 +94,6 @@ __all__ = [
     "MinPred",
     "RandGoodness",
     "RGMA",
-    "POLICIES",
     "rmse_nonlog",
     "cumulative_cost",
     "cumulative_regret",

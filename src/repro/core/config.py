@@ -158,7 +158,7 @@ class ALConfig:
             raise ValueError("batch_size must be >= 1")
         if (
             self.round_budget_node_hours is not None
-            and self.round_budget_node_hours <= 0
+            and not self.round_budget_node_hours > 0
         ):
             raise ValueError("round_budget_node_hours must be positive (or None)")
         schedule = tuple(

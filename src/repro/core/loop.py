@@ -63,7 +63,7 @@ class CandidateCovarianceCache:
     - ``Ks`` depends only on the kernel and the point sets — *not* on the
       factorization — so a jitter-ladder or full-refactor fallback in
       the model never stales the cache.
-    - Models without a ``predict_from_cross`` surface (e.g.
+    - Models that do not declare ``supports_cross`` (e.g.
       :class:`repro.gp.local.LocalGPRegressor`) bypass the cache entirely.
     """
 
@@ -275,9 +275,7 @@ class ActiveLearner:
         )
 
         self.scaler = DesignTransform(dataset.bounds, log2_columns=cfg.log2_features)
-        self._U = self.scaler.transform(dataset.X)  # all features, unit cube
-        self._log_cost = dataset.log_cost()
-        self._log_mem = dataset.log_mem()
+        self._derive_columns()
         # Sub-top fidelities (F > 1 only): priced surfaces and the points
         # observed at each rung.  The top fidelity lives in the lists below.
         self._mf = mf if cfg.num_fidelities > 1 else None
@@ -331,13 +329,28 @@ class ActiveLearner:
         self._prev_rmse = (float("nan"), float("nan"), float("nan"))
         self._memory_limit: float | None = None
 
-    @property
-    def hyper_refit_interval(self) -> int:
-        return self.config.hyper_refit_interval
+    def _derive_columns(self) -> None:
+        """Derive the dataset columns the loop reads.
 
-    @property
-    def on_failure(self) -> FailurePolicy:
-        return self.config.on_failure
+        Every feature scaled into the unit cube, and the log10 responses:
+        all three are functions of ``dataset`` and ``scaler``.
+        """
+        self._U = self.scaler.transform(self.dataset.X)
+        self._log_cost = self.dataset.log_cost()
+        self._log_mem = self.dataset.log_mem()
+
+    def __getstate__(self) -> dict:
+        # A checkpoint carries no copy of the dataset: the service interns
+        # the dataset itself, and the columns read from it are rebuilt on
+        # restore, bit for bit.
+        state = self.__dict__.copy()
+        del state["_U"], state["_log_cost"], state["_log_mem"]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        # Blobs written before carry the columns; identical ones replace them.
+        self._derive_columns()
 
     # ---------------------------------------------------------------- helpers
 

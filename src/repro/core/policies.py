@@ -204,7 +204,7 @@ class RGMA:
     name = "rgma"
 
     def __init__(self, memory_limit_MB: float, base: float = 10.0) -> None:
-        if memory_limit_MB <= 0:
+        if not memory_limit_MB > 0:
             raise ValueError("memory limit must be positive")
         self.memory_limit_MB = float(memory_limit_MB)
         self.base = float(base)
@@ -224,13 +224,3 @@ class RGMA:
             view.mu_cost[satisfying], view.sigma_cost[satisfying], self.base
         )
         return int(satisfying[rng.choice(satisfying.size, p=g)])
-
-
-#: Registry keyed by policy name; values are the policy classes.
-POLICIES: dict[str, type] = {
-    RandUniform.name: RandUniform,
-    MaxSigma.name: MaxSigma,
-    MinPred.name: MinPred,
-    RandGoodness.name: RandGoodness,
-    RGMA.name: RGMA,
-}

@@ -219,7 +219,7 @@ class CampaignSpec:
             raise ValueError(
                 f"campaign_id {self.campaign_id!r} may only contain [A-Za-z0-9._-]"
             )
-        if self.budget_node_hours <= 0:
+        if not self.budget_node_hours > 0:
             raise ValueError("budget_node_hours must be positive")
         if self.n_init < 1 or self.n_test < 1:
             raise ValueError("n_init and n_test must be positive")
@@ -299,7 +299,7 @@ class ChaosConfig:
     timeout_kill_s: float = 0.25
 
     def __post_init__(self) -> None:
-        if self.step_wall_seconds <= 0:
+        if not self.step_wall_seconds > 0:
             raise ValueError("step_wall_seconds must be positive")
         if self.slice_rss_base_MB < 0 or self.slice_rss_per_step_MB < 0:
             raise ValueError("slice rss model must be non-negative")
@@ -540,7 +540,6 @@ def _run_slice(dataset: Dataset, job: dict) -> tuple[str, dict]:
             else:
                 learner = loads_campaign(job["blob"], dataset)
         n_before = len(learner.records)
-        steps_done = 0
         with obs.span(
             "campaign_slice", cat="service", campaign=cid, steps=job["steps"]
         ):
@@ -548,7 +547,6 @@ def _run_slice(dataset: Dataset, job: dict) -> tuple[str, dict]:
             for _ in range(job["steps"]):
                 if not learner.step():
                     break
-                steps_done += 1
         finished = learner.finished
         trajectory = learner.finalize() if finished else None
         blob = None
@@ -564,7 +562,6 @@ def _run_slice(dataset: Dataset, job: dict) -> tuple[str, dict]:
                 int(r.dataset_index) for r in learner.records[n_before:]
             ],
             "iterations": learner.iteration,
-            "steps_done": steps_done,
             "cum_cost": learner.cumulative_cost_spent,
             "finished": finished,
             "trajectory": trajectory,
@@ -597,11 +594,10 @@ def _campaign_worker_main(conn, rank: int, trace_enabled: bool) -> None:
     """Entry point of one campaign worker (must be importable).
 
     Protocol: ``("dataset", ds)`` installs the shared dataset (doubles as
-    the readiness handshake), ``("slice", job)`` runs one slice,
-    ``("ping", None)`` is liveness, and ``("close", None)`` is shutdown,
-    answered with the worker's peak resident set (a forkserver worker is
-    reaped by the server, so the parent's ``RUSAGE_CHILDREN`` never
-    covers it).
+    the readiness handshake), ``("slice", job)`` runs one slice, and
+    ``("close", None)`` is shutdown, answered with the worker's peak
+    resident set (a forkserver worker is reaped by the server, so the
+    parent's ``RUSAGE_CHILDREN`` never covers it).
     Chaos directives ride on the job: ``crash`` hard-kills the process
     (``os._exit`` — the parent sees EOF, exactly like a node failure),
     ``oom`` aborts before any work, ``timeout`` sleeps past the parent's
@@ -620,9 +616,6 @@ def _campaign_worker_main(conn, rank: int, trace_enabled: bool) -> None:
             break
         if cmd == "dataset":
             dataset = payload
-            conn.send(("ok", rank))
-            continue
-        if cmd == "ping":
             conn.send(("ok", rank))
             continue
         if cmd != "slice":
@@ -864,7 +857,6 @@ class _Campaign:
     blob: bytes | None = None
     n_records: int = 0
     iterations: int = 0
-    steps_done: int = 0
     slice_steps: int = 1
     slice_index: int = 0
     attempt: int = 0
@@ -897,22 +889,6 @@ class CampaignInfo:
     faults: int
     stop_reason: str | None
 
-    def as_dict(self) -> dict:
-        return {
-            "campaign_id": self.campaign_id,
-            "status": self.status,
-            "iterations": self.iterations,
-            "records": self.records,
-            "round": self.round,
-            "budget_node_hours": self.budget_node_hours,
-            "committed_node_hours": self.committed_node_hours,
-            "wasted_node_hours": self.wasted_node_hours,
-            "remaining_node_hours": self.remaining_node_hours,
-            "queue_wait_seconds": self.queue_wait_seconds,
-            "faults": self.faults,
-            "stop_reason": self.stop_reason,
-        }
-
 
 @dataclass(frozen=True)
 class ServiceReport:
@@ -930,14 +906,6 @@ class ServiceReport:
     @property
     def failed(self) -> int:
         return sum(1 for s in self.campaigns.values() if s == "failed")
-
-    def as_dict(self) -> dict:
-        return {
-            "slices_committed": self.slices_committed,
-            "slices_discarded": self.slices_discarded,
-            "fault_counts": dict(self.fault_counts),
-            "campaigns": dict(self.campaigns),
-        }
 
 
 class CampaignService:
@@ -1391,7 +1359,6 @@ class CampaignService:
         rec.blob = value["blob"]
         rec.n_records = value["n_records"]
         rec.iterations = value["iterations"]
-        rec.steps_done += value["steps_done"]
         rec.slice_index += 1
         rec.attempt = 0
         self._keep_observability(rec, value["obs"])
@@ -1542,7 +1509,6 @@ class CampaignService:
             "blob": rec.blob,
             "n_records": rec.n_records,
             "iterations": rec.iterations,
-            "steps_done": rec.steps_done,
             "slice_steps": rec.slice_steps,
             "slice_index": rec.slice_index,
             "attempt": rec.attempt,
@@ -1614,7 +1580,6 @@ class CampaignService:
                 blob=payload["blob"],
                 n_records=payload["n_records"],
                 iterations=payload["iterations"],
-                steps_done=payload["steps_done"],
                 slice_steps=payload["slice_steps"],
                 slice_index=payload["slice_index"],
                 attempt=payload["attempt"],

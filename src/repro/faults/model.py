@@ -104,13 +104,13 @@ class FaultConfig:
                 raise ValueError(f"{name} must be in [0, 1]")
         if not 0.0 < self.crash_wall_fraction <= 1.0:
             raise ValueError("crash_wall_fraction must be in (0, 1]")
-        if self.oom_memory_limit_MB is not None and self.oom_memory_limit_MB <= 0:
+        if self.oom_memory_limit_MB is not None and not self.oom_memory_limit_MB > 0:
             raise ValueError("oom_memory_limit_MB must be positive")
-        if self.timeout_wall_seconds is not None and self.timeout_wall_seconds <= 0:
+        if self.timeout_wall_seconds is not None and not self.timeout_wall_seconds > 0:
             raise ValueError("timeout_wall_seconds must be positive")
-        if self.straggler_slowdown <= 1.0:
+        if not self.straggler_slowdown > 1.0:
             raise ValueError("straggler_slowdown must exceed 1")
-        if self.rss_lost_wall_threshold_s < 0:
+        if not self.rss_lost_wall_threshold_s >= 0:
             raise ValueError("rss_lost_wall_threshold_s must be non-negative")
 
     @property
@@ -168,11 +168,6 @@ class FaultEvent:
     nodes: int = 1
     backoff_seconds: float = 0.0
     detail: str = ""
-
-    @property
-    def lost_node_hours(self) -> float:
-        """Node-hours the fault wasted (the regret metric's currency)."""
-        return self.lost_wall_seconds * self.nodes / 3600.0
 
 
 @dataclass(frozen=True, slots=True)

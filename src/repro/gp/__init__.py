@@ -20,6 +20,8 @@ Public API
   :func:`cross_points` / :func:`cross_appends` / :func:`cross_version`
   basis probes) — the protocol every model family satisfies (the surface
   the AL loop relies on) and the sanctioned cross-covariance probes.
+  Models keep no work counts of their own: workspace reuse, CG and
+  Lanczos work and sparse appends are counted in :mod:`repro.obs`.
 - :class:`IterativeGPRegressor` — the large-n fast path: preconditioned
   CG solves, pivoted-Cholesky/Woodbury variance, stochastic Lanczos /
   Hutchinson LML above its exact crossover, matrix-free matvecs above its

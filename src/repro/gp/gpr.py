@@ -121,10 +121,6 @@ class GPRegressor:
         #: optimizer's own factorization instead of rebuilding it.
         self._eval_stash: tuple | None = None
         self._stash_armed = False
-        #: Per-model workspace-acquisition counts (the global obs counters
-        #: aggregate across models; these answer "how did *this* model's
-        #: fits get their workspace" — the Surrogate protocol surface).
-        self._ws_counters = {"ws_hit": 0, "ws_extend": 0, "ws_rebuild": 0}
         if self.n_restarts > 0 and rng is None:
             raise ValueError("n_restarts > 0 requires an rng")
         self.kernel_: Kernel | None = None
@@ -572,9 +568,7 @@ class GPRegressor:
         if not self.use_workspace:
             return None
         if self._ws is not None and self._ws.matches(kernel):
-            mode = f"ws_{self._ws.update(X)}"
-            obs.incr(mode)
-            self._ws_counters[mode] += 1
+            obs.incr(f"ws_{self._ws.update(X)}")
             return self._ws
         try:
             self._ws = kernel.prepare(X)
@@ -582,7 +576,6 @@ class GPRegressor:
             self.use_workspace = False
             return None
         obs.incr("ws_rebuild")
-        self._ws_counters["ws_rebuild"] += 1
         return self._ws
 
     def _optimize(self, theta0, X, yc, bounds, ws=None) -> tuple[np.ndarray, float]:
@@ -656,16 +649,6 @@ class GPRegressor:
     def supports_cross(self) -> bool:
         """Exact-GP surface: :meth:`predict_from_cross` is available."""
         return True
-
-    def workspace_counters(self) -> dict[str, int]:
-        """How this model's fits obtained their kernel workspace.
-
-        ``{"ws_hit", "ws_extend", "ws_rebuild"}`` counts (the
-        :data:`repro.obs.METRICS` workspace counters); all zero when ``use_workspace`` is
-        off or no fit has run.  Part of the
-        :class:`repro.gp.surrogate.Surrogate` protocol.
-        """
-        return dict(self._ws_counters)
 
     def sample_y(self, X, rng: np.random.Generator, n_samples: int = 1) -> np.ndarray:
         """Draw functions from the posterior (or prior) at ``X``.

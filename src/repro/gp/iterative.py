@@ -535,14 +535,6 @@ class IterativeGPRegressor(GPRegressor):
         self.probe_seed = int(probe_seed)
         self.max_dense_bytes = float(max_dense_bytes)
         self.sod_max = int(sod_max)
-        #: Iterative-solver counters, merged into :meth:`workspace_counters`.
-        self._iter_counters = {
-            "cg_solves": 0,
-            "cg_iters": 0,
-            "lanczos_steps": 0,
-            "precond_rank": 0,
-            "matvecs": 0,
-        }
         self._pc: PivotedCholesky | None = None
         self._wb: _Woodbury | None = None
         #: Capacity buffer for the dense-structure kernel matrix, and the
@@ -578,10 +570,8 @@ class IterativeGPRegressor(GPRegressor):
     def _count(self, **kv: int) -> None:
         for key, val in kv.items():
             if key == "precond_rank":
-                self._iter_counters[key] = int(val)
                 obs.gauge("precond_rank", float(val))
             else:
-                self._iter_counters[key] += int(val)
                 obs.incr(key, int(val))
 
     def _flush_op(self, op: KernelOperator) -> None:
@@ -727,8 +717,6 @@ class IterativeGPRegressor(GPRegressor):
         )
         with obs.span("sod_fit", cat="gp", n=n_sod):
             helper.fit(X[idx], y[idx])
-        for key, val in helper.workspace_counters().items():
-            self._ws_counters[key] += val
         assert helper.kernel_ is not None
         return helper.kernel_
 
@@ -955,17 +943,3 @@ class IterativeGPRegressor(GPRegressor):
             raise np.linalg.LinAlgError("posterior covariance not PSD")
         z = rng.standard_normal((n_samples, X.shape[0]))
         return mean[None, :] + z @ L.T
-
-    # ----------------------------------------------------------- utilities
-
-    def workspace_counters(self) -> dict[str, int]:
-        """Workspace counts plus the iterative-solver counters.
-
-        Superset of the :class:`GPRegressor` surface: ``ws_hit`` /
-        ``ws_extend`` / ``ws_rebuild`` plus ``cg_solves`` / ``cg_iters`` /
-        ``lanczos_steps`` / ``precond_rank`` (rank of the current
-        preconditioner) / ``matvecs``.
-        """
-        out = dict(self._ws_counters)
-        out.update({k: int(v) for k, v in self._iter_counters.items()})
-        return out

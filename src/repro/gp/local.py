@@ -167,14 +167,6 @@ class LocalGPRegressor:
     def predict_from_cross(self, Ks, prior_diag, return_std: bool = False):
         raise NotImplementedError("LocalGPRegressor has no cross-covariance path")
 
-    def workspace_counters(self) -> dict[str, int]:
-        """Summed workspace counts of the per-region models."""
-        total = {"ws_hit": 0, "ws_extend": 0, "ws_rebuild": 0}
-        for gp in self.models_:
-            for key, n in gp.workspace_counters().items():
-                total[key] += n
-        return total
-
     def predict(self, X, return_std: bool = False):
         """Blend the nearest regions' predictions by inverse distance."""
         X = np.asarray(X, dtype=np.float64)

@@ -370,15 +370,6 @@ class MultiFidelityGPRegressor(GPRegressor):
         """The fitted level-to-level regression scalars (read-only view)."""
         return self._rhos.copy()
 
-    def workspace_counters(self) -> dict[str, int]:
-        if self.num_fidelities == 1 or not self._levels:
-            return super().workspace_counters()
-        totals = {"ws_hit": 0, "ws_extend": 0, "ws_rebuild": 0}
-        for model in self._levels:
-            for key, value in model.workspace_counters().items():
-                totals[key] = totals.get(key, 0) + value
-        return totals
-
     def log_marginal_likelihood(self, theta, eval_gradient: bool = False):
         if self.num_fidelities == 1:
             return super().log_marginal_likelihood(theta, eval_gradient)

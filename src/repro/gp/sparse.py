@@ -136,11 +136,6 @@ class SparseGPRegressor:
         #: Basis epoch: bumped whenever the inducing set moves, so cached
         #: cross rows against it are invalidated exactly then.
         self.cross_version_ = 0
-        #: Workspace counts accumulated across *all* subset-of-data fits
-        #: (each fit uses a fresh inner GPRegressor), plus sparse-path
-        #: counters — the Surrogate workspace_counters surface.
-        self._ws_counters = {"ws_hit": 0, "ws_extend": 0, "ws_rebuild": 0}
-        self._sparse_counters = {"sparse_appends": 0, "sparse_reclusters": 0}
         self.last_factor_mode_ = ""
 
     # ------------------------------------------------------------------ fit
@@ -176,8 +171,6 @@ class SparseGPRegressor:
                 use_workspace=self.use_workspace,
             )
             exact.fit(X[sod], y[sod])
-            for key, val in exact.workspace_counters().items():
-                self._ws_counters[key] = self._ws_counters.get(key, 0) + val
             self.kernel_ = exact.kernel_
             # 2. Inducing points at k-means centroids.
             self._recluster(X)
@@ -215,7 +208,6 @@ class SparseGPRegressor:
         k = min(self.n_inducing, X.shape[0])
         self.inducing_, _ = kmeans(X, k, self.rng)
         self.cross_version_ += 1
-        self._sparse_counters["sparse_reclusters"] += 1
         obs.incr("sparse_recluster")
 
     def _can_append(self, X: np.ndarray) -> bool:
@@ -244,7 +236,6 @@ class SparseGPRegressor:
         self.X_train_ = X
         self.y_train_ = y
         self._refresh_solution()
-        self._sparse_counters["sparse_appends"] += 1
         obs.incr("sparse_append")
 
     def _factorize(self, X: np.ndarray, y: np.ndarray) -> None:
@@ -295,17 +286,6 @@ class SparseGPRegressor:
     def cross_points_(self) -> np.ndarray | None:
         """Predictions read query points only through ``K_*m`` vs these."""
         return self.inducing_
-
-    def workspace_counters(self) -> dict[str, int]:
-        """Accumulated workspace counts of every subset-of-data fit.
-
-        Superset of the :class:`GPRegressor` surface: the ``ws_*`` keys
-        summed over all inner SOD fits, plus ``sparse_appends`` /
-        ``sparse_reclusters`` (how refactors maintained the DTC factors).
-        """
-        out = dict(self._ws_counters)
-        out.update(self._sparse_counters)
-        return out
 
     def predict_from_cross(self, Ks, prior_diag, return_std: bool = False):
         """Predict from precomputed ``K_*m`` against the inducing set.

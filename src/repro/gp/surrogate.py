@@ -1,18 +1,18 @@
 """The ``Surrogate`` protocol: what the AL loop requires of a model.
 
-Historically :class:`~repro.core.loop.ActiveLearner` and
-:class:`~repro.core.loop.CandidateCovarianceCache` duck-typed their models
-with scattered ``hasattr`` checks (``predict_from_cross`` here,
-``is_fitted`` there).  This module names the contract instead:
+:class:`~repro.core.loop.ActiveLearner` and
+:class:`~repro.core.loop.CandidateCovarianceCache` talk to their models
+only through this contract:
 
 - :class:`Surrogate` — a :class:`typing.Protocol` (``runtime_checkable``)
   listing the full surface the loop touches: ``fit`` / ``refactor`` /
-  ``predict`` / ``predict_from_cross``, the ``is_fitted`` /
-  ``supports_cross`` / ``use_workspace`` flags, and the
-  ``workspace_counters()`` introspection hook.
+  ``predict`` / ``predict_from_cross`` and the ``is_fitted`` /
+  ``supports_cross`` / ``use_workspace`` flags.  How much work a model
+  did (workspace hits, extensions and rebuilds, CG solves, sparse
+  appends) is counted in :mod:`repro.obs`, not on the model.
 - :func:`supports_cross` — the single place that decides whether a model
-  offers the exact-GP cross-covariance fast path, replacing the ad-hoc
-  ``hasattr(model, "predict_from_cross")`` probes.
+  offers the exact-GP cross-covariance fast path: the model's declared
+  ``supports_cross``.
 
 All built-in model families satisfy the protocol:
 :class:`~repro.gp.gpr.GPRegressor` and
@@ -92,10 +92,6 @@ class Surrogate(Protocol):
         """
         ...
 
-    def workspace_counters(self) -> dict[str, int]:
-        """``{"ws_hit", "ws_extend", "ws_rebuild"}`` workspace-path counts."""
-        ...
-
 
 def build_surrogate(
     name: str,
@@ -142,15 +138,10 @@ def build_surrogate(
 def supports_cross(model: Any) -> bool:
     """Does ``model`` offer the exact-GP cross-covariance fast path?
 
-    The one sanctioned probe (replacing scattered ``hasattr`` checks):
-    honours an explicit ``supports_cross`` attribute when present and
-    falls back to ``hasattr(model, "predict_from_cross")`` for
-    third-party models predating the protocol.
+    The model's declared ``supports_cross``; a model that declares
+    nothing gets no cross path, so its candidates are not cached.
     """
-    flag = getattr(model, "supports_cross", None)
-    if flag is None:
-        return hasattr(model, "predict_from_cross")
-    return bool(flag)
+    return bool(getattr(model, "supports_cross", False))
 
 
 def cross_points(model: Any) -> np.ndarray | None:

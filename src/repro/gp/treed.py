@@ -148,24 +148,6 @@ class TreedGPRegressor:
     def predict_from_cross(self, Ks, prior_diag, return_std: bool = False):
         raise NotImplementedError("TreedGPRegressor has no cross-covariance path")
 
-    def workspace_counters(self) -> dict[str, int]:
-        """Summed workspace counts of the leaf models."""
-        total = {"ws_hit": 0, "ws_extend": 0, "ws_rebuild": 0}
-
-        def walk(node: _Node | None) -> None:
-            if node is None:
-                return
-            if node.is_leaf:
-                assert node.model is not None
-                for key, n in node.model.workspace_counters().items():
-                    total[key] += n
-            else:
-                walk(node.left)
-                walk(node.right)
-
-        walk(self.root_)
-        return total
-
     def _route(self, node: _Node, x: np.ndarray) -> _Node:
         while not node.is_leaf:
             node = node.left if x[node.feature] <= node.threshold else node.right

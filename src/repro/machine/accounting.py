@@ -125,7 +125,7 @@ class CampaignLedger:
     queue_wait_seconds: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.budget_node_hours <= 0:
+        if not self.budget_node_hours > 0:
             raise ValueError("budget_node_hours must be positive")
 
     @property
@@ -152,15 +152,6 @@ class CampaignLedger:
     def wait(self, seconds: float) -> None:
         """Account retry backoff (queue-side delay, not machine time)."""
         self.queue_wait_seconds += seconds
-
-    def as_dict(self) -> dict:
-        """JSON-able dump for checkpoints and the CLI listing."""
-        return {
-            "budget_node_hours": self.budget_node_hours,
-            "committed_node_hours": self.committed_node_hours,
-            "wasted_node_hours": self.wasted_node_hours,
-            "queue_wait_seconds": self.queue_wait_seconds,
-        }
 
 
 def filter_usable(records: list[JobRecord]) -> list[JobRecord]:

@@ -63,7 +63,6 @@ from repro.obs.recorder import (
     snapshot_state,
     span,
     timed,
-    timer,
     tracer,
     tracing_enabled,
 )
@@ -95,7 +94,6 @@ __all__ = [
     "snapshot_state",
     "span",
     "timed",
-    "timer",
     "tracer",
     "tracing_enabled",
     "validate_chrome_trace",

@@ -132,11 +132,6 @@ def gauge(name: str, value: float) -> None:
     METRICS.gauge(name, value)
 
 
-def timer(phase: str):
-    """Metrics-only timer against the global registry (perf shim API)."""
-    return METRICS.timer(phase)
-
-
 def add(phase: str, seconds: float, calls: int = 1) -> None:
     METRICS.add(phase, seconds, calls)
 

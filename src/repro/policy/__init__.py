@@ -19,7 +19,7 @@ import os
 import warnings
 
 from repro.core.config import ALConfig
-from repro.core.policies import POLICIES, RGMA
+from repro.core.policies import RGMA
 from repro.data.dataset import Dataset
 from repro.policy.amortized import AmortizedPolicy, load_amortized_policy
 from repro.policy.features import FEATURE_NAMES, FeatureExtractor, PolicyContext

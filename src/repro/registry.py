@@ -1,10 +1,10 @@
 """Decorator-registered component registries for policies and surrogates.
 
-The selection policy and surrogate backends used to be wired through
-hand-maintained string tables (``ALConfig._SURROGATES``, the
-``make_policy`` if/else chain, per-backend CLI flag groups).  Every new
-component meant touching all three.  This module replaces that with two
-registries populated by decorators at class-definition time::
+The two registries below are the only name -> component tables: config
+validation, :func:`repro.policy.make_policy`, the CLI's choices and the
+campaign service all resolve names through them, and no module keeps a
+second table of its own.  They are populated by decorators at
+class-definition time::
 
     from repro.registry import register_surrogate
 

@@ -64,8 +64,6 @@ class TestLearnerIntegration:
         assert learner.config.hyper_refit_interval == 4
         assert learner.config.n_restarts == 0
         assert learner.config.weight_rmse_by_cost is True
-        # Legacy instance attributes stay readable.
-        assert learner.hyper_refit_interval == 4
 
     def test_config_object_path(self, small_dataset, rng):
         cfg = ALConfig(max_iterations=2, n_restarts=0, surrogate="iterative")

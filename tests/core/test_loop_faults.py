@@ -48,7 +48,7 @@ class TestBitIdentityWhenOff:
 
     def test_on_failure_string_normalized(self, small_dataset):
         learner = _learner(small_dataset, on_failure="impute")
-        assert learner.on_failure is FailurePolicy.IMPUTE
+        assert learner.config.on_failure is FailurePolicy.IMPUTE
         with pytest.raises(ValueError):
             _learner(small_dataset, on_failure="retry_forever")
 

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.policies import (
-    POLICIES,
     CandidateView,
     MaxSigma,
     MinPred,
@@ -15,6 +14,7 @@ from repro.core.policies import (
     RandUniform,
     goodness_distribution,
 )
+from repro.registry import policy_registry
 
 
 def make_view(mu_cost, sigma_cost=None, mu_mem=None, sigma_mem=None):
@@ -185,7 +185,7 @@ class TestRGMA:
 
 class TestRegistry:
     def test_all_five_present(self):
-        assert set(POLICIES) == {
+        assert set(policy_registry) >= {
             "rand_uniform",
             "max_sigma",
             "min_pred",
@@ -194,5 +194,5 @@ class TestRegistry:
         }
 
     def test_names_match_classes(self):
-        for name, cls in POLICIES.items():
-            assert cls.name == name
+        for name in policy_registry:
+            assert policy_registry.get(name).name == name

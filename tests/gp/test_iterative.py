@@ -25,6 +25,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import cho_factor, cho_solve
 
+from repro import obs
 from repro.gp.gpr import GPRegressor
 from repro.gp.iterative import (
     IterativeGPRegressor,
@@ -325,15 +326,12 @@ class TestModelParity:
         np.testing.assert_array_equal(a.predict(X[:9]), b.predict(X[:9]))
 
     def test_workspace_counters_superset(self):
+        """The solver's work reaches ``obs``: CG solves and the preconditioner."""
         X, y = _data(50, seed=18)
-        model = IterativeGPRegressor(n_restarts=0).fit(X, y)
-        counters = model.workspace_counters()
-        assert set(counters) >= {
-            "ws_hit", "ws_extend", "ws_rebuild",
-            "cg_solves", "cg_iters", "lanczos_steps", "precond_rank", "matvecs",
-        }
-        assert counters["cg_solves"] >= 1
-        assert counters["precond_rank"] >= 1
+        obs.reset()
+        IterativeGPRegressor(n_restarts=0).fit(X, y)
+        assert obs.counters()["cg_solves"] >= 1
+        assert obs.gauges()["precond_rank"] >= 1
 
 
 class TestNoiseFreeDiag:

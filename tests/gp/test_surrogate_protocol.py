@@ -8,6 +8,7 @@ same shape/behaviour contract here.
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.gp import (
     GPRegressor,
     SparseGPRegressor,
@@ -70,12 +71,15 @@ class TestProtocolConformance:
         assert model.predict(X[:5]).shape == (5,)
 
     def test_workspace_counters_schema(self, model, data):
+        # Models keep no counts of their own: every fit, also one made by an
+        # inner model (regions, leaves, levels, subset-of-data helpers),
+        # counts how it obtained its kernel workspace in repro.obs.
         X, y = data
+        obs.reset()
         model.fit(X, y)
-        counters = model.workspace_counters()
-        # Every model reports the three workspace-path counts; backends may
-        # add their own keys on the same surface (cg_iters, sparse_appends).
-        assert set(counters) >= {"ws_hit", "ws_extend", "ws_rebuild"}
+        counters = obs.counters()
+        ws = ("ws_hit", "ws_extend", "ws_rebuild")
+        assert sum(counters.get(k, 0) for k in ws) >= 1
         assert all(isinstance(v, int) and v >= 0 for v in counters.values())
 
     def test_use_workspace_member(self, model):
@@ -138,15 +142,17 @@ class TestCrossCovarianceSupport:
 
 
 class TestSupportsCrossHelper:
-    def test_falls_back_to_hasattr(self):
-        class Legacy:
+    def test_undeclared_models_get_no_cross_path(self):
+        # Only a declared ``supports_cross`` opts a model into the candidate
+        # cache; having a ``predict_from_cross`` method is not a declaration.
+        class Undeclared:
             def predict_from_cross(self, Ks, prior_diag, return_std=False):
                 raise NotImplementedError
 
         class Bare:
             pass
 
-        assert supports_cross(Legacy()) is True
+        assert supports_cross(Undeclared()) is False
         assert supports_cross(Bare()) is False
 
     def test_explicit_attribute_wins(self):

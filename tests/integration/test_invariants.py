@@ -14,8 +14,8 @@ from hypothesis import strategies as st
 
 from repro.amr.transfer import prolong_patch, restrict_area_average
 from repro.core.metrics import cumulative_cost, cumulative_regret
+from repro.core.config import ALConfig
 from repro.core.policies import (
-    POLICIES,
     CandidateView,
     MaxSigma,
     MinPred,
@@ -23,8 +23,11 @@ from repro.core.policies import (
     RandGoodness,
     RandUniform,
 )
+from repro.core.service import CampaignSpec, ChaosConfig
+from repro.faults.model import FaultConfig
 from repro.gp.gpr import GPRegressor
 from repro.gp.kernels import default_kernel
+from repro.machine.accounting import CampaignLedger
 
 finite_mu = st.floats(min_value=-4.0, max_value=4.0)
 
@@ -130,13 +133,80 @@ class TestMetricBookkeeping:
 class TestRegistryCompleteness:
     def test_policies_constructible_and_runnable(self, small_dataset):
         """Every registered policy survives a 3-iteration AL run."""
-        from repro.core import ActiveLearner, ALConfig, random_partition
+        from repro.core import ActiveLearner, random_partition
+        from repro.registry import policy_registry
 
-        for name, cls in POLICIES.items():
+        for name in policy_registry:
             rng = np.random.default_rng(1)
             part = random_partition(rng, len(small_dataset), n_init=15, n_test=30)
-            policy = cls(memory_limit_MB=50.0) if name == "rgma" else cls()
-            traj = ActiveLearner(
-                small_dataset, part, policy, rng, config=ALConfig(max_iterations=3)
-            ).run()
-            assert traj.policy_name == name
+            config = ALConfig(max_iterations=3, policy=name)
+            expected = name
+            if name == "amortized":
+                # Without a policy file, serving falls back to RGMA.
+                with pytest.warns(RuntimeWarning, match="falling back to RGMA"):
+                    learner = ActiveLearner(small_dataset, part, rng=rng, config=config)
+                expected = "rgma"
+            else:
+                learner = ActiveLearner(small_dataset, part, rng=rng, config=config)
+            assert learner.run().policy_name == expected
+
+
+NAN = float("nan")
+
+
+class TestNaNIsRejected:
+    """Every positivity check fails NaN, which compares false to anything."""
+
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            pytest.param(
+                lambda: CampaignSpec("c", RandUniform, budget_node_hours=NAN),
+                "budget_node_hours must be positive",
+                id="CampaignSpec.budget_node_hours",
+            ),
+            pytest.param(
+                lambda: CampaignLedger(budget_node_hours=NAN),
+                "budget_node_hours must be positive",
+                id="CampaignLedger.budget_node_hours",
+            ),
+            pytest.param(
+                lambda: ALConfig(round_budget_node_hours=NAN),
+                "round_budget_node_hours must be positive",
+                id="ALConfig.round_budget_node_hours",
+            ),
+            pytest.param(
+                lambda: RGMA(memory_limit_MB=NAN),
+                "memory limit must be positive",
+                id="RGMA.memory_limit_MB",
+            ),
+            pytest.param(
+                lambda: FaultConfig(oom_memory_limit_MB=NAN),
+                "oom_memory_limit_MB must be positive",
+                id="FaultConfig.oom_memory_limit_MB",
+            ),
+            pytest.param(
+                lambda: FaultConfig(timeout_wall_seconds=NAN),
+                "timeout_wall_seconds must be positive",
+                id="FaultConfig.timeout_wall_seconds",
+            ),
+            pytest.param(
+                lambda: FaultConfig(straggler_slowdown=NAN),
+                "straggler_slowdown must exceed 1",
+                id="FaultConfig.straggler_slowdown",
+            ),
+            pytest.param(
+                lambda: FaultConfig(rss_lost_wall_threshold_s=NAN),
+                "rss_lost_wall_threshold_s must be non-negative",
+                id="FaultConfig.rss_lost_wall_threshold_s",
+            ),
+            pytest.param(
+                lambda: ChaosConfig(FaultConfig(), step_wall_seconds=NAN),
+                "step_wall_seconds must be positive",
+                id="ChaosConfig.step_wall_seconds",
+            ),
+        ],
+    )
+    def test_constructor_rejects_nan(self, build, message):
+        with pytest.raises(ValueError, match=message):
+            build()

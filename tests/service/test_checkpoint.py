@@ -30,20 +30,25 @@ from repro.core import (
     loads_campaign,
 )
 from repro.core import service as service_module
-from repro.core.loop import CandidateCovarianceCache
+from repro.core.loop import ActiveLearner, CandidateCovarianceCache
+from repro.core.online import OnlineActiveLearner
 from repro.core.trajectory import IterationRecord
 from repro.data import CampaignConfig, run_campaign
 from repro.gp.gpr import GPRegressor
 from repro.gp.kernels import _WsNode
+from repro.machine.runner import JobRunner
 
+from tests.core.test_online import SMALL_SPACE
 from tests.service.conftest import make_specs
+from tests.service.test_mf_campaign import mf_spec
 
 
 def _use_uncompacted_layout(monkeypatch) -> None:
     """Pickle learners in the layout of version-2 blobs written before
     compaction: every object's full ``__dict__`` (Cholesky capacity
-    buffer, LML scratch, untrimmed workspace structure and scratch)."""
-    for cls in (GPRegressor, _WsNode, CandidateCovarianceCache):
+    buffer, LML scratch, untrimmed workspace structure and scratch, the
+    learner's copy of the dataset's columns)."""
+    for cls in (GPRegressor, _WsNode, CandidateCovarianceCache, ActiveLearner):
         monkeypatch.delattr(cls, "__getstate__")
 
 
@@ -105,6 +110,40 @@ class TestBlobRoundTrip:
         assert dumped.rng.bit_generator.state == plain.rng.bit_generator.state
         np.testing.assert_array_equal(
             dumped.finalize().selected_indices, plain.finalize().selected_indices
+        )
+
+    @pytest.mark.parametrize("kind", ["offline", "portfolio", "online"])
+    def test_dataset_columns_are_rebuilt_not_stored(self, small_dataset, kind):
+        """The blob carries no copy of the dataset's scaled features or log
+        responses; the restored learner rebuilds them byte for byte."""
+        if kind == "online":
+            live = OnlineActiveLearner(
+                JobRunner(), RandUniform(), np.random.default_rng(5),
+                space=SMALL_SPACE, n_init=4, n_eval=10, max_runs=4,
+            )
+            dataset = live.dataset
+        else:
+            dataset = small_dataset
+            spec = make_specs(1)[0]
+            if kind == "portfolio":
+                spec = mf_spec(small_dataset.memory_limit())
+            live = build_learner(spec, dataset)
+        live.start()
+        for _ in range(2):
+            assert live.step()
+        columns = ("_U", "_log_cost", "_log_mem")
+        assert not set(columns) & set(live.__getstate__())
+        restored = loads_campaign(dumps_campaign(live, dataset), dataset)
+        for name in columns:
+            got, want = getattr(restored, name), getattr(live, name)
+            assert got.dtype == want.dtype and got.shape == want.shape, name
+            assert got.tobytes() == want.tobytes(), name
+        while live.step():
+            assert restored.step()
+        assert not restored.step()
+        assert restored.rng.bit_generator.state == live.rng.bit_generator.state
+        np.testing.assert_array_equal(
+            restored.finalize().selected_indices, live.finalize().selected_indices
         )
 
     def test_restored_pool_and_records_hold_plain_values(self, small_dataset):

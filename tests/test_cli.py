@@ -186,6 +186,28 @@ class TestServeCommand:
         assert "1 done, 0 failed" in out
         assert trace.exists() and metrics.exists()
 
+    @pytest.mark.parametrize(
+        "extra, message",
+        [
+            (["--budget", "0"], "budget_node_hours must be positive"),
+            (["--budget", "nan"], "budget_node_hours must be positive"),
+            (
+                ["--policy", "rgma", "--memory-limit", "nan"],
+                "memory limit must be positive",
+            ),
+        ],
+        ids=["budget-0", "budget-nan", "memory-limit-nan"],
+    )
+    def test_submit_rejects_a_spec_that_is_not_positive(
+        self, tmp_path, capsys, service_dataset_csv, extra, message
+    ):
+        from repro.core import CheckpointStore
+
+        store = str(tmp_path / "store")
+        assert _submit(store, service_dataset_csv, "c0", extra) == 2
+        assert f"error: {message}" in capsys.readouterr().err
+        assert CheckpointStore(store).campaign_ids() == []
+
     def test_pause_resume_cycle(self, tmp_path, capsys, service_dataset_csv):
         store = str(tmp_path / "store")
         assert _submit(store, service_dataset_csv, "c0") == 0
