@@ -8,9 +8,11 @@ backends, all bit-identical to each other (``tests/amr/test_batch.py``,
 - **batched numpy**: the serial batched path with the compiled kernels
   forced off (``repro.solver.kernels.load`` returning None, as on a host
   without a C compiler) — one ``(P, 4, n, n)`` stack, cache-blocked numpy
-  sweeps, the ``ExchangePlan`` ghost exchange, vectorized reductions;
+  sweeps, the ``ExchangePlan`` ghost exchange run by numpy indexing,
+  vectorized reductions;
 - **serial kernels**: the same serial batched path as it runs by default,
-  stepping through the compiled C sweep, wave-speed and exchange kernels.
+  stepping through the compiled C sweep, wave-speed and exchange kernels
+  (the same ``ExchangePlan``, run by the indexed C routines).
 
 Gates, both against the batched-numpy baseline: batched numpy >= 3x over
 per-patch, and serial kernels >= 3x.  Each backend's time is its best of

@@ -40,8 +40,17 @@ def _append_sequence(n, X, y, incremental):
     return (time.perf_counter() - t0) / APPENDS
 
 
-def _best_of(n, X, y, incremental, repeats=3):
-    return min(_append_sequence(n, X, y, incremental) for _ in range(repeats))
+def _best_of(n, X, y, repeats=3):
+    """Best (full, rank-1) seconds per append over ``repeats`` rounds.
+
+    Every round times both paths back to back, so a slow spell of a
+    shared host lands on both rather than on one path's repeats.
+    """
+    t_full = t_incr = float("inf")
+    for _ in range(repeats):
+        t_full = min(t_full, _append_sequence(n, X, y, incremental=False))
+        t_incr = min(t_incr, _append_sequence(n, X, y, incremental=True))
+    return t_full, t_incr
 
 
 def test_perf_incremental_vs_full_refactor(report):
@@ -49,8 +58,7 @@ def test_perf_incremental_vs_full_refactor(report):
     speedups = {}
     for n in SIZES:
         X, y = _problem(n)
-        t_full = _best_of(n, X, y, incremental=False)
-        t_incr = _best_of(n, X, y, incremental=True)
+        t_full, t_incr = _best_of(n, X, y)
         speedups[n] = t_full / t_incr
         rows.append(
             f"{n:>5}  {1e3 * t_full:>9.3f}  {1e3 * t_incr:>9.3f}  "

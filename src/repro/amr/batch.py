@@ -9,12 +9,14 @@ zero-copy view of its slot.  This module provides
   state to a view of it, and exposes whole-hierarchy vectorized reductions
   (``dt_from_speeds``, ``check_physical``, ``conserved_totals``,
   ``total_bytes``);
-- :class:`ExchangePlan` — a precomputed ghost-exchange program: the
-  per-face neighbor classification of
-  :func:`repro.amr.ghost.exchange_ghosts` (physical boundary, same-level,
-  coarse–fine, fine–coarse) is resolved once per regrid into index arrays,
-  and executed each step as a handful of batched gather/scatter operations
-  instead of ``4 * P`` Python-level neighbor lookups;
+- :class:`ExchangePlan` — the compiled ghost exchange: the per-face
+  neighbor classification of :func:`repro.amr.ghost.exchange_ghosts`
+  (physical boundary, same-level, coarse–fine, fine–coarse) is resolved
+  once per regrid into flat ``int32`` element indices of the stack, and
+  executed each step as a few indexed copies, gathers and scatters —
+  through the compiled kernels of :mod:`repro.solver.kernels` when they
+  load, in numpy otherwise — instead of ``4 * P`` Python-level neighbor
+  lookups;
 - :class:`StackStepper` — the one sweep and wave-speed dispatch of the
   batched driver: the compiled kernels of :mod:`repro.solver.kernels`
   when they load and implement the configured Riemann solver and
@@ -37,12 +39,20 @@ Invariants (see DESIGN.md, "Batched AMR patch kernels"):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
+from functools import lru_cache
+from types import SimpleNamespace
 from typing import Callable
 
 import numpy as np
 
-from repro.amr.ghost import CHILDREN_ON_FACE, OPPOSITE_FACE, tangential_half
+from repro.amr.ghost import (
+    CHILDREN_ON_FACE,
+    OPPOSITE_FACE,
+    take_strip,
+    tangential_half,
+    write_ghost,
+)
 from repro.amr.patch import NUM_FIELDS, Patch
 from repro.amr.transfer import prolong_patch, restrict_area_average
 from repro.mesh.forest import Forest
@@ -51,57 +61,6 @@ from repro.solver import kernels
 from repro.solver.boundary import BoundaryCondition
 from repro.solver.fv import _sweep_stack
 from repro.solver.state import IMX, IMY, primitive_from_conserved
-
-
-def take_strips(
-    stack: np.ndarray, idx: np.ndarray, face: int, width: int, mx: int, ng: int
-) -> np.ndarray:
-    """Batched :func:`repro.amr.ghost.take_strip` over stack rows ``idx``.
-
-    Returns the interior cells adjacent to ``face`` of each selected patch,
-    normalized to ``(K, 4, width, mx)``: axis 2 offset 0 touches the
-    interface and increases *into* the source patch; axis 3 is the
-    tangential coordinate.
-    """
-    lo, hi = ng, ng + mx
-    if face == 0:
-        return stack[idx, :, lo : lo + width, lo:hi]
-    if face == 1:
-        return stack[idx, :, hi - width : hi, lo:hi][:, :, ::-1, :]
-    if face == 2:
-        return np.swapaxes(stack[idx, :, lo:hi, lo : lo + width], 2, 3)
-    if face == 3:
-        return np.swapaxes(stack[idx, :, lo:hi, hi - width : hi][:, :, :, ::-1], 2, 3)
-    raise ValueError(f"face must be 0..3, got {face}")
-
-
-def write_ghosts(
-    stack: np.ndarray,
-    idx: np.ndarray,
-    face: int,
-    strips: np.ndarray,
-    mx: int,
-    ng: int,
-) -> None:
-    """Batched :func:`repro.amr.ghost.write_ghost` over stack rows ``idx``.
-
-    Scatters normalized ``(K, 4, ng, mx)`` strips into the ``face`` ghost
-    layers of each selected patch (axis 2 offset 0 touches the interface,
-    increasing outward).
-    """
-    lo, hi = ng, ng + mx
-    if strips.shape[1:] != (NUM_FIELDS, ng, mx):
-        raise ValueError(f"strip shape {strips.shape} does not match ({ng}, {mx})")
-    if face == 0:
-        stack[idx, :, :ng, lo:hi] = strips[:, :, ::-1, :]
-    elif face == 1:
-        stack[idx, :, hi:, lo:hi] = strips
-    elif face == 2:
-        stack[idx, :, lo:hi, :ng] = np.swapaxes(strips, 2, 3)[:, :, :, ::-1]
-    elif face == 3:
-        stack[idx, :, lo:hi, hi:] = np.swapaxes(strips, 2, 3)
-    else:
-        raise ValueError(f"face must be 0..3, got {face}")
 
 
 def stack_wave_speeds(
@@ -146,11 +105,6 @@ class StackStepper:
         return cls(config.ng, config.riemann, config.limiter, config.gamma)
 
     @property
-    def lib(self):
-        """The kernel library, or None when this process steps in numpy."""
-        return kernels.load()
-
-    @property
     def compiled(self) -> bool:
         """True iff sweeps and wave speeds run the compiled kernels."""
         return (
@@ -158,7 +112,7 @@ class StackStepper:
             and self.riemann in kernels.RIEMANN_IDS
             and isinstance(self.limiter, str)
             and self.limiter in kernels.LIMITER_IDS
-            and self.lib is not None
+            and kernels.load() is not None
         )
 
     def sweep(self, q: np.ndarray, dt_dx: np.ndarray, axis: int) -> None:
@@ -182,35 +136,90 @@ class StackStepper:
             sx[:], sy[:] = stack_wave_speeds(q[:, :, ng:-ng, ng:-ng], self.gamma)
 
 
-def _index_pairs(rows: list[tuple[int, ...]]) -> tuple[np.ndarray, ...]:
-    """Transpose a list of equal-length index tuples into intp arrays."""
-    return tuple(np.asarray(col, dtype=np.intp) for col in zip(*rows))
+@lru_cache(maxsize=None)
+def _interior_offsets(face: int, width: int, mx: int, ng: int) -> np.ndarray:
+    """In-patch flat offsets of the strip :func:`take_strip` reads.
+
+    Shape ``(4, width, mx)``, in the normalized strip order.
+    """
+    n = mx + 2 * ng
+    offsets = np.arange(NUM_FIELDS * n * n, dtype=np.intp)
+    patch = SimpleNamespace(q=offsets.reshape(NUM_FIELDS, n, n), mx=mx, ng=ng)
+    out = np.ascontiguousarray(take_strip(patch, face, width))
+    out.flags.writeable = False  # shared by every caller of the cache
+    return out
 
 
-@dataclass(frozen=True, slots=True)
+@lru_cache(maxsize=None)
+def _ghost_offsets(face: int, mx: int, ng: int) -> np.ndarray:
+    """In-patch flat offsets of the ``face`` ghost strip, normalized order.
+
+    :func:`write_ghost` of a normalized ``(4, ng, mx)`` strip writes its
+    element ``(f, k, t)`` to offset ``out[f, k, t]``.
+    """
+    n = mx + 2 * ng
+    size = NUM_FIELDS * ng * mx
+    patch = SimpleNamespace(
+        q=np.full((NUM_FIELDS, n, n), -1, dtype=np.intp), mx=mx, ng=ng
+    )
+    strip = np.arange(size, dtype=np.intp).reshape(NUM_FIELDS, ng, mx)
+    write_ghost(patch, face, strip)
+    element = patch.q.reshape(-1)
+    offset = np.flatnonzero(element >= 0)
+    out = np.empty(size, dtype=np.intp)
+    out[element[offset]] = offset
+    out.flags.writeable = False  # shared by every caller of the cache
+    return out.reshape(NUM_FIELDS, ng, mx)
+
+
+def _place(rows, template: np.ndarray, patch_size: int) -> np.ndarray:
+    """Stack-wide offsets ``(len(rows), *template.shape)``: one template per row."""
+    rows = np.asarray(rows, dtype=np.intp).reshape(-1, *(1,) * template.ndim)
+    return rows * patch_size + template
+
+
+def _int32(parts: list[np.ndarray], shape: tuple[int, ...]) -> np.ndarray:
+    """``parts`` stacked into one C-contiguous int32 ``(-1, *shape)`` array."""
+    return np.concatenate(
+        [p.reshape(-1, *shape) for p in parts]
+        or [np.empty((0, *shape), dtype=np.intp)],
+        dtype=np.int32,
+    )
+
+
+@dataclass(slots=True)
 class ExchangePlan:
-    """A compiled ghost-exchange program for one fixed hierarchy.
+    """The ghost exchange of one fixed hierarchy, compiled to flat indices.
 
-    Each group batches every (patch, face) pair in the same configuration:
+    Every index is an ``int32`` element offset into the flattened
+    ``(P, 4, n, n)`` stack array, and every ghost cell has one writer:
 
-    - ``physical``: ``(face, bc, dst)`` — domain-boundary faces per BC.
-    - ``same``: ``(face, dst, src)`` — same-level neighbor copies.
-    - ``coarse``: ``(face, half, dst, src)`` — fine patches interpolating
-      from a coarser neighbor, grouped by which tangential half of the
-      coarse face they touch.
-    - ``fine``: ``(face, dst, src_low, src_high)`` — coarse patches
-      restricting from their two finer neighbors (tangential order).
+    - ``copy_dst``/``copy_src``: ``flat[dst] = flat[src]`` — same-level
+      neighbors, outflow walls, and the fields of reflecting walls that
+      keep their sign;
+    - ``neg_dst``/``neg_src``: ``flat[dst] = flat[src] * -1.0`` — the
+      wall-normal momentum of reflecting walls;
+    - ``coarse_gather`` ``(K, 4, ng/2, mx/2)`` → ``coarse_scatter``
+      ``(K, 4, ng, mx)``: a fine patch's ghost strip prolonged from a
+      block of its coarser neighbor;
+    - ``fine_gather`` ``(K, 4, 2ng, mx)`` → ``fine_scatter``
+      ``(K, 4, ng, mx/2)``: one tangential half of a coarse patch's ghost
+      strip restricted from one of its two finer neighbors.
 
     All reads gather interior cells and all writes scatter ghost cells, so
-    group execution order is irrelevant.
+    the order of the four kinds cannot matter.
     """
 
-    mx: int
-    ng: int
-    physical: tuple[tuple[int, BoundaryCondition, np.ndarray], ...]
-    same: tuple[tuple[int, np.ndarray, np.ndarray], ...]
-    coarse: tuple[tuple[int, int, np.ndarray, np.ndarray], ...]
-    fine: tuple[tuple[int, np.ndarray, np.ndarray, np.ndarray], ...]
+    copy_dst: np.ndarray
+    copy_src: np.ndarray
+    neg_dst: np.ndarray
+    neg_src: np.ndarray
+    coarse_gather: np.ndarray
+    coarse_scatter: np.ndarray
+    fine_gather: np.ndarray
+    fine_scatter: np.ndarray
+    #: The kernel path's staging buffers, allocated at its first run.
+    _staging: tuple[np.ndarray, ...] = field(default=(), init=False, repr=False)
 
     @classmethod
     def build(
@@ -228,7 +237,9 @@ class ExchangePlan:
         :func:`repro.amr.ghost.exchange_ghosts`; raises ``KeyError`` if the
         forest is not 2:1 balanced (missing fine neighbor) and
         ``ValueError`` for unsupported physical BCs, so a bad hierarchy
-        fails at plan-build time rather than mid-step.
+        fails at plan-build time rather than mid-step.  The strip geometry
+        is the per-patch reference's own: :func:`take_strip` and
+        :func:`write_ghost` run on index-valued patches.
         """
         bc_objs = tuple(
             b if isinstance(b, BoundaryCondition) else BoundaryCondition(b)
@@ -240,7 +251,11 @@ class ExchangePlan:
             raise ValueError(
                 f"unsupported physical BC {unsupported[0]} (periodic needs a torus brick)"
             )
-        physical: dict[tuple[int, BoundaryCondition], list[int]] = {}
+        n = mx + 2 * ng
+        S = NUM_FIELDS * n * n
+        if len(index) * S > np.iinfo(np.int32).max:
+            raise ValueError("stack too large for int32 exchange indices")
+        physical: dict[int, list[int]] = {}
         same: dict[int, list[tuple[int, int]]] = {}
         coarse: dict[tuple[int, int], list[tuple[int, int]]] = {}
         fine: dict[int, list[tuple[int, int, int]]] = {}
@@ -248,7 +263,7 @@ class ExchangePlan:
             for face in range(4):
                 hit = forest.face_neighbor(tree, quad, face)
                 if hit is None:
-                    physical.setdefault((face, bc_objs[face]), []).append(i)
+                    physical.setdefault(face, []).append(i)
                     continue
                 ntree, nq = hit
                 opp = OPPOSITE_FACE[face]
@@ -276,68 +291,89 @@ class ExchangePlan:
                     raise KeyError(
                         f"forest not 2:1 balanced: missing neighbor leaf of {nq}"
                     ) from None
-        return cls(
-            mx=mx,
-            ng=ng,
-            physical=tuple(
-                (face, bc, np.asarray(rows, dtype=np.intp))
-                for (face, bc), rows in physical.items()
-            ),
-            same=tuple(
-                (face, *_index_pairs(rows)) for face, rows in same.items()
-            ),
-            coarse=tuple(
-                (face, half, *_index_pairs(rows))
-                for (face, half), rows in coarse.items()
-            ),
-            fine=tuple(
-                (face, *_index_pairs(rows)) for face, rows in fine.items()
-            ),
-        )
 
-    def execute(self, stack: np.ndarray) -> None:
-        """Fill every ghost strip of ``stack`` per the compiled program."""
-        mx, ng = self.mx, self.ng
-        for face, bc, dst in self.physical:
-            if bc == BoundaryCondition.OUTFLOW:
-                edge = take_strips(stack, dst, face, 1, mx, ng)
-                strips = np.repeat(edge, ng, axis=2)
-            else:  # REFLECT (others rejected at build time)
-                strips = take_strips(stack, dst, face, ng, mx, ng)
-                strips[:, IMX if face < 2 else IMY] *= -1.0
-            write_ghosts(stack, dst, face, strips, mx, ng)
-        for face, dst, src in self.same:
-            write_ghosts(
-                stack,
-                dst,
-                face,
-                take_strips(stack, src, OPPOSITE_FACE[face], ng, mx, ng),
-                mx,
-                ng,
-            )
+        # Stack-wide offsets of each field, one block per traffic group.
+        parts: dict[str, list[np.ndarray]] = {
+            f.name: [] for f in fields(cls) if f.init
+        }
         hmx = mx // 2
-        for face, half, dst, src in self.coarse:
-            wide = take_strips(stack, src, OPPOSITE_FACE[face], ng // 2, mx, ng)
-            block = np.ascontiguousarray(wide[:, :, :, half * hmx : (half + 1) * hmx])
-            write_ghosts(stack, dst, face, prolong_patch(block), mx, ng)
-        for face, dst, src_low, src_high in self.fine:
-            opp = OPPOSITE_FACE[face]
-            pieces = [
-                restrict_area_average(
-                    np.ascontiguousarray(take_strips(stack, s, opp, 2 * ng, mx, ng))
-                )
-                for s in (src_low, src_high)
-            ]
-            write_ghosts(
-                stack, dst, face, np.concatenate(pieces, axis=3)[:, :, :, :mx], mx, ng
+        for face, rows in physical.items():
+            dst = _place(rows, _ghost_offsets(face, mx, ng), S)
+            if bc_objs[face] == BoundaryCondition.OUTFLOW:
+                edge = _interior_offsets(face, 1, mx, ng)
+                src = _place(rows, np.repeat(edge, ng, axis=1), S)
+                parts["copy_dst"].append(dst)
+                parts["copy_src"].append(src)
+                continue
+            # REFLECT (others rejected above): the normal momentum flips.
+            src = _place(rows, _interior_offsets(face, ng, mx, ng), S)
+            normal = np.arange(NUM_FIELDS) == (IMX if face < 2 else IMY)
+            parts["copy_dst"].append(dst[:, ~normal])
+            parts["copy_src"].append(src[:, ~normal])
+            parts["neg_dst"].append(dst[:, normal])
+            parts["neg_src"].append(src[:, normal])
+        for face, pairs in same.items():
+            dst, src = zip(*pairs)
+            parts["copy_dst"].append(_place(dst, _ghost_offsets(face, mx, ng), S))
+            parts["copy_src"].append(
+                _place(src, _interior_offsets(OPPOSITE_FACE[face], ng, mx, ng), S)
             )
+        for (face, half), pairs in coarse.items():
+            dst, src = zip(*pairs)
+            wide = _interior_offsets(OPPOSITE_FACE[face], ng // 2, mx, ng)
+            parts["coarse_scatter"].append(_place(dst, _ghost_offsets(face, mx, ng), S))
+            parts["coarse_gather"].append(
+                _place(src, wide[:, :, half * hmx : (half + 1) * hmx], S)
+            )
+        for face, triples in fine.items():
+            dst, *sources = zip(*triples)
+            ghost = _ghost_offsets(face, mx, ng)
+            wide = _interior_offsets(OPPOSITE_FACE[face], 2 * ng, mx, ng)
+            for piece, src in enumerate(sources):
+                cols = slice(piece * hmx, (piece + 1) * hmx)
+                parts["fine_scatter"].append(_place(dst, ghost[:, :, cols], S))
+                parts["fine_gather"].append(_place(src, wide, S))
+        shapes = {
+            "coarse_gather": (NUM_FIELDS, ng // 2, hmx),
+            "coarse_scatter": (NUM_FIELDS, ng, mx),
+            "fine_gather": (NUM_FIELDS, 2 * ng, mx),
+            "fine_scatter": (NUM_FIELDS, ng, hmx),
+        }
+        return cls(**{
+            name: _int32(rows, shapes.get(name, ())) for name, rows in parts.items()
+        })
 
-    @property
-    def num_groups(self) -> int:
-        """Number of batched gather/scatter groups executed per exchange."""
-        return (
-            len(self.physical) + len(self.same) + len(self.coarse) + len(self.fine)
-        )
+    def execute(self, q: np.ndarray) -> None:
+        """Fill every ghost strip of the C-contiguous float64 stack ``q``.
+
+        Runs the compiled kernels of :mod:`repro.solver.kernels` when they
+        load, and numpy otherwise.  Both apply the same elementwise
+        operations per traffic row, so they agree bit for bit.
+        """
+        if not (q.flags.c_contiguous and q.dtype == np.float64):
+            raise ValueError("q must be C-contiguous float64")
+        flat = q.reshape(-1)
+        if kernels.load() is None:
+            flat[self.copy_dst] = flat[self.copy_src]
+            flat[self.neg_dst] = flat[self.neg_src] * -1.0
+            flat[self.coarse_scatter] = prolong_patch(flat[self.coarse_gather])
+            flat[self.fine_scatter] = restrict_area_average(flat[self.fine_gather])
+            return
+        if not self._staging:
+            self._staging = tuple(
+                np.empty(a.shape)
+                for a in (self.coarse_gather, self.coarse_scatter,
+                          self.fine_gather, self.fine_scatter)
+            )
+        coarse, prolonged, fine, restricted = self._staging
+        kernels.copy_indexed(flat, self.copy_dst, self.copy_src, 1.0)
+        kernels.copy_indexed(flat, self.neg_dst, self.neg_src, -1.0)
+        kernels.gather_indexed(flat, self.coarse_gather, coarse)
+        kernels.prolong_blocks(coarse, *coarse.shape[2:], prolonged)
+        kernels.scatter_indexed(flat, self.coarse_scatter, prolonged)
+        kernels.gather_indexed(flat, self.fine_gather, fine)
+        kernels.restrict_blocks(fine, *fine.shape[2:], restricted)
+        kernels.scatter_indexed(flat, self.fine_scatter, restricted)
 
 
 class PatchStack:

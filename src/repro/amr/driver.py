@@ -14,12 +14,11 @@ Two stepping backends are provided (``AmrConfig.batched``):
 - **batched** (default): the hierarchy's state lives in one shape-stacked
   ``(P, 4, n, n)`` array (:class:`repro.amr.batch.PatchStack`), sweeps and
   CFL wave speeds run once over the whole stack through
-  :class:`repro.amr.batch.StackStepper`, and ghost exchange executes a
-  program compiled at regrid time: the flat-index
-  :class:`repro.amr.shard.ShardProgram` run by the compiled kernels of
-  :mod:`repro.solver.kernels`, or the numpy
-  :class:`~repro.amr.batch.ExchangePlan` when no C compiler is available.
-  The physicality / conservation reductions are vectorized.
+  :class:`repro.amr.batch.StackStepper`, and ghost exchange executes the
+  flat-index :class:`repro.amr.batch.ExchangePlan` compiled at regrid
+  time, through the compiled kernels of :mod:`repro.solver.kernels`, or
+  numpy when no C compiler is available.  The physicality / conservation
+  reductions are vectorized.
 - **per-patch**: the original patch-by-patch loop, kept as the bit-identical
   reference implementation.
 
@@ -39,7 +38,6 @@ from repro import obs
 from repro.amr.batch import PatchStack, StackStepper
 from repro.amr.ghost import exchange_ghosts
 from repro.amr.patch import Patch
-from repro.amr.shard import ShardProgram, build_sharded_exchange
 from repro.amr.stats import RunStats, StepRecord
 from repro.amr.tagging import tag_for_refinement, tag_stack
 from repro.amr.transfer import prolong_child, restrict_patch
@@ -111,9 +109,6 @@ class AmrDriver:
         self.t = 0.0
         self.stats = RunStats()
         self._stack: PatchStack | None = None
-        # The compiled exchange program of the current stack; None runs
-        # the stack's numpy ExchangePlan instead.
-        self._program: ShardProgram | None = None
         self._stepper = StackStepper.from_config(config)
         # Leaves created since the forest was last balanced (children of
         # refines, coarsened parents).  Only such leaves can take part in a
@@ -189,18 +184,15 @@ class AmrDriver:
     def stack(self) -> PatchStack:
         """The current :class:`PatchStack`, (re)built if the hierarchy changed.
 
-        A rebuild also compiles the stack's exchange plan into a
-        :class:`~repro.amr.shard.ShardProgram` when the compiled kernels
-        are available to run it.
+        A rebuild also compiles the stack's ghost exchange
+        (:class:`~repro.amr.batch.ExchangePlan`).
         """
         if self._stack is None or not self._stack.covers(self.patches):
             cfg = self.config
             with obs.timed("amr_plan", cat="amr"):
-                stack = PatchStack(self.forest, self.patches, cfg.mx, cfg.ng, cfg.bcs)
-                self._program = None
-                if self._stepper.lib is not None:
-                    self._program = build_sharded_exchange(stack)
-                self._stack = stack
+                self._stack = PatchStack(
+                    self.forest, self.patches, cfg.mx, cfg.ng, cfg.bcs
+                )
         return self._stack
 
     # ------------------------------------------------------------- regridding
@@ -305,12 +297,6 @@ class AmrDriver:
     def _exchange(self) -> None:
         exchange_ghosts(self.forest, self.patches, self.config.bcs)
 
-    def _exchange_stack(self, stack: PatchStack) -> None:
-        if self._program is not None:
-            self._program.execute(stack.q)
-        else:
-            stack.exchange()
-
     def compute_dt(self, dt_max: float = np.inf) -> float:
         """Global CFL step: finest-level constraint dominates."""
         cfg = self.config
@@ -342,7 +328,7 @@ class AmrDriver:
             dt_dx = dt / stack.dx
             for axis in (0, 1):
                 with obs.timed("amr_exchange", cat="amr"):
-                    self._exchange_stack(stack)
+                    stack.exchange()
                 with obs.timed("amr_sweep", cat="amr"):
                     self._stepper.sweep(stack.q, dt_dx, axis)
         else:

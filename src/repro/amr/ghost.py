@@ -133,8 +133,9 @@ def exchange_ghosts(
 
 
 # NOTE: the per-step classification above is also resolved *once per regrid*
-# into a batched gather/scatter program by repro.amr.batch.ExchangePlan; this
-# per-patch routine is the bit-identical reference implementation.
+# into flat gather/scatter indices by repro.amr.batch.ExchangePlan, whose
+# index templates come from take_strip/write_ghost run on index-valued
+# patches; this per-patch routine is the bit-identical reference.
 
 
 def _from_coarse(

@@ -239,7 +239,7 @@ def _selection_config(args: argparse.Namespace, **fields) -> ALConfig:
     policy_name, policy_opts = _parse_selector(args.policy or default_policy)
     surrogate_name, surrogate_opts = _parse_selector(args.surrogate)
     mem_limit = getattr(args, "memory_limit", None)
-    if mem_limit:
+    if mem_limit is not None:
         policy_opts.setdefault("memory_limit_MB", mem_limit)
     return dataclasses.replace(
         cfg,
@@ -319,10 +319,9 @@ def cmd_run(args: argparse.Namespace) -> int:
             on_failure=args.on_failure,
         )
         if cfg.policy in ("rgma", "portfolio", "amortized"):
-            limit = (
-                dict(cfg.policy_options).get("memory_limit_MB")
-                or dataset.memory_limit()
-            )
+            limit = dict(cfg.policy_options).get("memory_limit_MB")
+            if limit is None:
+                limit = dataset.memory_limit()
             print(f"L_mem = {limit:.3f} MB")
         partition = random_partition(
             rng, len(dataset), n_init=args.n_init, n_test=args.n_test

@@ -493,7 +493,9 @@ class _WsNode(ABC):
     _structure: tuple[str, ...] = ()
     #: Evaluation scratch (buffers and the values ``grad_dot`` re-reads),
     #: left out of pickles: every :meth:`value` call rewrites it.
-    _SCRATCH = frozenset({"_eval_flat", "_last_K", "_last", "_Ka", "_Kb", "_K"})
+    _SCRATCH = frozenset(
+        {"_eval_flat", "_eval_views", "_cut", "_last_K", "_last", "_Ka", "_Kb", "_K"}
+    )
 
     def __getstate__(self) -> dict:
         state = {k: v for k, v in self.__dict__.items() if k not in self._SCRATCH}
@@ -534,12 +536,17 @@ class _WsNode(ABC):
         C-contiguous square, which the in-place LAPACK calls require.
         """
         n = self.n
+        views = getattr(self, "_eval_views", ())
+        if len(views) >= count and views[0].shape[0] == n:
+            return views[:count]
         flat = getattr(self, "_eval_flat", None)
         if flat is None or flat[0].size < n * n or len(flat) < count:
             cap = max(int(1.5 * n) + 8, 64)
             flat = tuple(np.empty(cap * cap) for _ in range(count))
             self._eval_flat = flat
-        return tuple(b[: n * n].reshape(n, n) for b in flat[:count])
+        # Kept until n or the flat buffers change: one reshape per size.
+        self._eval_views = tuple(b[: n * n].reshape(n, n) for b in flat)
+        return self._eval_views[:count]
 
 
 class _ConstantWs(_WsNode):
@@ -761,6 +768,11 @@ class _CompositeWs(_WsNode):
         self.a = a
         self.b = b
         self.n_theta = a.n_theta + b.n_theta
+        self._cut = a.n_theta
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._cut = self.a.n_theta
 
     def rebuild(self, X: np.ndarray) -> None:
         self.a.rebuild(X)
@@ -773,7 +785,7 @@ class _CompositeWs(_WsNode):
         self.n += X_new.shape[0]
 
     def _split(self, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return theta[: self.a.n_theta], theta[self.a.n_theta :]
+        return theta[: self._cut], theta[self._cut :]
 
 
 class _SumWs(_CompositeWs):

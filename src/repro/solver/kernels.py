@@ -3,9 +3,9 @@
 The batched :class:`~repro.amr.driver.AmrDriver` steps its shape-stacked
 hierarchy through the routines in ``_amr_kernels.c``: the fused sweep and
 the CFL wave speeds (dispatched by :class:`repro.amr.batch.StackStepper`)
-and the indexed copy, gather, prolong, restrict and scatter of a compiled
-exchange program (:class:`repro.amr.shard.ShardProgram`).  This module
-owns the build-and-load lifecycle:
+and the indexed copy, gather, prolong, restrict and scatter of the
+compiled ghost exchange (:class:`repro.amr.batch.ExchangePlan`).  This
+module owns the build-and-load lifecycle:
 
 - **Build cache** — the shared library is compiled once per source hash
   into a per-user cache directory (override with ``REPRO_KERNEL_CACHE``)

@@ -19,8 +19,9 @@ import pytest
 
 from repro.amr import AmrConfig, AmrDriver, ExchangePlan, PatchStack
 from repro.amr.ghost import exchange_ghosts
+from repro.amr.patch import NUM_FIELDS
 from repro.amr.tagging import tag_for_refinement, tag_stack
-from repro.solver import ShockBubbleProblem
+from repro.solver import ShockBubbleProblem, kernels
 from repro.solver.state import max_wave_speed
 
 RIEMANNS = ("rusanov", "hll", "hllc")
@@ -133,15 +134,34 @@ class TestExchangePlan:
         return AmrDriver(_problem(), cfg)
 
     def test_all_group_kinds_present(self, mixed_driver):
-        plan = mixed_driver.stack().plan
-        assert plan.physical and plan.same and plan.coarse and plan.fine
-        assert plan.num_groups == (
-            len(plan.physical) + len(plan.same) + len(plan.coarse) + len(plan.fine)
+        stack = mixed_driver.stack()
+        plan = stack.plan
+        assert (plan.copy_dst.size and plan.neg_dst.size
+                and plan.coarse_gather.size and plan.fine_gather.size)
+        assert plan.copy_dst.shape == plan.copy_src.shape
+        assert plan.neg_dst.shape == plan.neg_src.shape
+        assert len(plan.coarse_gather) == len(plan.coarse_scatter)
+        assert len(plan.fine_gather) == len(plan.fine_scatter)
+        # Every edge ghost cell of every patch has exactly one writer.
+        written = np.concatenate([
+            plan.copy_dst, plan.neg_dst,
+            plan.coarse_scatter.ravel(), plan.fine_scatter.ravel(),
+        ])
+        assert np.unique(written).size == written.size == (
+            len(stack) * 4 * NUM_FIELDS * stack.ng * stack.mx
         )
 
-    def test_plan_matches_exchange_ghosts(self, mixed_driver):
+    def test_plan_matches_exchange_ghosts(self, mixed_driver, monkeypatch):
+        """Both executors: the compiled kernels, then numpy as without gcc."""
         driver = mixed_driver
         stack = driver.stack()
+        # Poison every ghost cell, so a ghost the plan misses cannot keep
+        # the value an earlier exchange left there.
+        ng = stack.ng
+        for band in (np.s_[:, :, :ng], np.s_[:, :, -ng:],
+                     np.s_[:, :, :, :ng], np.s_[:, :, :, -ng:]):
+            stack.q[band] = 777.0
+        poisoned = stack.q.copy()
         # Reference: detach copies of every patch and run the per-patch path.
         ref = {key: p.q.copy() for key, p in driver.patches.items()}
 
@@ -155,9 +175,20 @@ class TestExchangePlan:
             key: _Shim(driver.patches[key], ref[key]) for key in driver.patches
         }
         exchange_ghosts(driver.forest, shims, driver.config.bcs)
-        stack.exchange()
-        for key, p in driver.patches.items():
-            assert np.array_equal(p.q, ref[key]), key
+        for executor in ("kernels", "numpy"):
+            if executor == "numpy":
+                monkeypatch.setattr(kernels, "load", lambda: None)
+            stack.q[...] = poisoned
+            stack.exchange()
+            for key, p in driver.patches.items():
+                assert np.array_equal(p.q, ref[key]), (executor, key)
+
+    def test_program_is_int32(self, mixed_driver):
+        plan = mixed_driver.stack().plan
+        for arr in (plan.copy_dst, plan.copy_src, plan.neg_dst, plan.neg_src,
+                    plan.coarse_gather, plan.coarse_scatter,
+                    plan.fine_gather, plan.fine_scatter):
+            assert arr.dtype == np.int32 and arr.flags.c_contiguous
 
     def test_unbalanced_forest_fails_at_build_time(self, mixed_driver):
         driver = mixed_driver

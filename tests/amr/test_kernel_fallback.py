@@ -50,14 +50,14 @@ def per_patch():
 
 def test_numpy_fallback_matches_per_patch(no_compiler, per_patch):
     driver = _run(batched=True)
-    assert not driver._stepper.compiled and driver._program is None
+    assert not driver._stepper.compiled and not driver.stack().plan._staging
     _assert_same_run(per_patch, driver)
 
 
 @needs_kernels
 def test_kernels_match_per_patch(per_patch):
     driver = _run(batched=True)
-    assert driver._stepper.compiled and driver._program is not None
+    assert driver._stepper.compiled and driver.stack().plan._staging
     _assert_same_run(per_patch, driver)
 
 

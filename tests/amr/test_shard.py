@@ -1,15 +1,14 @@
-"""Flat-index exchange compilation: parity with the numpy plan.
+"""Flat-index ghost exchange: the compiled kernels match the numpy path.
 
-``build_sharded_exchange`` recompiles an :class:`ExchangePlan` into one
-flat-index program that the compiled kernels execute; running it must
-reproduce ``ExchangePlan.execute`` bit for bit.
+``ExchangePlan.execute`` runs one flat-index program through the compiled
+kernels when they load and through numpy otherwise; on the same poisoned
+stack both must write every ghost cell bit for bit alike.
 """
 
 import numpy as np
 import pytest
 
 from repro.amr import AmrConfig, AmrDriver
-from repro.amr.shard import build_sharded_exchange
 from repro.solver import kernels
 from repro.solver.initial_conditions import ShockBubbleProblem
 
@@ -19,11 +18,13 @@ def stack():
     """A mixed-level hierarchy (coarse-fine + same-level + wall traffic)."""
     cfg = AmrConfig(mx=8, min_level=1, max_level=3, batched=True)
     driver = AmrDriver(ShockBubbleProblem(), cfg)
-    for _ in range(2):  # advance so interiors carry non-trivial data
-        driver.step(driver.compute_dt())
     s = driver.stack()
     levels = {q.level for _, q in driver.patches}
     assert len(levels) >= 2, "fixture must exercise coarse-fine exchange"
+    # Signed, non-zero interiors: the shock-bubble state has no wall-normal
+    # momentum at the reflecting walls, which would hide a sign error there.
+    interior = s.interior
+    interior[...] = np.random.default_rng(0).uniform(-1.0, 1.0, interior.shape)
     return s
 
 
@@ -40,18 +41,11 @@ def _scrambled(stack) -> np.ndarray:
 
 class TestParity:
     @pytest.mark.skipif(not kernels.available(), reason="no compiled kernels")
-    def test_matches_plan_execute_kernels(self, stack):
-        program = build_sharded_exchange(stack)
+    def test_matches_plan_execute_kernels(self, stack, monkeypatch):
+        got = _scrambled(stack)
+        stack.plan.execute(got)
+        monkeypatch.setattr(kernels, "load", lambda: None)
         ref = _scrambled(stack)
         stack.plan.execute(ref)
-        got = _scrambled(stack)
-        program.execute(got)
+        assert not np.array_equal(got, _scrambled(stack))
         assert np.array_equal(got, ref)
-
-    def test_programs_are_int32(self, stack):
-        program = build_sharded_exchange(stack)
-        for arr in (program.copy_dst, program.copy_src, program.neg_dst,
-                    program.neg_src, program.coarse_gather,
-                    program.coarse_scatter, program.fine_gather,
-                    program.fine_scatter):
-            assert arr.dtype == np.int32

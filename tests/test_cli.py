@@ -89,6 +89,18 @@ class TestRunCommand:
         assert "L_mem" in out
         assert "cumulative regret" in out
 
+    def test_run_rejects_a_zero_memory_limit(self, tmp_path, capsys):
+        csv = tmp_path / "d.csv"
+        main(["dataset", "--out", str(csv)])
+        capsys.readouterr()
+        rc = main(
+            ["run", "--dataset", str(csv), "--policy", "rgma",
+             "--memory-limit", "0", "--iterations", "3", "--n-init", "20",
+             "--n-test", "50"]
+        )
+        assert rc == 2
+        assert "error: memory limit must be positive" in capsys.readouterr().err
+
     def test_run_with_log2_features(self, tmp_path, capsys):
         csv = tmp_path / "d.csv"
         main(["dataset", "--out", str(csv)])
@@ -195,8 +207,12 @@ class TestServeCommand:
                 ["--policy", "rgma", "--memory-limit", "nan"],
                 "memory limit must be positive",
             ),
+            (
+                ["--policy", "rgma", "--memory-limit", "0"],
+                "memory limit must be positive",
+            ),
         ],
-        ids=["budget-0", "budget-nan", "memory-limit-nan"],
+        ids=["budget-0", "budget-nan", "memory-limit-nan", "memory-limit-0"],
     )
     def test_submit_rejects_a_spec_that_is_not_positive(
         self, tmp_path, capsys, service_dataset_csv, extra, message
