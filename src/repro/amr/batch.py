@@ -12,11 +12,11 @@ zero-copy view of its slot.  This module provides
 - :class:`ExchangePlan` — the compiled ghost exchange: the per-face
   neighbor classification of :func:`repro.amr.ghost.exchange_ghosts`
   (physical boundary, same-level, coarse–fine, fine–coarse) is resolved
-  once per regrid into flat ``int32`` element indices of the stack, and
-  executed each step as a few indexed copies, gathers and scatters —
-  through the compiled kernels of :mod:`repro.solver.kernels` when they
-  load, in numpy otherwise — instead of ``4 * P`` Python-level neighbor
-  lookups;
+  once per hierarchy change into flat ``int32`` element indices of the
+  stack, and executed each step as a few indexed copies, gathers and
+  scatters — through the compiled kernels of :mod:`repro.solver.kernels`
+  when they load, in numpy otherwise — instead of ``4 * P`` Python-level
+  neighbor lookups;
 - :class:`StackStepper` — the one sweep and wave-speed dispatch of the
   batched driver: the compiled kernels of :mod:`repro.solver.kernels`
   when they load and implement the configured Riemann solver and
@@ -27,10 +27,11 @@ Invariants (see DESIGN.md, "Batched AMR patch kernels"):
 - **View aliasing** — after ``PatchStack(...)`` construction,
   ``patch.q.base is stack.q`` for every patch; per-patch and stacked code
   paths read and write the same memory.
-- **Plan invalidation** — any refine/coarsen (and hence any regrid or
-  rebalance) changes the patch set, so the stack and its plan must be
-  rebuilt; :meth:`PatchStack.covers` detects staleness structurally
-  (a new patch owns its own array, so its ``q.base`` is not the stack).
+- **Plan invalidation** — any refine or coarsen changes the patch set,
+  so the stack and its plan must be rebuilt; a regrid that changes no
+  leaf makes neither and keeps them.  :meth:`PatchStack.covers` detects
+  staleness structurally (a new patch owns its own array, so its
+  ``q.base`` is not the stack).
 - **Bit-identity** — every batched operation applies exactly the same
   elementwise IEEE operations (and identically-shaped reductions) as the
   per-patch reference path, so results are bit-for-bit equal; enforced by
@@ -220,6 +221,9 @@ class ExchangePlan:
     fine_scatter: np.ndarray
     #: The kernel path's staging buffers, allocated at its first run.
     _staging: tuple[np.ndarray, ...] = field(default=(), init=False, repr=False)
+    #: The numpy path's ``intp`` copies of the eight index arrays, made at
+    #: its first run: numpy converts ``int32`` fancy indices on every use.
+    _intp: tuple[np.ndarray, ...] = field(default=(), init=False, repr=False)
 
     @classmethod
     def build(
@@ -354,10 +358,17 @@ class ExchangePlan:
             raise ValueError("q must be C-contiguous float64")
         flat = q.reshape(-1)
         if kernels.load() is None:
-            flat[self.copy_dst] = flat[self.copy_src]
-            flat[self.neg_dst] = flat[self.neg_src] * -1.0
-            flat[self.coarse_scatter] = prolong_patch(flat[self.coarse_gather])
-            flat[self.fine_scatter] = restrict_area_average(flat[self.fine_gather])
+            if not self._intp:
+                self._intp = tuple(
+                    getattr(self, f.name).astype(np.intp)
+                    for f in fields(self) if f.init
+                )
+            (copy_dst, copy_src, neg_dst, neg_src,
+             coarse_gather, coarse_scatter, fine_gather, fine_scatter) = self._intp
+            flat[copy_dst] = flat[copy_src]
+            flat[neg_dst] = flat[neg_src] * -1.0
+            flat[coarse_scatter] = prolong_patch(flat[coarse_gather])
+            flat[fine_scatter] = restrict_area_average(flat[fine_gather])
             return
         if not self._staging:
             self._staging = tuple(

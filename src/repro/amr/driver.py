@@ -4,10 +4,15 @@ Mirrors ForestClaw's non-subcycled mode: a single global CFL time step
 advances every patch, ghost layers are exchanged between dimensional
 sweeps, and the hierarchy is regridded every ``regrid_interval`` steps.
 Solution transfer on refinement/coarsening uses the conservative operators
-of :mod:`repro.amr.transfer`; the 2:1 constraint is re-established after
-every regrid (and every initial-build round) by ripple refinement from a
-worklist of the leaves the regrid created
-(:func:`repro.mesh.balance.balance_from_seeds`).
+of :mod:`repro.amr.transfer`.  A regrid refines first, and the 2:1
+constraint is re-established by ripple refinement from a worklist of the
+children those refines created
+(:func:`repro.mesh.balance.balance_from_seeds`), as after every
+initial-build round.  It then coarsens only families whose coarsening
+keeps the forest balanced
+(:func:`repro.mesh.balance.coarsening_keeps_balance`), so no family is
+coarsened and refined back in one regrid, and a regrid that changes no
+leaf keeps the stacked storage and its exchange plan.
 
 Two stepping backends are provided (``AmrConfig.batched``):
 
@@ -15,20 +20,23 @@ Two stepping backends are provided (``AmrConfig.batched``):
   ``(P, 4, n, n)`` array (:class:`repro.amr.batch.PatchStack`), sweeps and
   CFL wave speeds run once over the whole stack through
   :class:`repro.amr.batch.StackStepper`, and ghost exchange executes the
-  flat-index :class:`repro.amr.batch.ExchangePlan` compiled at regrid
-  time, through the compiled kernels of :mod:`repro.solver.kernels`, or
-  numpy when no C compiler is available.  The physicality / conservation
-  reductions are vectorized.
+  flat-index :class:`repro.amr.batch.ExchangePlan` compiled once per
+  hierarchy change, through the compiled kernels of
+  :mod:`repro.solver.kernels`, or numpy when no C compiler is available.
+  The physicality / conservation reductions are vectorized.
 - **per-patch**: the original patch-by-patch loop, kept as the bit-identical
   reference implementation.
 
 Both backends produce bit-for-bit identical states and statistics; the
 phases of either path are timed through :mod:`repro.obs` (``amr_plan``,
-``amr_exchange``, ``amr_sweep``, ``amr_dt``, ``amr_regrid``).
+``amr_exchange``, ``amr_sweep``, ``amr_dt``, ``amr_regrid``), and a traced
+run's ``amr_run`` span closes with the run's regrid, refinement and
+coarsening counts from :class:`~repro.amr.stats.RunStats`.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Callable
 
@@ -41,7 +49,7 @@ from repro.amr.patch import Patch
 from repro.amr.stats import RunStats, StepRecord
 from repro.amr.tagging import tag_for_refinement, tag_stack
 from repro.amr.transfer import prolong_child, restrict_patch
-from repro.mesh.balance import balance_from_seeds
+from repro.mesh.balance import balance_from_seeds, coarsening_keeps_balance
 from repro.mesh.forest import BrickTopology, Forest
 from repro.mesh.quadrant import Quadrant, quadrant_children, quadrant_parent
 from repro.solver.fv import sweep_x, sweep_y
@@ -110,9 +118,10 @@ class AmrDriver:
         self.stats = RunStats()
         self._stack: PatchStack | None = None
         self._stepper = StackStepper.from_config(config)
-        # Leaves created since the forest was last balanced (children of
-        # refines, coarsened parents).  Only such leaves can take part in a
-        # new 2:1 violation, so they seed the worklist rebalance.
+        # Children of refines since the forest was last balanced.  Only such
+        # leaves can take part in a new 2:1 violation (a coarsening is made
+        # only where it keeps the balance), so they seed the worklist
+        # rebalance.
         self._balance_seeds: list[tuple[int, Quadrant]] = []
         self._build_initial_hierarchy()
 
@@ -211,9 +220,8 @@ class AmrDriver:
         self.stats.num_refinements += 1
         self._invalidate_stack()
 
-    def _coarsen_family(self, tree: int, quad: Quadrant) -> None:
-        """Coarsen the complete family containing leaf ``quad``."""
-        parent_quad = quadrant_parent(quad)
+    def _coarsen_family(self, tree: int, parent_quad: Quadrant) -> None:
+        """Replace the complete family of ``parent_quad`` by its parent."""
         children = quadrant_children(parent_quad)
         self.forest.trees[tree].coarsen(children[0])
         parent = self._new_patch(tree, parent_quad)
@@ -225,7 +233,6 @@ class AmrDriver:
             ox, oy = offsets[child.child_id]
             parent.interior[:, ox : ox + h, oy : oy + h] = restrict_patch(cp.interior)
         self.patches[(tree, parent_quad)] = parent
-        self._balance_seeds.append((tree, parent_quad))
         self.stats.num_coarsenings += 1
         self._invalidate_stack()
 
@@ -246,49 +253,61 @@ class AmrDriver:
         )
         self._balance_seeds.clear()
 
+    def _tags(self) -> dict[tuple[int, Quadrant], int]:
+        """Every leaf's vote, in patch order: +1 refine, -1 coarsen, 0 keep."""
+        cfg = self.config
+        if cfg.batched:
+            # One vectorized pass over the stacked interiors.  stack.keys
+            # preserves the patches-dict iteration order, and the batched
+            # indicator is bit-identical to the scalar one, so the regrid
+            # decisions are unchanged.
+            stack = self.stack()
+            votes = tag_stack(
+                stack.interior, cfg.refine_threshold, cfg.coarsen_threshold
+            )
+            return dict(zip(stack.keys, votes))
+        return {
+            key: tag_for_refinement(
+                p.interior, cfg.refine_threshold, cfg.coarsen_threshold
+            )
+            for key, p in self.patches.items()
+        }
+
     def regrid(self) -> None:
-        """One full regrid pass: tag, refine, coarsen, rebalance."""
+        """One regrid pass: tag, refine, rebalance, then coarsen.
+
+        Refines come first and the worklist rebalance closes their ripple.
+        Then each family whose four members voted -1 is coarsened, finest
+        level first, where
+        :func:`~repro.mesh.balance.coarsening_keeps_balance` holds, so the
+        forest stays balanced, nothing is refined back, and the leaf set is
+        the one a coarsen-then-rebalance pass reaches (finest first: a
+        coarsening can clear a coarser family's check, never a finer
+        one's).  A leaf that stays keeps its data bit for bit, and a regrid
+        that changes no leaf keeps the stack and its exchange plan.
+        """
         cfg = self.config
         with obs.timed("amr_regrid", cat="amr"):
-            if cfg.batched:
-                # One vectorized pass over the stacked interiors.  stack.keys
-                # preserves the patches-dict iteration order, and the batched
-                # indicator is bit-identical to the scalar one, so the regrid
-                # decisions below are unchanged.
-                stack = self.stack()
-                tags = dict(
-                    zip(
-                        stack.keys,
-                        tag_stack(
-                            stack.interior, cfg.refine_threshold, cfg.coarsen_threshold
-                        ),
-                    )
-                )
-            else:
-                tags = {
-                    key: tag_for_refinement(
-                        p.interior, cfg.refine_threshold, cfg.coarsen_threshold
-                    )
-                    for key, p in self.patches.items()
-                }
+            tags = self._tags()
             for (tree, quad), tag in tags.items():
-                if tag > 0 and quad.level < cfg.max_level and (tree, quad) in self.patches:
+                if tag > 0 and quad.level < cfg.max_level:
                     self._refine_patch(tree, quad, from_initial=False)
-
-            # Coarsen complete families whose members all voted -1 and still exist.
-            by_parent: dict[tuple[int, Quadrant], int] = {}
-            for (tree, quad), tag in tags.items():
-                if quad.level <= cfg.min_level or (tree, quad) not in self.patches:
-                    continue
-                if tag < 0:
-                    pk = (tree, quadrant_parent(quad))
-                    by_parent[pk] = by_parent.get(pk, 0) + 1
-            for (tree, parent_quad), votes in by_parent.items():
-                children = quadrant_children(parent_quad)
-                if votes == 4 and all((tree, c) in self.patches for c in children):
-                    self._coarsen_family(tree, children[0])
-
             self._rebalance()
+
+            votes = Counter(
+                (tree, quadrant_parent(quad))
+                for (tree, quad), tag in tags.items()
+                if tag < 0 and quad.level > cfg.min_level
+            )
+            families = sorted(
+                (key for key, n in votes.items() if n == 4),
+                key=lambda key: -key[1].level,
+            )
+            for tree, parent in families:
+                if all(
+                    (tree, c) in self.patches for c in quadrant_children(parent)
+                ) and coarsening_keeps_balance(self.forest, tree, parent):
+                    self._coarsen_family(tree, parent)
             self._normalize_leaf_order()
         self.stats.num_regrids += 1
 
@@ -382,7 +401,13 @@ class AmrDriver:
         ) as run_span:
             for k in range(max_steps):
                 if self.t >= t_end - 1e-14:
-                    run_span.annotate(steps=k, num_patches=len(self.patches))
+                    run_span.annotate(
+                        steps=k,
+                        num_patches=len(self.patches),
+                        regrids=self.stats.num_regrids,
+                        refinements=self.stats.num_refinements,
+                        coarsenings=self.stats.num_coarsenings,
+                    )
                     return self.stats
                 with obs.span("amr_step", cat="amr", step=k):
                     regridded = False

@@ -18,7 +18,11 @@ Two ways to reach the balanced forest are provided:
 - :func:`balance_from_seeds` — a worklist seeded by the leaves created
   since the forest was last balanced.  Both reach the same forest (the
   minimal balanced refinement is unique); the AMR driver uses the
-  worklist after every regrid and initial-build round.
+  worklist on the refines of every regrid and initial-build round.
+
+Coarsening needs no ripple: :func:`coarsening_keeps_balance` says whether
+a family's coarsening keeps a balanced forest balanced, and the driver
+coarsens only the families for which it holds.
 
 The implementation works on a :class:`~repro.mesh.forest.Forest` and
 handles cross-tree adjacency through the brick topology.
@@ -74,6 +78,17 @@ def _finest_neighbor_level(forest: Forest, tree: int, q: Quadrant) -> int:
     return worst
 
 
+def coarsening_keeps_balance(forest: Forest, tree: int, parent: Quadrant) -> bool:
+    """True iff coarsening ``parent``'s family leaves a balanced forest balanced.
+
+    The new leaf ``parent`` is in deficit iff one of its neighbor
+    quadrants holds a leaf finer than ``parent.level + 1``.  It cannot put
+    another leaf in deficit, since it is coarser than the family it
+    replaces, so this is the only check a balanced forest needs.
+    """
+    return _finest_neighbor_level(forest, tree, parent) <= parent.level + 1
+
+
 def balance_deficits(forest: Forest) -> list[tuple[int, Quadrant, int]]:
     """All 2:1 violations: ``(tree, leaf, worst_neighbor_level)`` triples.
 
@@ -122,9 +137,11 @@ def balance_from_seeds(
 ) -> int:
     """Ripple-refine a forest that was balanced before ``seeds`` appeared.
 
-    ``seeds`` are the leaves created since the forest was last balanced
-    (children of refines, parents of coarsened families; seeds refined
-    away since are skipped).  ``refine(tree, leaf)`` must replace the leaf
+    ``seeds`` are the leaves created since the forest was last balanced:
+    children of refines, and parents of coarsened families unless
+    :func:`coarsening_keeps_balance` held for them (the AMR driver's
+    coarsenings all pass it, so it seeds children only).  Seeds refined
+    away since are skipped.  ``refine(tree, leaf)`` must replace the leaf
     by its four children in ``forest``; the driver's callback also
     transfers the solution.  Returns the number of refinements.
 

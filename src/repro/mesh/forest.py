@@ -10,7 +10,7 @@ cross-tree neighbor lookups needed by the 2:1 balance pass.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Iterator
 
 from repro.mesh.quadrant import FACE_OFFSETS, Quadrant
 from repro.mesh.quadtree import Quadtree
@@ -144,21 +144,3 @@ class Forest:
             return None
         # Wrap the coordinate into the neighboring tree.
         return ntree, Quadrant(q.level, nx % n, ny % n)
-
-    def refine_where(
-        self, predicate: Callable[[int, Quadrant], bool], max_level: int
-    ) -> int:
-        """Refine leaves (one pass) where ``predicate(tree, quad)`` holds."""
-        total = 0
-        for t, tree in enumerate(self.trees):
-            total += tree.refine_where(lambda q, t=t: predicate(t, q), max_level)
-        return total
-
-    def coarsen_where(
-        self, predicate: Callable[[int, Quadrant], bool], min_level: int = 0
-    ) -> int:
-        """Coarsen complete families where ``predicate`` holds on all members."""
-        total = 0
-        for t, tree in enumerate(self.trees):
-            total += tree.coarsen_where(lambda q, t=t: predicate(t, q), min_level)
-        return total

@@ -215,3 +215,20 @@ class TestPhaseTimers:
                 assert snap[phase].calls > 0, phase
         finally:
             obs.reset()
+
+    def test_run_span_carries_regrid_churn(self):
+        """A traced run's ``amr_run`` span closes with its RunStats counts."""
+        driver = AmrDriver(
+            ShockBubbleProblem(r0=0.3, rhoin=0.1), AmrConfig(mx=8, max_level=3)
+        )
+        obs.enable_tracing()
+        try:
+            stats = driver.run(t_end=0.2)
+            (run,) = [s for s in obs.tracer().spans() if s.name == "amr_run"]
+        finally:
+            obs.disable_tracing()
+        assert stats.num_coarsenings > 0  # every count below is exercised
+        assert run.attrs["steps"] == stats.num_steps
+        assert run.attrs["regrids"] == stats.num_regrids
+        assert run.attrs["refinements"] == stats.num_refinements
+        assert run.attrs["coarsenings"] == stats.num_coarsenings

@@ -87,17 +87,5 @@ class TestForest:
         assert f.face_neighbor(0, Quadrant(1, 0, 0), 0) is None
         assert f.face_neighbor(1, Quadrant(1, 1, 1), 1) is None
 
-    def test_refine_where_across_trees(self):
-        f = Forest(BrickTopology(2, 1), initial_level=1)
-        n = f.refine_where(lambda t, q: t == 1, max_level=2)
-        assert n == 4
-        assert len(f.trees[0]) == 4 and len(f.trees[1]) == 16
-
-    def test_coarsen_where_across_trees(self):
-        f = Forest(BrickTopology(2, 1), initial_level=2)
-        n = f.coarsen_where(lambda t, q: t == 0, min_level=1)
-        assert n == 4
-        assert len(f.trees[0]) == 4 and len(f.trees[1]) == 16
-
     def test_domain_extent(self):
         assert Forest(BrickTopology(3, 2)).domain_extent() == (3.0, 2.0)
