@@ -382,11 +382,15 @@ def _add_simulate_cmd(sub: argparse._SubParsersAction) -> None:
 def cmd_simulate(args: argparse.Namespace) -> int:
     from repro.machine import JobConfig, JobRunner
 
-    config = JobConfig(
-        p=args.p, mx=args.mx, maxlevel=args.maxlevel, r0=args.r0, rhoin=args.rhoin
-    )
-    runner = JobRunner()
-    work = runner.work_from_simulation(config, t_end=args.t_end)
+    try:
+        config = JobConfig(
+            p=args.p, mx=args.mx, maxlevel=args.maxlevel, r0=args.r0, rhoin=args.rhoin
+        )
+        runner = JobRunner(t_end=args.t_end)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    work = runner.work_from_simulation(config)
     wall, node_hours, max_rss = runner.price(config, work)
     print(f"config            : {config}")
     print(f"patches per level : {dict(work.patches_per_level)}")
@@ -430,13 +434,18 @@ def cmd_trace(args: argparse.Namespace) -> int:
     from repro.faults import FaultConfig, ResilientJobRunner
     from repro.machine import JobConfig, JobRunner
 
+    try:
+        runner = JobRunner(t_end=args.t_end)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     obs.enable_tracing()
     rng = np.random.default_rng(args.seed)
     job = JobConfig(p=4, mx=8, maxlevel=3, r0=0.3, rhoin=0.1)
 
     # 1. One real AMR solve through the machine model: amr_run/amr_step
     #    span trees nested under a job_run span.
-    record = JobRunner(t_end=args.t_end).run(job, rng, job_id=1, mode="simulate")
+    record = runner.run(job, rng, job_id=1, mode="simulate")
     print(
         f"simulate job      : wall={record.wall_seconds:.2f} s  "
         f"rss={record.max_rss_MB:.1f} MB"

@@ -103,6 +103,8 @@ def estimate_work(
         raise ValueError("max_level must be >= min_level")
     if not 0 < r0 < 1:
         raise ValueError("r0 must be in (0, 1)")
+    if not t_end > 0:
+        raise ValueError("t_end must be positive")
     chi = complexity_factor(rhoin)
     perimeter = 2.0 * pi * r0 + 1.0 + 0.6 * chi  # bubble + shock + wake arms
 

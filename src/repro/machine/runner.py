@@ -54,15 +54,15 @@ class JobConfig:
     rhoin: float
 
     def __post_init__(self) -> None:
-        if self.p < 1:
+        if not self.p >= 1:
             raise ValueError("p must be positive")
         if self.mx < 4 or self.mx % 2:
             raise ValueError("mx must be an even integer >= 4")
-        if self.maxlevel < 1:
+        if not self.maxlevel >= 1:
             raise ValueError("maxlevel must be >= 1")
         if not 0 < self.r0 < 1:
             raise ValueError("r0 must be in (0, 1)")
-        if self.rhoin <= 0:
+        if not self.rhoin > 0:
             raise ValueError("rhoin must be positive")
 
     def as_features(self) -> tuple[float, ...]:
@@ -85,7 +85,7 @@ class JobRunner:
     rss_noise_sigma : float
         Log-normal sigma of MaxRSS variability.
     t_end : float
-        Physical end time of the canonical campaign run.
+        Physical end time of the canonical campaign run; must be positive.
     """
 
     spec: MachineSpec = EDISON
@@ -95,6 +95,10 @@ class JobRunner:
     wall_noise_sigma: float = 0.04
     rss_noise_sigma: float = 0.015
     t_end: float = 2.0
+
+    def __post_init__(self) -> None:
+        if not self.t_end > 0:
+            raise ValueError("t_end must be positive")
 
     def _accounting(self) -> SlurmAccounting:
         return self.accounting if self.accounting is not None else SlurmAccounting()
@@ -127,10 +131,14 @@ class JobRunner:
         from repro.amr import AmrConfig, AmrDriver
         from repro.solver import ShockBubbleProblem
 
+        if t_end is None:
+            t_end = self.t_end
+        elif not t_end > 0:
+            raise ValueError("t_end must be positive")
         problem = ShockBubbleProblem(r0=config.r0, rhoin=config.rhoin)
         amr_cfg = AmrConfig(mx=config.mx, min_level=1, max_level=config.maxlevel)
         driver = AmrDriver(problem, amr_cfg)
-        stats = driver.run(t_end=self.t_end if t_end is None else t_end)
+        stats = driver.run(t_end=t_end)
         hist = driver.forest.level_histogram()
         return WorkEstimate(
             patches_per_level=tuple(sorted(hist.items())),

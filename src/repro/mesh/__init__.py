@@ -1,57 +1,38 @@
-"""Forest-of-quadtrees grid management (a pure-NumPy analogue of p4est).
+"""Forest-of-quadtrees grid management (a pure-Python analogue of p4est).
 
 ForestClaw, the AMR package evaluated in the paper, delegates its grid
 management to p4est: quadrants are identified by integer coordinates plus a
-refinement level, ordered along a Morton (Z-order) space-filling curve,
-refined/coarsened under a 2:1 balance constraint, and partitioned across
-ranks by splitting the curve into equal-work segments.  This subpackage
-implements that machinery for 2-D forests.
+refinement level, ordered along a Morton (Z-order) space-filling curve, and
+refined/coarsened under a 2:1 balance constraint.  This subpackage
+implements that machinery for 2-D forests; :class:`repro.amr.AmrDriver`
+is its one user.
 
 Public API
 ----------
-- :func:`morton_encode` / :func:`morton_decode` — Z-order curve bijection.
 - :class:`Quadrant` — immutable (level, x, y) cell identifier.
-- :class:`Quadtree` — a single refinement tree with refine/coarsen.
-- :class:`Forest` — a brick of quadtrees with 2:1 balance and partitioning.
-- :func:`balance_forest` — enforce the 2:1 constraint.
-- :func:`partition_curve` — split leaves across ranks by weighted curve cuts.
+- :class:`Quadtree` — a single refinement tree, leaves kept in Morton order.
+- :class:`Forest` — a brick of quadtrees with cross-tree face neighbors.
+- :func:`balance_forest` — enforce the 2:1 constraint (full-scan reference).
 """
 
-from repro.mesh.morton import (
-    interleave2,
-    deinterleave2,
-    morton_encode,
-    morton_decode,
-    morton_key,
-)
 from repro.mesh.quadrant import (
     MAX_LEVEL,
     Quadrant,
     root_quadrant,
     quadrant_children,
     quadrant_parent,
-    quadrant_neighbor,
-    quadrants_overlap,
     is_ancestor,
 )
 from repro.mesh.quadtree import Quadtree
 from repro.mesh.forest import Forest, BrickTopology
 from repro.mesh.balance import balance_forest, is_balanced, balance_deficits
-from repro.mesh.partition import partition_curve, partition_stats, PartitionStats
 
 __all__ = [
-    "interleave2",
-    "deinterleave2",
-    "morton_encode",
-    "morton_decode",
-    "morton_key",
     "MAX_LEVEL",
     "Quadrant",
     "root_quadrant",
     "quadrant_children",
     "quadrant_parent",
-    "quadrant_neighbor",
-    "quadrants_overlap",
     "is_ancestor",
     "Quadtree",
     "Forest",
@@ -59,7 +40,4 @@ __all__ = [
     "balance_forest",
     "is_balanced",
     "balance_deficits",
-    "partition_curve",
-    "partition_stats",
-    "PartitionStats",
 ]

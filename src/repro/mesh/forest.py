@@ -117,12 +117,6 @@ class Forest:
         tree = self.topology.tree_at(ci, cj)
         return tree, self.trees[tree].locate(x - ci, y - cj)
 
-    def leaf_origin(self, tree: int, q: Quadrant) -> tuple[float, float]:
-        """Lower-left corner of a leaf in brick coordinates."""
-        ci, cj = self.topology.tree_coords(tree)
-        ox, oy = q.origin
-        return ci + ox, cj + oy
-
     # -- neighbor queries ------------------------------------------------------------
 
     def face_neighbor(

@@ -1,8 +1,8 @@
 """Quadrant arithmetic: the atomic cell identifier of a quadtree.
 
 A :class:`Quadrant` is an immutable ``(level, x, y)`` triple where ``x`` and
-``y`` are coordinates on the ``2**level`` lattice of its tree.  All the
-family relations p4est needs — children, parent, siblings, face neighbors,
+``y`` are coordinates on the ``2**level`` lattice of its tree.  The family
+relations used by the mesh and by :mod:`repro.amr` — children, parent,
 ancestry — are pure integer arithmetic and implemented here without any
 reference to the tree containing the quadrant.
 """
@@ -10,9 +10,9 @@ reference to the tree containing the quadrant.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
 
-#: Deepest refinement level supported (coordinates fit in COORD_BITS bits).
+#: Deepest refinement level supported.  Finest-lattice coordinates then fit
+#: the 32-bit spreading of the quadtree's keys, and the keys fit in 63 bits.
 MAX_LEVEL = 29
 
 #: Face index convention: 0=-x, 1=+x, 2=-y, 3=+y (matches p4est).
@@ -56,12 +56,6 @@ class Quadrant:
         return (self.x * h, self.y * h)
 
     @property
-    def center(self) -> tuple[float, float]:
-        """Center of the quadrant in the unit square."""
-        h = self.size
-        return ((self.x + 0.5) * h, (self.y + 0.5) * h)
-
-    @property
     def child_id(self) -> int:
         """Position among siblings: ``(y & 1) << 1 | (x & 1)``; 0 for root."""
         if self.level == 0:
@@ -94,47 +88,9 @@ def quadrant_parent(q: Quadrant) -> Quadrant:
     return Quadrant(q.level - 1, q.x >> 1, q.y >> 1)
 
 
-def quadrant_siblings(q: Quadrant) -> tuple[Quadrant, ...]:
-    """All four quadrants sharing ``q``'s parent, including ``q`` itself."""
-    return quadrant_children(quadrant_parent(q))
-
-
-def quadrant_neighbor(q: Quadrant, face: int) -> Quadrant | None:
-    """Same-level neighbor across ``face``; ``None`` outside the tree.
-
-    Faces follow the p4est convention 0=-x, 1=+x, 2=-y, 3=+y.
-    """
-    dx, dy = FACE_OFFSETS[face]
-    nx, ny = q.x + dx, q.y + dy
-    n = 1 << q.level
-    if not (0 <= nx < n and 0 <= ny < n):
-        return None
-    return Quadrant(q.level, nx, ny)
-
-
 def is_ancestor(a: Quadrant, b: Quadrant) -> bool:
     """True iff ``a`` strictly contains ``b`` (``a`` is a proper ancestor)."""
     if a.level >= b.level:
         return False
     shift = b.level - a.level
     return (b.x >> shift) == a.x and (b.y >> shift) == a.y
-
-
-def quadrants_overlap(a: Quadrant, b: Quadrant) -> bool:
-    """True iff the closed areas of ``a`` and ``b`` intersect non-trivially.
-
-    For lattice quadrants this is equivalent to equality or ancestry in
-    either direction.
-    """
-    return a == b or is_ancestor(a, b) or is_ancestor(b, a)
-
-
-def descendants_at_level(q: Quadrant, level: int) -> Iterator[Quadrant]:
-    """Yield all descendants of ``q`` at exactly ``level`` in Morton order."""
-    if level < q.level:
-        raise ValueError("target level above quadrant level")
-    if level == q.level:
-        yield q
-        return
-    for child in quadrant_children(q):
-        yield from descendants_at_level(child, level)

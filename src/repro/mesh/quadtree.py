@@ -10,9 +10,8 @@ quadrant's children are contiguous in the curve.
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
-from repro.mesh.morton import morton_key
 from repro.mesh.quadrant import (
     MAX_LEVEL,
     Quadrant,
@@ -23,8 +22,32 @@ from repro.mesh.quadrant import (
 )
 
 
+#: (shift, mask) steps that insert a zero bit after each of the low 32 bits.
+_SPREAD = (
+    (16, 0x0000FFFF0000FFFF),
+    (8, 0x00FF00FF00FF00FF),
+    (4, 0x0F0F0F0F0F0F0F0F),
+    (2, 0x3333333333333333),
+    (1, 0x5555555555555555),
+)
+
+
 def _key(q: Quadrant) -> int:
-    return morton_key(q.level, q.x, q.y, MAX_LEVEL)
+    """Total-order key of ``q``: Morton index on the finest lattice, then level.
+
+    The Morton index interleaves the bits of ``q``'s lower-left corner on
+    the ``2**MAX_LEVEL`` lattice, x in the even bits and y in the odd ones.
+    A quadrant shares that index with its first descendant, so the level
+    breaks the tie: sorting by ``index * (MAX_LEVEL + 1) + level`` puts an
+    ancestor before its descendants and same-level quadrants in z order,
+    which is p4est's leaf order.
+    """
+    shift = MAX_LEVEL - q.level
+    x, y = q.x << shift, q.y << shift
+    for s, mask in _SPREAD:
+        x = (x | (x << s)) & mask
+        y = (y | (y << s)) & mask
+    return (x | (y << 1)) * (MAX_LEVEL + 1) + q.level
 
 
 class Quadtree:
@@ -85,11 +108,6 @@ class Quadtree:
     def max_level(self) -> int:
         """Deepest refinement level present among the leaves."""
         return max(q.level for q in self._leaves)
-
-    @property
-    def min_level(self) -> int:
-        """Shallowest refinement level present among the leaves."""
-        return min(q.level for q in self._leaves)
 
     def descendants(self, q: Quadrant) -> Sequence[Quadrant]:
         """Leaves equal to or descending from ``q``, in Morton order.
@@ -167,41 +185,6 @@ class Quadtree:
         self._leaves[i : i + 4] = [parent]
         self._keys[i : i + 4] = [_key(parent)]
         return parent
-
-    def refine_where(
-        self, predicate: Callable[[Quadrant], bool], max_level: int
-    ) -> int:
-        """Refine every leaf for which ``predicate`` holds, up to ``max_level``.
-
-        A single pass: newly created children are *not* re-examined.  Returns
-        the number of leaves refined.
-        """
-        count = 0
-        for q in [q for q in self._leaves if q.level < max_level and predicate(q)]:
-            self.refine(q)
-            count += 1
-        return count
-
-    def coarsen_where(
-        self, predicate: Callable[[Quadrant], bool], min_level: int = 0
-    ) -> int:
-        """Coarsen every complete family whose members all satisfy ``predicate``.
-
-        Returns the number of families coarsened.
-        """
-        count = 0
-        i = 0
-        while i + 3 < len(self._leaves):
-            q = self._leaves[i]
-            if q.level > min_level and q.child_id == 0:
-                family = quadrant_children(quadrant_parent(q))
-                window = tuple(self._leaves[i : i + 4])
-                if window == family and all(predicate(s) for s in window):
-                    self.coarsen(q)
-                    count += 1
-                    continue  # re-check at same index (parent may coarsen again)
-            i += 1
-        return count
 
     # -- aggregate statistics ------------------------------------------------------
 

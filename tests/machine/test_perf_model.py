@@ -67,6 +67,9 @@ class TestEstimateWork:
             estimate_work(mx=8, max_level=2, r0=0.3, rhoin=0.1, min_level=3)
         with pytest.raises(ValueError):
             estimate_work(mx=8, max_level=3, r0=1.5, rhoin=0.1)
+        for t_end in (0.0, -1.0, float("nan")):
+            with pytest.raises(ValueError, match="t_end must be positive"):
+                estimate_work(mx=8, max_level=3, r0=0.3, rhoin=0.1, t_end=t_end)
 
 
 class TestPerformanceModel:

@@ -19,11 +19,27 @@ class TestJobConfig:
             dict(p=4, mx=16, maxlevel=0, r0=0.3, rhoin=0.1),
             dict(p=4, mx=16, maxlevel=4, r0=1.2, rhoin=0.1),
             dict(p=4, mx=16, maxlevel=4, r0=0.3, rhoin=-0.1),
+            dict(p=float("nan"), mx=16, maxlevel=4, r0=0.3, rhoin=0.1),
+            dict(p=4, mx=16, maxlevel=float("nan"), r0=0.3, rhoin=0.1),
+            dict(p=4, mx=16, maxlevel=4, r0=0.3, rhoin=float("nan")),
         ],
     )
     def test_invalid(self, kw):
         with pytest.raises(ValueError):
             JobConfig(**kw)
+
+
+class TestHorizon:
+    @pytest.mark.parametrize("t_end", [0.0, -1.0, float("nan")])
+    def test_runner_rejects_a_horizon_that_is_not_positive(self, t_end):
+        with pytest.raises(ValueError, match="t_end must be positive"):
+            JobRunner(t_end=t_end)
+
+    @pytest.mark.parametrize("t_end", [0.0, -1.0, float("nan")])
+    def test_simulation_rejects_a_horizon_that_is_not_positive(self, t_end):
+        c = JobConfig(p=4, mx=8, maxlevel=3, r0=0.2, rhoin=0.1)
+        with pytest.raises(ValueError, match="t_end must be positive"):
+            JobRunner().work_from_simulation(c, t_end=t_end)
 
 
 class TestSurrogateRuns:

@@ -60,11 +60,6 @@ class TestForest:
         with pytest.raises(ValueError):
             f.locate(2.5, 0.5)
 
-    def test_leaf_origin_includes_tree_offset(self):
-        f = Forest(BrickTopology(2, 1), initial_level=1)
-        ox, oy = f.leaf_origin(1, Quadrant(1, 1, 0))
-        assert (ox, oy) == (1.5, 0.0)
-
     def test_face_neighbor_same_tree(self):
         f = Forest(BrickTopology(2, 1), initial_level=1)
         hit = f.face_neighbor(0, Quadrant(1, 0, 0), 1)

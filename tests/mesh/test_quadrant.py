@@ -7,13 +7,9 @@ from hypothesis import strategies as st
 from repro.mesh.quadrant import (
     MAX_LEVEL,
     Quadrant,
-    descendants_at_level,
     is_ancestor,
     quadrant_children,
-    quadrant_neighbor,
     quadrant_parent,
-    quadrant_siblings,
-    quadrants_overlap,
     root_quadrant,
 )
 
@@ -47,7 +43,6 @@ class TestConstruction:
         q = Quadrant(2, 1, 3)
         assert q.size == 0.25
         assert q.origin == (0.25, 0.75)
-        assert q.center == (0.375, 0.875)
 
     def test_child_id_convention(self):
         r = root_quadrant()
@@ -75,37 +70,10 @@ class TestFamilies:
         with pytest.raises(ValueError):
             quadrant_parent(root_quadrant())
 
-    def test_siblings_include_self(self):
-        q = Quadrant(3, 5, 2)
-        sibs = quadrant_siblings(q)
-        assert q in sibs and len(sibs) == 4
-
     def test_cannot_refine_past_max(self):
         deep = Quadrant(MAX_LEVEL, 0, 0)
         with pytest.raises(ValueError):
             quadrant_children(deep)
-
-
-class TestNeighbors:
-    def test_interior_neighbors(self):
-        q = Quadrant(2, 1, 1)
-        assert quadrant_neighbor(q, 0) == Quadrant(2, 0, 1)
-        assert quadrant_neighbor(q, 1) == Quadrant(2, 2, 1)
-        assert quadrant_neighbor(q, 2) == Quadrant(2, 1, 0)
-        assert quadrant_neighbor(q, 3) == Quadrant(2, 1, 2)
-
-    def test_boundary_returns_none(self):
-        q = Quadrant(2, 0, 3)
-        assert quadrant_neighbor(q, 0) is None  # -x at left edge
-        assert quadrant_neighbor(q, 3) is None  # +y at top edge
-
-    @given(st.data(), st.integers(min_value=0, max_value=3))
-    def test_neighbor_symmetry(self, data, face):
-        q = random_quadrant(data)
-        n = quadrant_neighbor(q, face)
-        if n is not None:
-            opposite = {0: 1, 1: 0, 2: 3, 3: 2}[face]
-            assert quadrant_neighbor(n, opposite) == q
 
 
 class TestAncestry:
@@ -120,28 +88,3 @@ class TestAncestry:
         gc = quadrant_children(quadrant_children(q)[3])[0]
         assert is_ancestor(q, gc)
         assert not is_ancestor(gc, q)
-
-    def test_overlap_cases(self):
-        a = Quadrant(1, 0, 0)
-        b = Quadrant(2, 1, 1)  # inside a
-        c = Quadrant(2, 2, 2)  # outside a
-        assert quadrants_overlap(a, b)
-        assert quadrants_overlap(b, a)
-        assert not quadrants_overlap(a, c)
-        assert quadrants_overlap(a, a)
-
-
-class TestDescendants:
-    def test_counts(self):
-        q = Quadrant(1, 0, 1)
-        assert len(list(descendants_at_level(q, 1))) == 1
-        assert len(list(descendants_at_level(q, 3))) == 16
-
-    def test_all_descend(self):
-        q = Quadrant(1, 1, 0)
-        for d in descendants_at_level(q, 3):
-            assert is_ancestor(q, d)
-
-    def test_rejects_shallower_target(self):
-        with pytest.raises(ValueError):
-            list(descendants_at_level(Quadrant(2, 0, 0), 1))

@@ -5,12 +5,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.mesh.quadrant import (
+    MAX_LEVEL,
     Quadrant,
     is_ancestor,
     quadrant_children,
+    quadrant_parent,
     root_quadrant,
 )
-from repro.mesh.quadtree import Quadtree
+from repro.mesh.quadtree import Quadtree, _key
+
+
+def depth_first(leaves, q=None):
+    """Leaves below ``q`` (default: the root) in depth-first child order."""
+    q = root_quadrant() if q is None else q
+    if q in leaves:
+        yield q
+        return
+    for child in quadrant_children(q):
+        yield from depth_first(leaves, child)
 
 
 class TestConstruction:
@@ -21,7 +33,7 @@ class TestConstruction:
     def test_uniform(self):
         t = Quadtree.uniform(3)
         assert len(t) == 64
-        assert t.max_level == t.min_level == 3
+        assert t.max_level == 3 and t.level_histogram() == {3: 64}
         assert t.covered_area() == pytest.approx(1.0)
 
     def test_rejects_non_tiling(self):
@@ -61,40 +73,33 @@ class TestRefineCoarsen:
         with pytest.raises(ValueError):
             t.coarsen(children[1])  # sibling 0 is refined, family incomplete
 
-    @given(st.lists(st.integers(min_value=0, max_value=3), min_size=1, max_size=12))
+    @given(
+        st.lists(
+            st.tuples(st.booleans(), st.integers(min_value=0, max_value=255)),
+            min_size=1,
+            max_size=24,
+        )
+    )
     @settings(max_examples=50, deadline=None)
-    def test_random_refinement_keeps_invariants(self, choices):
+    def test_random_refinement_keeps_invariants(self, edits):
         t = Quadtree()
-        for c in choices:
+        for coarsen, c in edits:
             leaf = t.leaves[c % len(t)]
-            if leaf.level < 6:
-                t.refine(leaf)
+            if not coarsen:
+                if leaf.level < 6:
+                    t.refine(leaf)
+            elif leaf.level > 0 and set(
+                quadrant_children(quadrant_parent(leaf))
+            ) <= set(t.leaves):
+                t.coarsen(leaf)
+        leaves = t.leaves
         assert t.covered_area() == pytest.approx(1.0)
-        # Morton sorted
-        keys = [q for q in t.leaves]
-        assert keys == sorted(keys, key=lambda q: (t.index_of(q)))
-
-    def test_refine_where_single_pass(self):
-        t = Quadtree.uniform(1)
-        n = t.refine_where(lambda q: q.x == 0, max_level=2)
-        assert n == 2  # both x=0 leaves at level 1
-        assert len(t) == 2 + 8
-
-    def test_refine_where_respects_max_level(self):
-        t = Quadtree.uniform(2)
-        n = t.refine_where(lambda q: True, max_level=2)
-        assert n == 0
-
-    def test_coarsen_where(self):
-        t = Quadtree.uniform(2)
-        n = t.coarsen_where(lambda q: True, min_level=1)
-        assert n == 4  # four level-2 families -> level 1
-        assert len(t) == 4
-
-    def test_coarsen_where_respects_min_level(self):
-        t = Quadtree.uniform(1)
-        n = t.coarsen_where(lambda q: True, min_level=1)
-        assert n == 0 and len(t) == 4
+        # Morton order is the depth-first walk of the children's z order,
+        # the keys rise strictly along it, and sorting by key recovers it.
+        assert list(leaves) == list(depth_first(set(leaves)))
+        keys = [_key(q) for q in leaves]
+        assert all(a < b for a, b in zip(keys, keys[1:]))
+        assert Quadtree(reversed(leaves)).leaves == leaves
 
 
 class TestQueries:
@@ -162,3 +167,25 @@ class TestDescendants:
         sub = quadrant_children(children[3])[0]
         got = [leaf for leaf in t.descendants(sub) if is_ancestor(sub, leaf)]
         assert got == []
+
+
+class TestKey:
+    # Morton index on the 2**MAX_LEVEL lattice times (MAX_LEVEL + 1), plus
+    # the level. Fixed values, so the leaf order the AMR pins compare
+    # patches in cannot drift with the key's implementation.
+    @pytest.mark.parametrize(
+        "level, x, y, key",
+        [
+            (0, 0, 0, 0),
+            (1, 1, 0, 2161727821137838081),
+            (1, 0, 1, 4323455642275676161),
+            (2, 1, 3, 5944751508129054722),
+            (5, 17, 9, 3267924479610716165),
+            (MAX_LEVEL, 0, 0, 29),
+            (MAX_LEVEL, 2**MAX_LEVEL - 1, 0, 2882303761517117459),
+            (MAX_LEVEL, 0, 2**MAX_LEVEL - 1, 5764607523034234889),
+            (MAX_LEVEL, 2**MAX_LEVEL - 1, 2**MAX_LEVEL - 1, 8646911284551352319),
+        ],
+    )
+    def test_pinned_values(self, level, x, y, key):
+        assert _key(Quadrant(level, x, y)) == key

@@ -144,6 +144,23 @@ class TestSimulateCommand:
         assert "predicted cost" in out
         assert "patches per level" in out
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["simulate", "--t-end", "0"], "t_end must be positive"),
+            (["simulate", "--t-end", "-1"], "t_end must be positive"),
+            (["simulate", "--t-end", "nan"], "t_end must be positive"),
+            (["simulate", "--rhoin", "nan"], "rhoin must be positive"),
+            (["trace", "--t-end", "0"], "t_end must be positive"),
+            (["trace", "--t-end", "nan"], "t_end must be positive"),
+        ],
+    )
+    def test_rejects_a_job_that_cannot_run(self, argv, message, capsys):
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert err.strip() == f"error: {message}"
+        assert "predicted cost" not in out
+
 
 @pytest.fixture(scope="module")
 def service_dataset_csv(tmp_path_factory):
