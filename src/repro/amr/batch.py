@@ -6,17 +6,17 @@ so the whole hierarchy can live in a single stacked array of shape
 zero-copy view of its slot.  This module provides
 
 - :class:`PatchStack` — builds the stacked storage, rebinds every patch's
-  state to a view of it, and exposes whole-hierarchy vectorized reductions
-  (``dt_from_speeds``, ``check_physical``, ``conserved_totals``,
-  ``total_bytes``);
+  state to a view of it, and exposes whole-hierarchy reductions
+  (``dt_from_speeds``, ``conserved_totals``, ``total_bytes``, and
+  ``check_physical``, one compiled pass when the kernels load);
 - :class:`ExchangePlan` — the compiled ghost exchange: the per-face
   neighbor classification of :func:`repro.amr.ghost.exchange_ghosts`
   (physical boundary, same-level, coarse–fine, fine–coarse) is resolved
   once per hierarchy change into flat ``int32`` element indices of the
   stack, and executed each step as a few indexed copies, gathers and
-  scatters — through the compiled kernels of :mod:`repro.solver.kernels`
-  when they load, in numpy otherwise — instead of ``4 * P`` Python-level
-  neighbor lookups;
+  scatters — one call of the compiled kernels of
+  :mod:`repro.solver.kernels` when they load, numpy otherwise — instead
+  of ``4 * P`` Python-level neighbor lookups;
 - :class:`StackStepper` — the one sweep and wave-speed dispatch of the
   batched driver: the compiled kernels of :mod:`repro.solver.kernels`
   when they load and implement the configured Riemann solver and
@@ -61,7 +61,7 @@ from repro.mesh.quadrant import Quadrant, quadrant_children, quadrant_parent
 from repro.solver import kernels
 from repro.solver.boundary import BoundaryCondition
 from repro.solver.fv import _sweep_stack
-from repro.solver.state import IMX, IMY, primitive_from_conserved
+from repro.solver.state import IMX, IMY, check_physical, primitive_from_conserved
 
 
 def stack_wave_speeds(
@@ -221,6 +221,9 @@ class ExchangePlan:
     fine_scatter: np.ndarray
     #: The kernel path's staging buffers, allocated at its first run.
     _staging: tuple[np.ndarray, ...] = field(default=(), init=False, repr=False)
+    #: The kernel path's ``(q, call)``: the program bound to the stack
+    #: array it last ran on (:func:`repro.solver.kernels.bind_exchange`).
+    _bound: tuple = field(default=(), init=False, repr=False)
     #: The numpy path's ``intp`` copies of the eight index arrays, made at
     #: its first run: numpy converts ``int32`` fancy indices on every use.
     _intp: tuple[np.ndarray, ...] = field(default=(), init=False, repr=False)
@@ -351,13 +354,14 @@ class ExchangePlan:
         """Fill every ghost strip of the C-contiguous float64 stack ``q``.
 
         Runs the compiled kernels of :mod:`repro.solver.kernels` when they
-        load, and numpy otherwise.  Both apply the same elementwise
-        operations per traffic row, so they agree bit for bit.
+        load, as one call bound once per stack array, and numpy
+        otherwise.  Both apply the same elementwise operations per traffic
+        row, so they agree bit for bit.
         """
         if not (q.flags.c_contiguous and q.dtype == np.float64):
             raise ValueError("q must be C-contiguous float64")
-        flat = q.reshape(-1)
         if kernels.load() is None:
+            flat = q.reshape(-1)
             if not self._intp:
                 self._intp = tuple(
                     getattr(self, f.name).astype(np.intp)
@@ -370,21 +374,22 @@ class ExchangePlan:
             flat[coarse_scatter] = prolong_patch(flat[coarse_gather])
             flat[fine_scatter] = restrict_area_average(flat[fine_gather])
             return
-        if not self._staging:
-            self._staging = tuple(
-                np.empty(a.shape)
-                for a in (self.coarse_gather, self.coarse_scatter,
-                          self.fine_gather, self.fine_scatter)
-            )
-        coarse, prolonged, fine, restricted = self._staging
-        kernels.copy_indexed(flat, self.copy_dst, self.copy_src, 1.0)
-        kernels.copy_indexed(flat, self.neg_dst, self.neg_src, -1.0)
-        kernels.gather_indexed(flat, self.coarse_gather, coarse)
-        kernels.prolong_blocks(coarse, *coarse.shape[2:], prolonged)
-        kernels.scatter_indexed(flat, self.coarse_scatter, prolonged)
-        kernels.gather_indexed(flat, self.fine_gather, fine)
-        kernels.restrict_blocks(fine, *fine.shape[2:], restricted)
-        kernels.scatter_indexed(flat, self.fine_scatter, restricted)
+        if not self._bound or self._bound[0] is not q:
+            if not self._staging:
+                self._staging = tuple(
+                    np.empty(a.shape)
+                    for a in (self.coarse_gather, self.coarse_scatter,
+                              self.fine_gather, self.fine_scatter)
+                )
+            coarse, prolonged, fine, restricted = self._staging
+            self._bound = (q, kernels.bind_exchange(
+                q.reshape(-1),
+                (self.copy_dst, self.copy_src),
+                (self.neg_dst, self.neg_src),
+                (self.coarse_gather, self.coarse_scatter, coarse, prolonged),
+                (self.fine_gather, self.fine_scatter, fine, restricted),
+            ))
+        self._bound[1]()
 
 
 class PatchStack:
@@ -461,15 +466,16 @@ class PatchStack:
         return dt
 
     def check_physical(self, gamma: float) -> bool:
-        """True iff every interior cell of every patch is physical."""
-        q = np.moveaxis(self.interior, 1, 0)
-        if not np.all(np.isfinite(q)):
-            return False
-        rho = q[0]
-        if np.any(rho <= 0.0):
-            return False
-        p = (gamma - 1.0) * (q[3] - 0.5 * (q[1] ** 2 + q[2] ** 2) / rho)
-        return bool(np.all(p > 0.0))
+        """True iff every interior cell of every patch is physical.
+
+        One pass of the compiled kernels
+        (:func:`repro.solver.kernels.check_physical`) when they load;
+        otherwise :func:`repro.solver.state.check_physical` over the
+        stacked interiors, with the same result.
+        """
+        if kernels.load() is not None:
+            return kernels.check_physical(self.q, self.ng, gamma)
+        return check_physical(np.moveaxis(self.interior, 1, 0), gamma)
 
     def conserved_totals(self) -> tuple[float, float]:
         """(total mass, total energy) integrated over the hierarchy.

@@ -23,13 +23,17 @@ Two stepping backends are provided (``AmrConfig.batched``):
   flat-index :class:`repro.amr.batch.ExchangePlan` compiled once per
   hierarchy change, through the compiled kernels of
   :mod:`repro.solver.kernels`, or numpy when no C compiler is available.
-  The physicality / conservation reductions are vectorized.
+  The physicality check runs the same way (one compiled pass, or numpy),
+  and the conservation reductions are vectorized.
 - **per-patch**: the original patch-by-patch loop, kept as the bit-identical
   reference implementation.
 
-Both backends produce bit-for-bit identical states and statistics; the
-phases of either path are timed through :mod:`repro.obs` (``amr_plan``,
-``amr_exchange``, ``amr_sweep``, ``amr_dt``, ``amr_regrid``), and a traced
+Both backends share the initial build, which tags each round's patches
+in one vectorized pass and fills each round's new leaves with one
+evaluation of the initial condition.  Both produce bit-for-bit identical
+states and statistics; the phases of either path are timed through
+:mod:`repro.obs` (``amr_init``, ``amr_plan``, ``amr_exchange``,
+``amr_sweep``, ``amr_dt``, ``amr_regrid``), and a traced
 run's ``amr_run`` span closes with the run's regrid, refinement and
 coarsening counts from :class:`~repro.amr.stats.RunStats`.
 """
@@ -123,7 +127,8 @@ class AmrDriver:
         # only where it keeps the balance), so they seed the worklist
         # rebalance.
         self._balance_seeds: list[tuple[int, Quadrant]] = []
-        self._build_initial_hierarchy()
+        with obs.timed("amr_init", cat="amr"):
+            self._build_initial_hierarchy()
 
     # ------------------------------------------------------------------ setup
 
@@ -134,39 +139,65 @@ class AmrDriver:
     def _new_patch(self, tree: int, quad: Quadrant) -> Patch:
         return Patch(tree, quad, self.config.mx, self.config.ng, self._tree_origin(tree))
 
-    def _fill_initial(self, patch: Patch) -> None:
-        patch.fill_from(self.problem.evaluate)
+    def _fill_initial(self, patches: list[Patch]) -> None:
+        """Evaluate the initial condition on every cell of ``patches`` at once.
+
+        One ``problem.evaluate`` call over the stacked cell centers: each
+        patch's centers are those of :meth:`Patch.cell_centers`, computed
+        the same way, and ``evaluate`` is elementwise, so every patch gets
+        the values its own call would give.
+        """
+        if not patches:
+            return
+        c = np.arange(self.config.mx) + 0.5
+        dx = np.array([p.dx for p in patches])[:, None]
+        x = np.array([p.x0 for p in patches])[:, None] + c * dx
+        y = np.array([p.y0 for p in patches])[:, None] + c * dx
+        values = self.problem.evaluate(
+            *np.broadcast_arrays(x[:, :, None], y[:, None, :])
+        )
+        for i, p in enumerate(patches):
+            p.interior[...] = values[:, i]
 
     def _build_initial_hierarchy(self) -> None:
         """Iteratively refine from the initial condition, re-evaluating it.
 
         Standard AMR start-up: build the min-level mesh, then repeat
-        (tag -> refine -> balance -> re-fill) until max_level can be
-        reached, so the initial shock and bubble interface are resolved at
-        the finest level from step one.
+        (tag -> refine -> balance -> fill) until max_level can be reached,
+        so the initial shock and bubble interface are resolved at the
+        finest level from step one.  Each round tags its patches in one
+        :func:`~repro.amr.tagging.tag_stack` pass and, after its refines
+        and rebalance, fills the new leaves in one
+        :meth:`_fill_initial`; a patch that the same round refines away is
+        never filled.
         """
         cfg = self.config
         self.patches = {
             (t, q): self._new_patch(t, q) for t, q in self.forest.iter_leaves()
         }
         self._invalidate_stack()
-        for p in self.patches.values():
-            self._fill_initial(p)
+        self._fill_initial(list(self.patches.values()))
         for _ in range(cfg.max_level - cfg.min_level):
-            tagged = [
-                key
-                for key, p in self.patches.items()
-                if p.level < cfg.max_level
-                and tag_for_refinement(
-                    p.interior, cfg.refine_threshold, cfg.coarsen_threshold
-                )
-                > 0
-            ]
+            refinable = {
+                key: p for key, p in self.patches.items() if p.level < cfg.max_level
+            }
+            if not refinable:
+                break
+            votes = tag_stack(
+                np.stack([p.interior for p in refinable.values()]),
+                cfg.refine_threshold,
+                cfg.coarsen_threshold,
+            )
+            tagged = [key for key, vote in zip(refinable, votes) if vote > 0]
             if not tagged:
                 break
+            before = set(self.patches)
             for tree, quad in tagged:
                 self._refine_patch(tree, quad, from_initial=True)
             self._rebalance(from_initial=True)
+            self._fill_initial(
+                [p for key, p in self.patches.items() if key not in before]
+            )
         self._normalize_leaf_order()
 
     def _normalize_leaf_order(self) -> None:
@@ -207,13 +238,16 @@ class AmrDriver:
     # ------------------------------------------------------------- regridding
 
     def _refine_patch(self, tree: int, quad: Quadrant, from_initial: bool) -> None:
+        """Replace a leaf by its four children.
+
+        The children take the prolonged solution, or, ``from_initial``,
+        stay empty until the initial build fills them.
+        """
         parent = self.patches.pop((tree, quad))
         self.forest.trees[tree].refine(quad)
         for child in quadrant_children(quad):
             cp = self._new_patch(tree, child)
-            if from_initial:
-                self._fill_initial(cp)
-            else:
+            if not from_initial:
                 cp.interior[...] = prolong_child(parent.interior, child.child_id)
             self.patches[(tree, child)] = cp
             self._balance_seeds.append((tree, child))

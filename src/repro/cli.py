@@ -753,8 +753,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command; tracing is left on or off as the command found it."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    was_tracing = obs.tracing_enabled()
+    try:
+        return args.func(args)
+    finally:
+        if not was_tracing:
+            obs.disable_tracing()
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via main() in tests

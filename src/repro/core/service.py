@@ -60,8 +60,12 @@ Workers start from :func:`worker_context`: each is a fork of a server
 that preloaded numpy, scipy and this module, and reaches its handshake
 in about 10–20 ms instead of the 0.5–1 s a ``spawn`` interpreter spends
 importing them.  The server starts with the first worker, whose start
-waits for the preloading (0.6–1.2 s, once per process).  It fixes the
-environment and the preloaded code at that moment; each worker still
+waits for the preloading (0.6–1.2 s, once per process).  Where only a
+``sys.path`` edit makes this package importable (a script that inserts
+``src``), :func:`worker_context` starts the server itself, with the
+package's directory on its ``PYTHONPATH``, since the stdlib server does
+not apply the parent's ``sys.path`` before preloading.  The server fixes
+the environment and the preloaded code when it starts; each worker still
 takes its working directory and ``sys.path`` from the parent, imports
 the parent's ``__main__`` (so scripts keep their ``if __name__ ==
 "__main__":`` guard), and starts with an empty observability registry
@@ -94,6 +98,7 @@ import json
 import multiprocessing
 import os
 import pickle
+import site
 import sys
 import time
 import traceback as _traceback
@@ -661,6 +666,11 @@ def worker_context() -> multiprocessing.context.BaseContext:
     run at interpreter exit *after* :mod:`multiprocessing` has terminated
     and joined its children; any earlier, it would wait on the workers.
     A process that used the pool leaves no server behind when it exits.
+
+    The stdlib server preloads from its own start-up ``sys.path`` and
+    leaves unused the parent's, which it is handed (Python 3.11).  Where
+    that path would miss this package, the server starts here, with
+    :func:`_server_pythonpath` in its environment for that moment only.
     """
     if "forkserver" not in multiprocessing.get_all_start_methods():
         return multiprocessing.get_context("spawn")
@@ -668,9 +678,37 @@ def worker_context() -> multiprocessing.context.BaseContext:
 
     ctx = multiprocessing.get_context("forkserver")
     ctx.set_forkserver_preload(["repro.core.service"])
+    path = _server_pythonpath()
+    if path is not None:
+        before = os.environ.get("PYTHONPATH")
+        os.environ["PYTHONPATH"] = path
+        try:
+            forkserver.ensure_running()
+        finally:
+            if before is None:
+                del os.environ["PYTHONPATH"]
+            else:
+                os.environ["PYTHONPATH"] = before
     # A negative priority runs after multiprocessing's exit handler.
     util.Finalize(None, forkserver._forkserver._stop, exitpriority=-1)
     return ctx
+
+
+def _server_pythonpath() -> str | None:
+    """A ``PYTHONPATH`` on which a fresh interpreter finds this package.
+
+    None where it already would: the package's directory is on
+    ``PYTHONPATH`` or is a site-packages directory (an install), or the
+    interpreter ignores the environment anyway (``-E``/``-I``).
+    """
+    if sys.flags.ignore_environment:
+        return None
+    root = Path(__file__).resolve().parents[2]
+    entries = [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    found = [*entries, *site.getsitepackages(), site.getusersitepackages()]
+    if any(Path(p).resolve() == root for p in found):
+        return None
+    return os.pathsep.join([str(root), *entries])
 
 
 class _WorkerHandle:

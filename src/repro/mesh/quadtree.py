@@ -82,10 +82,15 @@ class Quadtree:
         leaves = [Quadrant(level, x, y) for y in range(n) for x in range(n)]
         return cls(leaves)
 
+    def _area_units(self) -> int:
+        """Leaf area in cells of level ``MAX_LEVEL``, summed exactly."""
+        return sum(4 ** (MAX_LEVEL - q.level) for q in self._leaves)
+
     def _check_tiling(self) -> None:
-        total = sum(4.0 ** (-q.level) for q in self._leaves)
-        if abs(total - 1.0) > 1e-12:
-            raise ValueError(f"leaves do not tile the unit square (area={total})")
+        if self._area_units() != 4**MAX_LEVEL:
+            raise ValueError(
+                f"leaves do not tile the unit square (area={self.covered_area()})"
+            )
         for a, b in zip(self._leaves, self._leaves[1:]):
             if a == b or is_ancestor(a, b) or is_ancestor(b, a):
                 raise ValueError(f"overlapping leaves {a} and {b}")
@@ -197,4 +202,4 @@ class Quadtree:
 
     def covered_area(self) -> float:
         """Total area of all leaves (always 1.0 for a valid tree)."""
-        return sum(4.0 ** (-q.level) for q in self._leaves)
+        return self._area_units() / 4**MAX_LEVEL

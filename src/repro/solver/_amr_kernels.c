@@ -2,8 +2,9 @@
  *
  * These routines are the execution engine of the batched AMR driver: they
  * advance the shape-stacked hierarchy with a fused finite-volume sweep,
- * compute its per-patch CFL wave speeds, and apply the index-compiled
- * ghost-exchange program (repro.amr.shard).
+ * compute its per-patch CFL wave speeds, check that its interiors are
+ * physical, and run the whole flat-index ghost-exchange program of
+ * repro.amr.batch.ExchangePlan in one call.
  *
  * Bit-identity contract: every arithmetic expression below reproduces the
  * numpy reference (repro.solver.fv._sweep_stack and friends) operation for
@@ -18,6 +19,7 @@
  *   np.sign(x)       -> x > 0 ? 1 : (x < 0 ? -1 : x)   driver checks states)
  */
 
+#include <float.h>
 #include <math.h>
 #include <stdint.h>
 #include <stdlib.h>
@@ -301,10 +303,13 @@ void fused_sweep(double *restrict q, long P, long n, long ng,
 /* Per-patch CFL wave-speed maxima over patch interiors: sx[p] is the max
  * of |u|+c, sy[p] the max of |v|+c.  Per-cell arithmetic mirrors
  * primitive_from_conserved; the max reductions are order-insensitive, so
- * the values match PatchStack.compute_dt's bit for bit. */
+ * the values match PatchStack.compute_dt's bit for bit.  Each row runs the
+ * per-cell arithmetic first, into cx/cy (a loop the compiler vectorizes),
+ * then the scalar max over the row in cell order. */
 void wave_speeds(const double *restrict q, long P, long n, long ng,
                  double gamma, double *restrict sx, double *restrict sy) {
     long mx = n - 2 * ng;
+    double cx[mx], cy[mx];
     for (long p = 0; p < P; p++) {
         const double *qp = q + p * 4 * n * n;
         double mx_sx = -HUGE_VAL, mx_sy = -HUGE_VAL;
@@ -320,9 +325,12 @@ void wave_speeds(const double *restrict q, long P, long n, long ng,
                     (q3r[j] - (0.5 * rho) * (u * u + v * v));
                 pp = npmax(pp, PRESSURE_FLOOR);
                 double c = sqrt(gamma * pp / rho);
-                double cx = npabs(u) + c, cy = npabs(v) + c;
-                if (cx > mx_sx) mx_sx = cx;
-                if (cy > mx_sy) mx_sy = cy;
+                cx[j] = npabs(u) + c;
+                cy[j] = npabs(v) + c;
+            }
+            for (long j = 0; j < mx; j++) {
+                if (cx[j] > mx_sx) mx_sx = cx[j];
+                if (cy[j] > mx_sy) mx_sy = cy[j];
             }
         }
         sx[p] = mx_sx;
@@ -330,11 +338,41 @@ void wave_speeds(const double *restrict q, long P, long n, long ng,
     }
 }
 
+/* 1 iff every interior cell of every patch is physical, else 0: all four
+ * fields finite, rho > 0 and p > 0, with p evaluated as the numpy
+ * repro.solver.state.check_physical does, so the two return the same
+ * boolean.  Ghost cells are never read.  Each row folds its cells into one
+ * flag (a loop the compiler vectorizes), and the check returns at the
+ * first row with a bad cell. */
+int check_physical(const double *restrict q, long P, long n, long ng,
+                   double gamma) {
+    long mx = n - 2 * ng;
+    for (long p = 0; p < P; p++) {
+        const double *qp = q + p * 4 * n * n;
+        for (long i = 0; i < mx; i++) {
+            const double *q0r = qp + 0 * n * n + (ng + i) * n + ng;
+            const double *q1r = qp + 1 * n * n + (ng + i) * n + ng;
+            const double *q2r = qp + 2 * n * n + (ng + i) * n + ng;
+            const double *q3r = qp + 3 * n * n + (ng + i) * n + ng;
+            int bad = 0;
+            for (long j = 0; j < mx; j++) {
+                double q0 = q0r[j], q1 = q1r[j], q2 = q2r[j], q3 = q3r[j];
+                double pp = (gamma - 1.0) * (q3 - 0.5 * (q1 * q1 + q2 * q2) / q0);
+                bad |= !(fabs(q0) <= DBL_MAX) | !(fabs(q1) <= DBL_MAX) |
+                       !(fabs(q2) <= DBL_MAX) | !(fabs(q3) <= DBL_MAX) |
+                       (q0 <= 0.0) | !(pp > 0.0);
+            }
+            if (bad) return 0;
+        }
+    }
+    return 1;
+}
+
 /* Index-compiled ghost traffic: flat[dst[k]] = flat[src[k]] (pure copies)
  * or the same with a sign flip (reflecting-wall momentum rows).  scale is
  * restricted to +/-1 so the copy path stays a bit-exact move. */
-void copy_indexed(double *restrict flat, const int32_t *restrict dst,
-                  const int32_t *restrict src, long K, double scale) {
+static void copy_indexed(double *restrict flat, const int32_t *restrict dst,
+                         const int32_t *restrict src, long K, double scale) {
     if (scale == 1.0) {
         for (long k = 0; k < K; k++) flat[dst[k]] = flat[src[k]];
     } else {
@@ -346,8 +384,8 @@ void copy_indexed(double *restrict flat, const int32_t *restrict dst,
  * replicating repro.amr.transfer.prolong_patch: slopes are zero at slab
  * borders and each coarse cell emits c + fx*sx + fy*sy at the four
  * sub-cell centers (fx, fy in {-0.25, +0.25}). */
-void prolong_blocks(const double *restrict src, long R, long nx, long ny,
-                    double *restrict dst) {
+static void prolong_blocks(const double *restrict src, long R, long nx,
+                           long ny, double *restrict dst) {
     for (long r = 0; r < R; r++) {
         const double *c = src + r * nx * ny;
         double *f = dst + r * 4 * nx * ny;
@@ -379,8 +417,8 @@ void prolong_blocks(const double *restrict src, long R, long nx, long ny,
 /* Batched 2x2 area restriction of R (nx, ny) slabs to (nx/2, ny/2),
  * replicating numpy's view.mean(axis=(-3, -1)) pairwise order:
  * ((a00 + a01) + (a10 + a11)) / 4. */
-void restrict_blocks(const double *restrict src, long R, long nx, long ny,
-                     double *restrict dst) {
+static void restrict_blocks(const double *restrict src, long R, long nx,
+                            long ny, double *restrict dst) {
     long hx = nx / 2, hy = ny / 2;
     for (long r = 0; r < R; r++) {
         const double *f = src + r * nx * ny;
@@ -398,13 +436,43 @@ void restrict_blocks(const double *restrict src, long R, long nx, long ny,
 }
 
 /* Gather flat[idx[k]] into out[k] (normalized strip staging buffers). */
-void gather_indexed(const double *restrict flat, const int32_t *restrict idx,
-                    double *restrict out, long K) {
+static void gather_indexed(const double *restrict flat,
+                           const int32_t *restrict idx, double *restrict out,
+                           long K) {
     for (long k = 0; k < K; k++) out[k] = flat[idx[k]];
 }
 
 /* Scatter vals[k] to flat[idx[k]] (writing prolonged/restricted strips). */
-void scatter_indexed(double *restrict flat, const int32_t *restrict idx,
-                     const double *restrict vals, long K) {
+static void scatter_indexed(double *restrict flat, const int32_t *restrict idx,
+                            const double *restrict vals, long K) {
     for (long k = 0; k < K; k++) flat[idx[k]] = vals[k];
+}
+
+/* The whole exchange program of repro.amr.batch.ExchangePlan on the flat
+ * stack: the copies, the negated copies, then R coarse (cnx, cny) slabs
+ * gathered, prolonged and scattered, and R' fine (fnx, fny) slabs
+ * gathered, restricted and scattered, through the caller's staging
+ * buffers.  Reads touch interior cells and writes ghost cells only, so the
+ * order of the four kinds cannot matter. */
+void exchange(double *restrict flat,
+              const int32_t *restrict copy_dst, const int32_t *restrict copy_src,
+              long ncopy,
+              const int32_t *restrict neg_dst, const int32_t *restrict neg_src,
+              long nneg,
+              const int32_t *restrict coarse_gather,
+              const int32_t *restrict coarse_scatter,
+              long ncoarse, long cnx, long cny,
+              double *restrict coarse, double *restrict prolonged,
+              const int32_t *restrict fine_gather,
+              const int32_t *restrict fine_scatter,
+              long nfine, long fnx, long fny,
+              double *restrict fine, double *restrict restricted) {
+    copy_indexed(flat, copy_dst, copy_src, ncopy, 1.0);
+    copy_indexed(flat, neg_dst, neg_src, nneg, -1.0);
+    gather_indexed(flat, coarse_gather, coarse, ncoarse * cnx * cny);
+    prolong_blocks(coarse, ncoarse, cnx, cny, prolonged);
+    scatter_indexed(flat, coarse_scatter, prolonged, ncoarse * 4 * cnx * cny);
+    gather_indexed(flat, fine_gather, fine, nfine * fnx * fny);
+    restrict_blocks(fine, nfine, fnx, fny, restricted);
+    scatter_indexed(flat, fine_scatter, restricted, nfine * (fnx / 2) * (fny / 2));
 }

@@ -2,10 +2,12 @@
 
 The batched :class:`~repro.amr.driver.AmrDriver` steps its shape-stacked
 hierarchy through the routines in ``_amr_kernels.c``: the fused sweep and
-the CFL wave speeds (dispatched by :class:`repro.amr.batch.StackStepper`)
-and the indexed copy, gather, prolong, restrict and scatter of the
-compiled ghost exchange (:class:`repro.amr.batch.ExchangePlan`).  This
-module owns the build-and-load lifecycle:
+the CFL wave speeds (dispatched by :class:`repro.amr.batch.StackStepper`),
+the physicality check of the stacked interiors
+(:meth:`repro.amr.batch.PatchStack.check_physical`), and the whole ghost
+exchange program of :class:`repro.amr.batch.ExchangePlan` as one call,
+whose ctypes arguments :func:`bind_exchange` converts once.  This module
+owns the build-and-load lifecycle:
 
 - **Build cache** — the shared library is compiled once per source hash
   into a per-user cache directory (override with ``REPRO_KERNEL_CACHE``)
@@ -18,10 +20,11 @@ module owns the build-and-load lifecycle:
   to load them on a machine pays the one-time build (a few seconds of
   ``gcc``).
 - **Bit-identity** — the C routines replicate the numpy expression trees
-  of :func:`repro.solver.fv._sweep_stack` operation for operation and are
-  built with ``-ffp-contract=off`` (no FMA contraction), so their results
-  are bit-for-bit equal to the reference; ``tests/solver/test_kernels.py``
-  pins this for every riemann x limiter combination.
+  of :func:`repro.solver.fv._sweep_stack` and the other numpy paths
+  operation for operation and are built with ``-ffp-contract=off`` (no
+  FMA contraction), so their results are bit-for-bit equal to the
+  reference; ``tests/solver/test_kernels.py`` pins this for every
+  riemann x limiter combination, the exchange and the physicality check.
 
 Every process calls :func:`load` independently; they all hit the same
 cache file, so the compile cost is paid once per machine (per cache
@@ -31,6 +34,7 @@ directory), not once per process.
 from __future__ import annotations
 
 import ctypes
+import functools
 import hashlib
 import os
 import subprocess
@@ -96,20 +100,16 @@ def _bind(lib: ctypes.CDLL) -> ctypes.CDLL:
         dp, dp,
     ]
     lib.wave_speeds.restype = None
-    lib.copy_indexed.argtypes = [dp, ip, ip, ctypes.c_long, ctypes.c_double]
-    lib.copy_indexed.restype = None
-    lib.prolong_blocks.argtypes = [
-        dp, ctypes.c_long, ctypes.c_long, ctypes.c_long, dp
+    lib.check_physical.argtypes = [
+        dp, ctypes.c_long, ctypes.c_long, ctypes.c_long, ctypes.c_double,
     ]
-    lib.prolong_blocks.restype = None
-    lib.restrict_blocks.argtypes = [
-        dp, ctypes.c_long, ctypes.c_long, ctypes.c_long, dp
+    lib.check_physical.restype = ctypes.c_int
+    lib.exchange.argtypes = [
+        dp, ip, ip, ctypes.c_long, ip, ip, ctypes.c_long,
+        ip, ip, ctypes.c_long, ctypes.c_long, ctypes.c_long, dp, dp,
+        ip, ip, ctypes.c_long, ctypes.c_long, ctypes.c_long, dp, dp,
     ]
-    lib.restrict_blocks.restype = None
-    lib.gather_indexed.argtypes = [dp, ip, dp, ctypes.c_long]
-    lib.gather_indexed.restype = None
-    lib.scatter_indexed.argtypes = [dp, ip, dp, ctypes.c_long]
-    lib.scatter_indexed.restype = None
+    lib.exchange.restype = None
     return lib
 
 
@@ -143,6 +143,20 @@ def load_error() -> str | None:
     return _load_failed
 
 
+def _require() -> ctypes.CDLL:
+    lib = load()
+    if lib is None:
+        raise RuntimeError(f"compiled kernels unavailable: {_load_failed}")
+    return lib
+
+
+def _check_stack(q: np.ndarray, ng: int) -> None:
+    if not (q.flags.c_contiguous and q.dtype == np.float64):
+        raise ValueError("q must be C-contiguous float64")
+    if not (q.ndim == 4 and q.shape[1] == 4 and q.shape[2] == q.shape[3] > 2 * ng):
+        raise ValueError("q must have shape (P, 4, n, n) with n > 2 * ng")
+
+
 def _as_double_ptr(a: np.ndarray):
     return a.ctypes.data_as(ctypes.POINTER(ctypes.c_double))
 
@@ -166,11 +180,8 @@ def fused_sweep(
     :class:`~repro.amr.batch.PatchStack` qualifies); ``dt_dx`` holds the
     per-patch ``dt / dx`` factors.  ``axis`` 0 sweeps x, 1 sweeps y.
     """
-    lib = load()
-    if lib is None:
-        raise RuntimeError(f"compiled kernels unavailable: {_load_failed}")
-    if not (q.flags.c_contiguous and q.dtype == np.float64):
-        raise ValueError("q must be C-contiguous float64")
+    lib = _require()
+    _check_stack(q, ng)
     dtd = np.ascontiguousarray(dt_dx, dtype=np.float64)
     P, _, n, _ = q.shape
     lib.fused_sweep(
@@ -188,11 +199,8 @@ def wave_speeds(
     C-contiguous float64 ``(P,)`` (a row slice of a scratch vector
     qualifies).
     """
-    lib = load()
-    if lib is None:
-        raise RuntimeError(f"compiled kernels unavailable: {_load_failed}")
-    if not (q.flags.c_contiguous and q.dtype == np.float64):
-        raise ValueError("q must be C-contiguous float64")
+    lib = _require()
+    _check_stack(q, ng)
     P, _, n, _ = q.shape
     for out in (sx, sy):
         if not (out.flags.c_contiguous and out.dtype == np.float64
@@ -204,62 +212,65 @@ def wave_speeds(
     )
 
 
-def copy_indexed(
-    flat: np.ndarray, dst: np.ndarray, src: np.ndarray, scale: float = 1.0
-) -> None:
-    """``flat[dst] = flat[src] * scale`` without numpy fancy-index overhead.
+def check_physical(q: np.ndarray, ng: int, gamma: float) -> bool:
+    """True iff every interior cell of the ``(P, 4, n, n)`` stack is physical.
 
-    ``dst`` and ``src`` must be disjoint (the exchange programs copy
-    interiors into ghost cells, never the reverse): the loop copies element
-    by element, while numpy's fancy assignment gathers the source first.
-    Index vectors are int32 (half the index memory of int64; a stack would
-    need >2^31 elements to overflow, far beyond any hierarchy the driver
-    builds).
+    The same boolean as :meth:`repro.amr.batch.PatchStack.check_physical`'s
+    numpy path: every field finite, density and pressure positive.  Ghost
+    cells are not read.
     """
-    lib = load()
-    if lib is None:
-        raise RuntimeError(f"compiled kernels unavailable: {_load_failed}")
-    lib.copy_indexed(
-        _as_double_ptr(flat), _as_int32_ptr(dst), _as_int32_ptr(src),
-        dst.size, float(scale),
-    )
+    lib = _require()
+    _check_stack(q, ng)
+    P, _, n, _ = q.shape
+    return bool(lib.check_physical(_as_double_ptr(q), P, n, ng, float(gamma)))
 
 
-def prolong_blocks(src: np.ndarray, nx: int, ny: int, dst: np.ndarray) -> None:
-    """Batched minmod prolongation of ``R`` ``(nx, ny)`` slabs to 2x size."""
-    lib = load()
-    if lib is None:
-        raise RuntimeError(f"compiled kernels unavailable: {_load_failed}")
-    lib.prolong_blocks(
-        _as_double_ptr(src), src.size // (nx * ny), nx, ny, _as_double_ptr(dst)
-    )
+def bind_exchange(
+    flat: np.ndarray,
+    copy: tuple[np.ndarray, np.ndarray],
+    neg: tuple[np.ndarray, np.ndarray],
+    coarse: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
+    fine: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
+):
+    """One ghost-exchange program on ``flat``, as a call without arguments.
 
+    - ``copy`` and ``neg`` are ``(dst, src)``: ``flat[dst] = flat[src]``,
+      and the same times ``-1.0``.  ``dst`` and ``src`` must be disjoint,
+      as the exchange's ghost cells and interiors are.
+    - ``coarse`` is ``(gather, scatter, gathered, prolonged)``: the
+      ``(..., nx, ny)`` slabs that ``gather`` indexes are prolonged
+      (minmod, as :func:`repro.amr.transfer.prolong_patch`) to
+      ``scatter`` ``(..., 2nx, 2ny)``, through float64 staging buffers of
+      the two sizes.
+    - ``fine`` is the same for the 2x2 restriction of ``(..., nx, ny)``
+      slabs to ``(..., nx/2, ny/2)``.
 
-def restrict_blocks(src: np.ndarray, nx: int, ny: int, dst: np.ndarray) -> None:
-    """Batched 2x2 area restriction of ``R`` ``(nx, ny)`` slabs."""
-    lib = load()
-    if lib is None:
-        raise RuntimeError(f"compiled kernels unavailable: {_load_failed}")
-    lib.restrict_blocks(
-        _as_double_ptr(src), src.size // (nx * ny), nx, ny, _as_double_ptr(dst)
-    )
-
-
-def gather_indexed(flat: np.ndarray, idx: np.ndarray, out: np.ndarray) -> None:
-    """``out.ravel()[:] = flat[idx]`` into a preallocated staging buffer."""
-    lib = load()
-    if lib is None:
-        raise RuntimeError(f"compiled kernels unavailable: {_load_failed}")
-    lib.gather_indexed(
-        _as_double_ptr(flat), _as_int32_ptr(idx), _as_double_ptr(out), idx.size
-    )
-
-
-def scatter_indexed(flat: np.ndarray, idx: np.ndarray, vals: np.ndarray) -> None:
-    """``flat[idx] = vals.ravel()`` from a staging buffer."""
-    lib = load()
-    if lib is None:
-        raise RuntimeError(f"compiled kernels unavailable: {_load_failed}")
-    lib.scatter_indexed(
-        _as_double_ptr(flat), _as_int32_ptr(idx), _as_double_ptr(vals), idx.size
-    )
+    Index arrays are C-contiguous int32.  Every argument is converted to
+    ctypes here, once, and the call holds references to the arrays.
+    """
+    lib = _require()
+    for a in (flat, *coarse[2:], *fine[2:]):
+        if not (a.flags.c_contiguous and a.dtype == np.float64):
+            raise ValueError("flat and staging buffers must be C-contiguous float64")
+    for a in (*copy, *neg, *coarse[:2], *fine[:2]):
+        if not (a.flags.c_contiguous and a.dtype == np.int32):
+            raise ValueError("index arrays must be C-contiguous int32")
+        if a.size and not (0 <= a.min() and a.max() < flat.size):
+            raise ValueError("an index lies outside flat")
+    args = [_as_double_ptr(flat)]
+    for dst, src in (copy, neg):
+        if dst.size != src.size:
+            raise ValueError("copy destinations and sources differ in size")
+        args += [_as_int32_ptr(dst), _as_int32_ptr(src), ctypes.c_long(dst.size)]
+    for (gather, scatter, gathered, spread), ratio in ((coarse, 4), (fine, 0.25)):
+        if not (gathered.size == gather.size and spread.size == scatter.size
+                == gather.size * ratio):
+            raise ValueError("gather, scatter and staging sizes do not match")
+        nx, ny = gather.shape[-2:]
+        args += [
+            _as_int32_ptr(gather), _as_int32_ptr(scatter),
+            ctypes.c_long(gather.size // (nx * ny)),
+            ctypes.c_long(nx), ctypes.c_long(ny),
+            _as_double_ptr(gathered), _as_double_ptr(spread),
+        ]
+    return functools.partial(lib.exchange, *args)

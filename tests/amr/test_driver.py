@@ -213,6 +213,7 @@ class TestPhaseTimers:
             for phase in ("amr_plan", "amr_exchange", "amr_sweep", "amr_dt",
                           "amr_regrid"):
                 assert snap[phase].calls > 0, phase
+            assert snap["amr_init"].calls == 1  # the initial build, once
         finally:
             obs.reset()
 

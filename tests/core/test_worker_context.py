@@ -57,6 +57,34 @@ print(worker_context().get_start_method())
 """
 
 
+#: A script that finds the package only through its own ``sys.path``
+#: edit.  A worker runs the script's top level again, as ``__mp_main__``,
+#: before its target: what is imported at that point came from the server.
+PRELOAD_SCRIPT = """
+import os
+import sys
+
+PRELOADED = sorted({"numpy", "scipy", "repro.core.service"} & set(sys.modules))
+sys.path.insert(0, {src!r})
+
+
+def report(conn):
+    conn.send(PRELOADED)
+
+
+if __name__ == "__main__":
+    from repro.core.service import worker_context
+
+    ctx = worker_context()
+    parent, child = ctx.Pipe()
+    proc = ctx.Process(target=report, args=(child,))
+    proc.start()
+    print(*parent.recv())
+    proc.join()
+    print("PYTHONPATH" in os.environ)
+"""
+
+
 def _process_group(pgid: int) -> list[str]:
     """Every process in group ``pgid``, zombies included."""
     members = []
@@ -122,3 +150,25 @@ def test_every_pool_falls_back_to_spawn(small_dataset, monkeypatch):
             assert np.array_equal(a.rmse_cost, b.rmse_cost)
     finally:
         service.worker_context.cache_clear()
+
+
+@pytest.mark.skipif(
+    "forkserver" not in multiprocessing.get_all_start_methods(),
+    reason="no forkserver",
+)
+def test_server_preloads_a_package_found_by_a_sys_path_edit(tmp_path):
+    """Python 3.11's forkserver ignores the ``sys_path`` it is handed, so a
+    server started plainly for this script preloads nothing, and each worker
+    imports numpy and scipy itself."""
+    src = str(Path(repro.__file__).resolve().parents[1])
+    script = tmp_path / "edit_sys_path.py"
+    script.write_text(PRELOAD_SCRIPT.replace("{src!r}", repr(src)))
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    out = subprocess.run(
+        [sys.executable, str(script)], capture_output=True, text=True,
+        cwd=tmp_path, env=env, timeout=300,
+    )
+    assert out.returncode == 0, out.stderr
+    preloaded, environ_changed = out.stdout.splitlines()
+    assert preloaded.split() == ["numpy", "repro.core.service", "scipy"]
+    assert environ_changed == "False"

@@ -40,6 +40,19 @@ class TestConstruction:
         with pytest.raises(ValueError):
             Quadtree([Quadrant(1, 0, 0)])  # only a quarter covered
 
+    def test_rejects_a_hole_of_the_finest_levels(self):
+        """One level-20 leaf missing leaves an area 4**-20 short of 1, below
+        any float tolerance on the sum; the integer sum still sees it."""
+        leaves, q = [], root_quadrant()
+        for _ in range(20):
+            first, *rest = quadrant_children(q)
+            leaves += rest
+            q = first
+        assert len(leaves) == 60 and q.level == 20
+        assert Quadtree(leaves + [q]).covered_area() == 1.0
+        with pytest.raises(ValueError, match="do not tile"):
+            Quadtree(leaves)
+
     def test_rejects_overlap(self):
         leaves = [Quadrant(1, 0, 0), Quadrant(1, 1, 0), Quadrant(1, 0, 1),
                   Quadrant(1, 1, 1), Quadrant(2, 0, 0)]

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.cli import build_parser, main
 
 
@@ -160,6 +161,30 @@ class TestSimulateCommand:
         out, err = capsys.readouterr()
         assert err.strip() == f"error: {message}"
         assert "predicted cost" not in out
+
+
+class TestTracingState:
+    """``run``, ``trace`` and ``serve`` switch tracing on; ``main`` leaves
+    the process-global tracer as it found it, so nothing keeps collecting
+    spans after a command returns."""
+
+    def _trace(self, tmp_path) -> None:
+        assert main(["trace", "--iterations", "2", "--t-end", "0.005",
+                     "--trace-out", str(tmp_path / "trace.json")]) == 0
+
+    def test_trace_leaves_tracing_off(self, tmp_path, capsys):
+        obs.disable_tracing()
+        self._trace(tmp_path)
+        assert (tmp_path / "trace.json").exists()
+        assert not obs.tracing_enabled()
+
+    def test_trace_keeps_a_live_tracer(self, tmp_path, capsys):
+        tracer = obs.enable_tracing()
+        try:
+            self._trace(tmp_path)
+            assert obs.tracer() is tracer
+        finally:
+            obs.disable_tracing()
 
 
 @pytest.fixture(scope="module")
