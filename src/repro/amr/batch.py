@@ -116,17 +116,22 @@ class StackStepper:
             and kernels.load() is not None
         )
 
-    def sweep(self, q: np.ndarray, dt_dx: np.ndarray, axis: int) -> None:
-        """In-place sweep of C-contiguous ``(P, 4, n, n)`` rows; axis 0 is x."""
+    def sweep(self, q: np.ndarray, dt_dx: np.ndarray, axis: int) -> int:
+        """In-place sweep of C-contiguous ``(P, 4, n, n)`` rows; axis 0 is x.
+
+        Returns the number of quiescent patches the compiled sweep skipped
+        (:func:`repro.solver.kernels.fused_sweep`); the numpy path skips
+        none.
+        """
         if self.compiled:
-            kernels.fused_sweep(
+            return kernels.fused_sweep(
                 q, dt_dx, self.ng, axis, self.riemann, self.limiter, self.gamma
             )
-        else:
-            _sweep_stack(
-                q, dt_dx, self.ng, "x" if axis == 0 else "y",
-                self.riemann, self.limiter, self.gamma,
-            )
+        _sweep_stack(
+            q, dt_dx, self.ng, "x" if axis == 0 else "y",
+            self.riemann, self.limiter, self.gamma,
+        )
+        return 0
 
     def wave_speeds(self, q: np.ndarray, sx: np.ndarray, sy: np.ndarray) -> None:
         """Per-row interior maxima of ``|u|+c`` / ``|v|+c`` into ``sx`` / ``sy``."""

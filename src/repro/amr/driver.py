@@ -35,7 +35,9 @@ states and statistics; the phases of either path are timed through
 :mod:`repro.obs` (``amr_init``, ``amr_plan``, ``amr_exchange``,
 ``amr_sweep``, ``amr_dt``, ``amr_regrid``), and a traced
 run's ``amr_run`` span closes with the run's regrid, refinement and
-coarsening counts from :class:`~repro.amr.stats.RunStats`.
+coarsening counts from :class:`~repro.amr.stats.RunStats`, its patch
+sweeps (one patch in one dimensional sweep) and how many of them the
+compiled sweep skipped as quiescent.
 """
 
 from __future__ import annotations
@@ -120,6 +122,11 @@ class AmrDriver:
         self.patches: dict[tuple[int, Quadrant], Patch] = {}
         self.t = 0.0
         self.stats = RunStats()
+        #: Patch sweeps run, and those the compiled sweep skipped because
+        #: their stencil held one state (observability only: no result
+        #: depends on them, and the numpy paths skip none).
+        self.patch_sweeps = 0
+        self.quiescent_sweeps = 0
         self._stack: PatchStack | None = None
         self._stepper = StackStepper.from_config(config)
         # Children of refines since the forest was last balanced.  Only such
@@ -383,7 +390,9 @@ class AmrDriver:
                 with obs.timed("amr_exchange", cat="amr"):
                     stack.exchange()
                 with obs.timed("amr_sweep", cat="amr"):
-                    self._stepper.sweep(stack.q, dt_dx, axis)
+                    self.quiescent_sweeps += self._stepper.sweep(
+                        stack.q, dt_dx, axis
+                    )
         else:
             with obs.timed("amr_exchange", cat="amr"):
                 self._exchange()
@@ -396,6 +405,7 @@ class AmrDriver:
                 for p in self.patches.values():
                     sweep_y(p.q, dt / p.dx, cfg.ng, **kw)
         self.t += dt
+        self.patch_sweeps += 2 * len(self.patches)
         cells = len(self.patches) * cfg.mx * cfg.mx
         self.stats.record_step(
             StepRecord(
@@ -441,6 +451,8 @@ class AmrDriver:
                         regrids=self.stats.num_regrids,
                         refinements=self.stats.num_refinements,
                         coarsenings=self.stats.num_coarsenings,
+                        patch_sweeps=self.patch_sweeps,
+                        quiescent_sweeps=self.quiescent_sweeps,
                     )
                     return self.stats
                 with obs.span("amr_step", cat="amr", step=k):

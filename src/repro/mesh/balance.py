@@ -161,8 +161,15 @@ def balance_from_seeds(
     when its newer leaf is processed.  Every refine made is one the full
     scan must also make, hence the result equals :func:`balance_forest`'s
     (``tests/mesh/test_balance.py`` checks this on random forests).
+
+    Each ancestor is checked once per call: a walk stops at the first
+    ``(tree, ancestor)`` pair already checked, whose coarser ancestors
+    were checked along with it.  That check refined every same-level
+    neighbor leaf of the ancestor, and a same-level leaf made there later
+    is a refine's child, so it is itself a seed and is checked as ``X``.
     """
     queue = deque(seeds)
+    checked: set[tuple[int, Quadrant]] = set()
     total = 0
 
     def split(t: int, q: Quadrant) -> None:
@@ -181,6 +188,9 @@ def balance_from_seeds(
         for level in range(quad.level - 2, -1, -1):
             shift = quad.level - level
             anc = Quadrant(level, quad.x >> shift, quad.y >> shift)
+            if (tree, anc) in checked:
+                break
+            checked.add((tree, anc))
             for face in range(4):
                 hit = forest.face_neighbor(tree, anc, face)
                 if hit is not None and hit[1] in forest.trees[hit[0]]:

@@ -13,22 +13,31 @@
  * bit-for-bit equal to the serial batched path.  tests/solver/test_kernels.py
  * enforces this for every riemann x limiter combination.
  *
+ * Work the result does not need is skipped, never approximated:
+ *   - a quiescent patch, whose sweep stencil holds one finite state in each
+ *     field (bit for bit), is returned as it is when the full arithmetic
+ *     would return it (see sweep_body); wave_speeds and check_physical
+ *     evaluate one cell of an interior that holds one value per field;
+ *   - the HLLC flux builds only the star state its select can take, that
+ *     of the contact's upwind side.
+ *
  * numpy semantics replicated explicitly:
- *   np.maximum(a, b) -> a >= b ? a : b      (propagates a's NaN like numpy
- *   np.minimum(a, b) -> a <= b ? a : b       only through the a slot; the
- *   np.sign(x)       -> x > 0 ? 1 : (x < 0 ? -1 : x)   driver checks states)
+ *   np.maximum(a, b) -> a >= b || a != a ? a : b   (a NaN in either slot
+ *   np.minimum(a, b) -> a <= b || a != a ? a : b    propagates, as in numpy)
+ *   np.sign(x)       -> x > 0 ? 1 : (x < 0 ? -1 : x)
  */
 
 #include <float.h>
 #include <math.h>
 #include <stdint.h>
 #include <stdlib.h>
+#include <string.h>
 
 #define DENSITY_FLOOR 1e-12
 #define PRESSURE_FLOOR 1e-12
 
-static inline double npmax(double a, double b) { return a >= b ? a : b; }
-static inline double npmin(double a, double b) { return a <= b ? a : b; }
+static inline double npmax(double a, double b) { return a >= b || a != a ? a : b; }
+static inline double npmin(double a, double b) { return a <= b || a != a ? a : b; }
 static inline double npabs(double a) { return fabs(a); }
 static inline double npsign(double a) { return a > 0.0 ? 1.0 : (a < 0.0 ? -1.0 : a); }
 
@@ -109,36 +118,85 @@ static inline void flux_one(int rie, double gamma,
     den = den == 0.0 ? 1e-300 : den;
     double sm = num / den;
 
-    double coefl = rl * (sl - ul) / (sl - sm == 0.0 ? 1e-300 : sl - sm);
-    double el = ql3 / rl +
-        (sm - ul) * (sm + pl / (rl * (sl - ul == 0.0 ? 1e-300 : sl - ul)));
-    double qsl0 = coefl, qsl1 = coefl * sm, qsl2 = coefl * vl, qsl3 = coefl * el;
+    /* The select below can take only the contact's upwind star state:
+     * the left one when sm >= 0, the right one otherwise (NaN included).
+     * So that side's operands (suffix k) are picked first, and its one
+     * star state is built with the expressions and guards each side used. */
+    int left = sm >= 0.0;
+    double rk = left ? rl : rr, uk = left ? ul : ur, vk = left ? vl : vr;
+    double pk = left ? pl : pr, sk = left ? sl : sr;
+    double qk0 = left ? ql0 : qr0, qk1 = left ? ql1 : qr1,
+           qk2 = left ? ql2 : qr2, qk3 = left ? ql3 : qr3;
+    double fk0 = left ? fl0 : fr0, fk1 = left ? fl1 : fr1,
+           fk2 = left ? fl2 : fr2, fk3 = left ? fl3 : fr3;
+    double coef = rk * (sk - uk) / (sk - sm == 0.0 ? 1e-300 : sk - sm);
+    double ek = qk3 / rk +
+        (sm - uk) * (sm + pk / (rk * (sk - uk == 0.0 ? 1e-300 : sk - uk)));
+    double qs0 = coef, qs1 = coef * sm, qs2 = coef * vk, qs3 = coef * ek;
+    double fs0 = fk0 + sk * (qs0 - qk0), fs1 = fk1 + sk * (qs1 - qk1),
+           fs2 = fk2 + sk * (qs2 - qk2), fs3 = fk3 + sk * (qs3 - qk3);
 
-    double coefr = rr * (sr - ur) / (sr - sm == 0.0 ? 1e-300 : sr - sm);
-    double er = qr3 / rr +
-        (sm - ur) * (sm + pr / (rr * (sr - ur == 0.0 ? 1e-300 : sr - ur)));
-    double qsr0 = coefr, qsr1 = coefr * sm, qsr2 = coefr * vr, qsr3 = coefr * er;
-
-    double fsl0 = fl0 + sl * (qsl0 - ql0), fsl1 = fl1 + sl * (qsl1 - ql1),
-           fsl2 = fl2 + sl * (qsl2 - ql2), fsl3 = fl3 + sl * (qsl3 - ql3);
-    double fsr0 = fr0 + sr * (qsr0 - qr0), fsr1 = fr1 + sr * (qsr1 - qr1),
-           fsr2 = fr2 + sr * (qsr2 - qr2), fsr3 = fr3 + sr * (qsr3 - qr3);
-
-    *f0 = sl >= 0.0 ? fl0 : (sm >= 0.0 ? fsl0 : (sr >= 0.0 ? fsr0 : fr0));
-    *f1 = sl >= 0.0 ? fl1 : (sm >= 0.0 ? fsl1 : (sr >= 0.0 ? fsr1 : fr1));
-    *f2 = sl >= 0.0 ? fl2 : (sm >= 0.0 ? fsl2 : (sr >= 0.0 ? fsr2 : fr2));
-    *f3 = sl >= 0.0 ? fl3 : (sm >= 0.0 ? fsl3 : (sr >= 0.0 ? fsr3 : fr3));
+    int star = left || sr >= 0.0;
+    *f0 = sl >= 0.0 ? fl0 : (star ? fs0 : fr0);
+    *f1 = sl >= 0.0 ? fl1 : (star ? fs1 : fr1);
+    *f2 = sl >= 0.0 ? fl2 : (star ? fs2 : fr2);
+    *f3 = sl >= 0.0 ? fl3 : (star ? fs3 : fr3);
 }
 
-/* One fused dimensional sweep over P stacked patches.  The primitive
- * scratch W spans normal cells lo-1..hi+1 so the slope and reconstruction
- * stages are branch-free over their index ranges; one flux row is built per
- * interface and immediately applied (fluxes live only in the F scratch). */
-static inline void sweep_body(double *restrict q, long P, long n, long ng,
-                              const double *restrict dt_d, int axis, int rie,
-                              int lim, double gamma,
-                              double *restrict w, double *restrict dw,
-                              double *restrict f) {
+static inline uint64_t bits_of(double x) {
+    uint64_t b;
+    memcpy(&b, &x, sizeof b);
+    return b;
+}
+
+/* 1 iff each of patch qp's four n x n fields holds one finite value, bit
+ * for bit (so +0.0 and -0.0 differ), over the rows x cols block at offset
+ * off.  Returns at the first row that differs. */
+static inline int uniform_fields(const double *qp, long n, long off,
+                                 long rows, long cols) {
+    const double *b0 = qp + off, *b1 = b0 + n * n, *b2 = b1 + n * n,
+                 *b3 = b2 + n * n;
+    if (!(fabs(b0[0]) <= DBL_MAX && fabs(b1[0]) <= DBL_MAX &&
+          fabs(b2[0]) <= DBL_MAX && fabs(b3[0]) <= DBL_MAX))
+        return 0;
+    uint64_t v0 = bits_of(b0[0]), v1 = bits_of(b1[0]), v2 = bits_of(b2[0]),
+             v3 = bits_of(b3[0]);
+    for (long i = 0; i < rows; i++) {
+        long o = i * n;
+        int diff = 0;
+        for (long j = 0; j < cols; j++)
+            diff |= (bits_of(b0[o + j]) != v0) | (bits_of(b1[o + j]) != v1) |
+                    (bits_of(b2[o + j]) != v2) | (bits_of(b3[o + j]) != v3);
+        if (diff) return 0;
+    }
+    return 1;
+}
+
+/* 1 iff x - fac * (f[c] - f[c]) is x for every finite x, -0.0 included,
+ * in each of the four fields c (cs apart): iff fac * (f - f) is +0.0, so
+ * f is finite and fac is neither negative, -0.0 nor non-finite. */
+static inline int update_keeps(double fac, const double *f, long cs) {
+    for (int c = 0; c < 4; c++)
+        if (bits_of(fac * (f[c * cs] - f[c * cs])) != 0) return 0;
+    return 1;
+}
+
+/* One fused dimensional sweep over P stacked patches; returns the number
+ * of quiescent patches it skipped.  The primitive scratch W spans normal
+ * cells lo-1..hi+1 so the slope and reconstruction stages are branch-free
+ * over their index ranges; one flux row is built per interface and
+ * immediately applied (fluxes live only in the F scratch).
+ *
+ * A quiescent patch holds the same finite value in each field over every
+ * cell the sweep reads (bit for bit).  Every face then gets the same
+ * states and so the same flux f, and every interior cell x becomes
+ * x - fac * (f - f).  So the stages first run over one face of one line
+ * (the four cells its slopes read), and the patch is kept as it is when
+ * update_keeps holds for that flux; otherwise the stages run in full. */
+static inline __attribute__((always_inline)) long
+sweep_body(double *restrict q, long P, long n, long ng,
+           const double *restrict dt_d, int axis, int rie, int lim, double gamma,
+           double *restrict w, double *restrict dw, double *restrict f) {
     long mx = n - 2 * ng;
     long lo = ng - 1;
     long ncw = mx + 4;  /* cells lo-1 .. hi+1 */
@@ -151,93 +209,108 @@ static inline void sweep_body(double *restrict q, long P, long n, long ng,
     long imt = axis == 0 ? 2 : 1;
     long comp[4];
     comp[0] = 0; comp[1] = imn; comp[2] = imt; comp[3] = 3;
+    /* the stencil: normal cells lo-1..hi+1 of every interior tangential line */
+    long off = axis == 0 ? (lo - 1) * n + ng : ng * n + (lo - 1);
+    long rows = axis == 0 ? ncw : tan, cols = axis == 0 ? tan : ncw;
+    long skipped = 0;
     for (long p = 0; p < P; p++) {
         double *qp = q + p * 4 * n * n;
         double fac = dt_d[p];
-        /* gather primitives (or raw conserved states for first order) */
-        for (long i = 0; i < ncw; i++) {
-            long ni = lo - 1 + i;
-            const double *q0r, *q1r, *q2r, *q3r;
-            long stride;
-            if (axis == 0) {
-                q0r = qp + 0 * n * n + ni * n + ng;
-                q1r = qp + imn * n * n + ni * n + ng;
-                q2r = qp + imt * n * n + ni * n + ng;
-                q3r = qp + 3 * n * n + ni * n + ng;
-                stride = 1;
-            } else {
-                q0r = qp + 0 * n * n + ng * n + ni;
-                q1r = qp + imn * n * n + ng * n + ni;
-                q2r = qp + imt * n * n + ng * n + ni;
-                q3r = qp + 3 * n * n + ng * n + ni;
-                stride = n;
-            }
-            if (lim < 0) {
-                for (long j = 0; j < tan; j++) {
-                    W(0, i, j) = q0r[j * stride];
-                    W(1, i, j) = q1r[j * stride];
-                    W(2, i, j) = q2r[j * stride];
-                    W(3, i, j) = q3r[j * stride];
+        int quiet = uniform_fields(qp, n, off, rows, cols);
+        for (;;) {
+            /* W rows, lines and faces the stages run over */
+            long gi = quiet ? 4 : ncw, gj = quiet ? 1 : tan, gk = quiet ? 1 : nf;
+            /* gather primitives (or raw conserved states for first order) */
+            for (long i = 0; i < gi; i++) {
+                long ni = lo - 1 + i;
+                const double *q0r, *q1r, *q2r, *q3r;
+                long stride;
+                if (axis == 0) {
+                    q0r = qp + 0 * n * n + ni * n + ng;
+                    q1r = qp + imn * n * n + ni * n + ng;
+                    q2r = qp + imt * n * n + ni * n + ng;
+                    q3r = qp + 3 * n * n + ni * n + ng;
+                    stride = 1;
+                } else {
+                    q0r = qp + 0 * n * n + ng * n + ni;
+                    q1r = qp + imn * n * n + ng * n + ni;
+                    q2r = qp + imt * n * n + ng * n + ni;
+                    q3r = qp + 3 * n * n + ng * n + ni;
+                    stride = n;
                 }
-            } else {
-                for (long j = 0; j < tan; j++) {
-                    double q0 = q0r[j * stride], q1 = q1r[j * stride];
-                    double q2 = q2r[j * stride], q3 = q3r[j * stride];
-                    double rho = npmax(q0, DENSITY_FLOOR);
-                    double u = q1 / rho, v = q2 / rho;
-                    double pp = (gamma - 1.0) *
-                        (q3 - (0.5 * rho) * (u * u + v * v));
-                    W(0, i, j) = rho;
-                    W(1, i, j) = u;
-                    W(2, i, j) = v;
-                    W(3, i, j) = npmax(pp, PRESSURE_FLOOR);
-                }
-            }
-        }
-        if (lim >= 0) {
-            /* limited slopes at cells lo..hi => W rows 1..ncw-2 */
-            for (long c = 0; c < 4; c++) {
-                for (long i = 1; i < ncw - 1; i++) {
-                    const double *wm = &W(c, i - 1, 0);
-                    const double *wc = &W(c, i, 0);
-                    const double *wp = &W(c, i + 1, 0);
-                    double *out = &DW(c, i, 0);
-                    for (long j = 0; j < tan; j++) {
-                        double a = wc[j] - wm[j];
-                        double b = wp[j] - wc[j];
-                        out[j] = limit_one(lim, a, b);
+                if (lim < 0) {
+                    for (long j = 0; j < gj; j++) {
+                        W(0, i, j) = q0r[j * stride];
+                        W(1, i, j) = q1r[j * stride];
+                        W(2, i, j) = q2r[j * stride];
+                        W(3, i, j) = q3r[j * stride];
+                    }
+                } else {
+                    for (long j = 0; j < gj; j++) {
+                        double q0 = q0r[j * stride], q1 = q1r[j * stride];
+                        double q2 = q2r[j * stride], q3 = q3r[j * stride];
+                        double rho = npmax(q0, DENSITY_FLOOR);
+                        double u = q1 / rho, v = q2 / rho;
+                        double pp = (gamma - 1.0) *
+                            (q3 - (0.5 * rho) * (u * u + v * v));
+                        W(0, i, j) = rho;
+                        W(1, i, j) = u;
+                        W(2, i, j) = v;
+                        W(3, i, j) = npmax(pp, PRESSURE_FLOOR);
                     }
                 }
             }
-        }
-        for (long k = 0; k < nf; k++) {
-            long il = k + 1, ir = k + 2; /* W rows of cells lo+k, lo+k+1 */
-            for (long j = 0; j < tan; j++) {
-                double ql0, ql1, ql2, ql3, qr0, qr1, qr2, qr3;
-                if (lim < 0) {
-                    ql0 = W(0, il, j); ql1 = W(1, il, j);
-                    ql2 = W(2, il, j); ql3 = W(3, il, j);
-                    qr0 = W(0, ir, j); qr1 = W(1, ir, j);
-                    qr2 = W(2, ir, j); qr3 = W(3, ir, j);
-                } else {
-                    double wl0 = W(0, il, j) + 0.5 * DW(0, il, j);
-                    double wl1 = W(1, il, j) + 0.5 * DW(1, il, j);
-                    double wl2 = W(2, il, j) + 0.5 * DW(2, il, j);
-                    double wl3 = W(3, il, j) + 0.5 * DW(3, il, j);
-                    double wr0 = W(0, ir, j) - 0.5 * DW(0, ir, j);
-                    double wr1 = W(1, ir, j) - 0.5 * DW(1, ir, j);
-                    double wr2 = W(2, ir, j) - 0.5 * DW(2, ir, j);
-                    double wr3 = W(3, ir, j) - 0.5 * DW(3, ir, j);
-                    ql0 = wl0; ql1 = wl0 * wl1; ql2 = wl0 * wl2;
-                    ql3 = wl3 / (gamma - 1.0) +
-                        (0.5 * wl0) * (wl1 * wl1 + wl2 * wl2);
-                    qr0 = wr0; qr1 = wr0 * wr1; qr2 = wr0 * wr2;
-                    qr3 = wr3 / (gamma - 1.0) +
-                        (0.5 * wr0) * (wr1 * wr1 + wr2 * wr2);
+            if (lim >= 0) {
+                /* limited slopes at cells lo..hi => W rows 1..gi-2 */
+                for (long c = 0; c < 4; c++) {
+                    for (long i = 1; i < gi - 1; i++) {
+                        const double *wm = &W(c, i - 1, 0);
+                        const double *wc = &W(c, i, 0);
+                        const double *wp = &W(c, i + 1, 0);
+                        double *out = &DW(c, i, 0);
+                        for (long j = 0; j < gj; j++) {
+                            double a = wc[j] - wm[j];
+                            double b = wp[j] - wc[j];
+                            out[j] = limit_one(lim, a, b);
+                        }
+                    }
                 }
-                flux_one(rie, gamma, ql0, ql1, ql2, ql3, qr0, qr1, qr2, qr3,
-                         &F(0, k, j), &F(1, k, j), &F(2, k, j), &F(3, k, j));
             }
+            for (long k = 0; k < gk; k++) {
+                long il = k + 1, ir = k + 2; /* W rows of cells lo+k, lo+k+1 */
+                for (long j = 0; j < gj; j++) {
+                    double ql0, ql1, ql2, ql3, qr0, qr1, qr2, qr3;
+                    if (lim < 0) {
+                        ql0 = W(0, il, j); ql1 = W(1, il, j);
+                        ql2 = W(2, il, j); ql3 = W(3, il, j);
+                        qr0 = W(0, ir, j); qr1 = W(1, ir, j);
+                        qr2 = W(2, ir, j); qr3 = W(3, ir, j);
+                    } else {
+                        double wl0 = W(0, il, j) + 0.5 * DW(0, il, j);
+                        double wl1 = W(1, il, j) + 0.5 * DW(1, il, j);
+                        double wl2 = W(2, il, j) + 0.5 * DW(2, il, j);
+                        double wl3 = W(3, il, j) + 0.5 * DW(3, il, j);
+                        double wr0 = W(0, ir, j) - 0.5 * DW(0, ir, j);
+                        double wr1 = W(1, ir, j) - 0.5 * DW(1, ir, j);
+                        double wr2 = W(2, ir, j) - 0.5 * DW(2, ir, j);
+                        double wr3 = W(3, ir, j) - 0.5 * DW(3, ir, j);
+                        ql0 = wl0; ql1 = wl0 * wl1; ql2 = wl0 * wl2;
+                        ql3 = wl3 / (gamma - 1.0) +
+                            (0.5 * wl0) * (wl1 * wl1 + wl2 * wl2);
+                        qr0 = wr0; qr1 = wr0 * wr1; qr2 = wr0 * wr2;
+                        qr3 = wr3 / (gamma - 1.0) +
+                            (0.5 * wr0) * (wr1 * wr1 + wr2 * wr2);
+                    }
+                    flux_one(rie, gamma, ql0, ql1, ql2, ql3, qr0, qr1, qr2, qr3,
+                             &F(0, k, j), &F(1, k, j), &F(2, k, j), &F(3, k, j));
+                }
+            }
+            if (!quiet || update_keeps(fac, &F(0, 0, 0), nf * tan)) break;
+            quiet = 0;
+        }
+        if (quiet) {
+            skipped++;
+            continue;
         }
         for (long m = 0; m < mx; m++) {
             for (long c = 0; c < 4; c++) {
@@ -257,20 +330,23 @@ static inline void sweep_body(double *restrict q, long P, long n, long ng,
             }
         }
     }
+    return skipped;
 #undef W
 #undef DW
 #undef F
 }
 
 /* Per-combination specializations let the compiler constant-fold the
- * riemann/limiter dispatch out of the inner loops; anything else falls back
- * to the generic body. */
+ * riemann/limiter dispatch out of the inner loops (sweep_body is always
+ * inlined, so each gets its own copy); anything else falls back to the
+ * generic body. */
 #define SPECIALIZE(name, RIE, LIM)                                          \
-    static void name(double *restrict q, long P, long n, long ng,           \
+    static long name(double *restrict q, long P, long n, long ng,           \
                      const double *restrict dt_d, int axis, double gamma,   \
                      double *restrict w, double *restrict dw,               \
                      double *restrict f) {                                  \
-        sweep_body(q, P, n, ng, dt_d, axis, (RIE), (LIM), gamma, w, dw, f); \
+        return sweep_body(q, P, n, ng, dt_d, axis, (RIE), (LIM), gamma,     \
+                          w, dw, f);                                        \
     }
 
 SPECIALIZE(sweep_hllc_mc, 2, 2)
@@ -278,7 +354,9 @@ SPECIALIZE(sweep_hllc_minmod, 2, 0)
 SPECIALIZE(sweep_hll_mc, 1, 2)
 SPECIALIZE(sweep_rusanov_mc, 0, 2)
 
-void fused_sweep(double *restrict q, long P, long n, long ng,
+/* The sweep of sweep_body, dispatched; -1 if its scratch cannot be
+ * allocated (the stack is then left as it was). */
+long fused_sweep(double *restrict q, long P, long n, long ng,
                  const double *restrict dt_d, int axis, int rie, int lim,
                  double gamma) {
     long mx = n - 2 * ng;
@@ -286,39 +364,46 @@ void fused_sweep(double *restrict q, long P, long n, long ng,
     double *w = malloc(sizeof(double) * 4 * ncw * tan);
     double *dw = malloc(sizeof(double) * 4 * ncw * tan);
     double *f = malloc(sizeof(double) * 4 * nf * tan);
-    if (!w || !dw || !f) { free(w); free(dw); free(f); return; }
-    if (rie == 2 && lim == 2)
-        sweep_hllc_mc(q, P, n, ng, dt_d, axis, gamma, w, dw, f);
-    else if (rie == 2 && lim == 0)
-        sweep_hllc_minmod(q, P, n, ng, dt_d, axis, gamma, w, dw, f);
-    else if (rie == 1 && lim == 2)
-        sweep_hll_mc(q, P, n, ng, dt_d, axis, gamma, w, dw, f);
-    else if (rie == 0 && lim == 2)
-        sweep_rusanov_mc(q, P, n, ng, dt_d, axis, gamma, w, dw, f);
-    else
-        sweep_body(q, P, n, ng, dt_d, axis, rie, lim, gamma, w, dw, f);
+    long skipped = -1;
+    if (w && dw && f) {
+        if (rie == 2 && lim == 2)
+            skipped = sweep_hllc_mc(q, P, n, ng, dt_d, axis, gamma, w, dw, f);
+        else if (rie == 2 && lim == 0)
+            skipped = sweep_hllc_minmod(q, P, n, ng, dt_d, axis, gamma, w, dw, f);
+        else if (rie == 1 && lim == 2)
+            skipped = sweep_hll_mc(q, P, n, ng, dt_d, axis, gamma, w, dw, f);
+        else if (rie == 0 && lim == 2)
+            skipped = sweep_rusanov_mc(q, P, n, ng, dt_d, axis, gamma, w, dw, f);
+        else
+            skipped = sweep_body(q, P, n, ng, dt_d, axis, rie, lim, gamma,
+                                 w, dw, f);
+    }
     free(w); free(dw); free(f);
+    return skipped;
 }
 
 /* Per-patch CFL wave-speed maxima over patch interiors: sx[p] is the max
  * of |u|+c, sy[p] the max of |v|+c.  Per-cell arithmetic mirrors
  * primitive_from_conserved; the max reductions are order-insensitive, so
- * the values match PatchStack.compute_dt's bit for bit.  Each row runs the
- * per-cell arithmetic first, into cx/cy (a loop the compiler vectorizes),
- * then the scalar max over the row in cell order. */
+ * the values match PatchStack.compute_dt's bit for bit.  Each row runs the per-cell
+ * arithmetic first, into cx/cy (a loop the compiler vectorizes), then the
+ * scalar max over the row in cell order.  An interior that holds one
+ * value per field is evaluated at one cell: the maximum of identical
+ * values is that value.  Ghost cells are never read. */
 void wave_speeds(const double *restrict q, long P, long n, long ng,
                  double gamma, double *restrict sx, double *restrict sy) {
     long mx = n - 2 * ng;
     double cx[mx], cy[mx];
     for (long p = 0; p < P; p++) {
         const double *qp = q + p * 4 * n * n;
+        long m = uniform_fields(qp, n, ng * n + ng, mx, mx) ? 1 : mx;
         double mx_sx = -HUGE_VAL, mx_sy = -HUGE_VAL;
-        for (long i = 0; i < mx; i++) {
+        for (long i = 0; i < m; i++) {
             const double *q0r = qp + 0 * n * n + (ng + i) * n + ng;
             const double *q1r = qp + 1 * n * n + (ng + i) * n + ng;
             const double *q2r = qp + 2 * n * n + (ng + i) * n + ng;
             const double *q3r = qp + 3 * n * n + (ng + i) * n + ng;
-            for (long j = 0; j < mx; j++) {
+            for (long j = 0; j < m; j++) {
                 double rho = npmax(q0r[j], DENSITY_FLOOR);
                 double u = q1r[j] / rho, v = q2r[j] / rho;
                 double pp = (gamma - 1.0) *
@@ -328,7 +413,7 @@ void wave_speeds(const double *restrict q, long P, long n, long ng,
                 cx[j] = npabs(u) + c;
                 cy[j] = npabs(v) + c;
             }
-            for (long j = 0; j < mx; j++) {
+            for (long j = 0; j < m; j++) {
                 if (cx[j] > mx_sx) mx_sx = cx[j];
                 if (cy[j] > mx_sy) mx_sy = cy[j];
             }
@@ -343,19 +428,21 @@ void wave_speeds(const double *restrict q, long P, long n, long ng,
  * repro.solver.state.check_physical does, so the two return the same
  * boolean.  Ghost cells are never read.  Each row folds its cells into one
  * flag (a loop the compiler vectorizes), and the check returns at the
- * first row with a bad cell. */
+ * first row with a bad cell.  An interior that holds one value per field
+ * is checked at one cell: the AND of identical flags is that flag. */
 int check_physical(const double *restrict q, long P, long n, long ng,
                    double gamma) {
     long mx = n - 2 * ng;
     for (long p = 0; p < P; p++) {
         const double *qp = q + p * 4 * n * n;
-        for (long i = 0; i < mx; i++) {
+        long m = uniform_fields(qp, n, ng * n + ng, mx, mx) ? 1 : mx;
+        for (long i = 0; i < m; i++) {
             const double *q0r = qp + 0 * n * n + (ng + i) * n + ng;
             const double *q1r = qp + 1 * n * n + (ng + i) * n + ng;
             const double *q2r = qp + 2 * n * n + (ng + i) * n + ng;
             const double *q3r = qp + 3 * n * n + (ng + i) * n + ng;
             int bad = 0;
-            for (long j = 0; j < mx; j++) {
+            for (long j = 0; j < m; j++) {
                 double q0 = q0r[j], q1 = q1r[j], q2 = q2r[j], q3 = q3r[j];
                 double pp = (gamma - 1.0) * (q3 - 0.5 * (q1 * q1 + q2 * q2) / q0);
                 bad |= !(fabs(q0) <= DBL_MAX) | !(fabs(q1) <= DBL_MAX) |

@@ -25,6 +25,12 @@ owns the build-and-load lifecycle:
   FMA contraction), so their results are bit-for-bit equal to the
   reference; ``tests/solver/test_kernels.py`` pins this for every
   riemann x limiter combination, the exchange and the physicality check.
+- **Skipped work, same bits** — the sweep returns a quiescent patch (one
+  finite state, bit for bit, over its whole stencil) untouched when the
+  full arithmetic would return it, and counts it; the wave speeds and
+  the physicality check evaluate one cell of a uniform interior; and the
+  HLLC flux builds only the star state its select can take.  The numpy
+  reference does all the arithmetic.
 
 Every process calls :func:`load` independently; they all hit the same
 cache file, so the compile cost is paid once per machine (per cache
@@ -94,7 +100,7 @@ def _bind(lib: ctypes.CDLL) -> ctypes.CDLL:
         dp, ctypes.c_long, ctypes.c_long, ctypes.c_long, dp,
         ctypes.c_int, ctypes.c_int, ctypes.c_int, ctypes.c_double,
     ]
-    lib.fused_sweep.restype = None
+    lib.fused_sweep.restype = ctypes.c_long
     lib.wave_speeds.argtypes = [
         dp, ctypes.c_long, ctypes.c_long, ctypes.c_long, ctypes.c_double,
         dp, dp,
@@ -173,21 +179,32 @@ def fused_sweep(
     riemann: str,
     limiter: str,
     gamma: float,
-) -> None:
+) -> int:
     """In-place fused dimensional sweep over a ``(P, 4, n, n)`` sub-stack.
 
     ``q`` must be C-contiguous float64 (a contiguous row slice of a
     :class:`~repro.amr.batch.PatchStack` qualifies); ``dt_dx`` holds the
-    per-patch ``dt / dx`` factors.  ``axis`` 0 sweeps x, 1 sweeps y.
+    ``(P,)`` per-patch ``dt / dx`` factors.  ``axis`` 0 sweeps x, 1 sweeps y.
+
+    Returns the number of quiescent patches the kernel skipped: those whose
+    stencil holds one finite state, for which the full arithmetic would
+    return the patch bit for bit.
     """
     lib = _require()
     _check_stack(q, ng)
-    dtd = np.ascontiguousarray(dt_dx, dtype=np.float64)
     P, _, n, _ = q.shape
-    lib.fused_sweep(
+    dtd = np.ascontiguousarray(dt_dx, dtype=np.float64)
+    if dtd.shape != (P,):
+        raise ValueError(f"dt_dx must have shape ({P},), got {dtd.shape}")
+    if axis not in (0, 1):
+        raise ValueError(f"axis must be 0 or 1, got {axis!r}")
+    skipped = lib.fused_sweep(
         _as_double_ptr(q), P, n, ng, _as_double_ptr(dtd),
         int(axis), RIEMANN_IDS[riemann], LIMITER_IDS[limiter], float(gamma),
     )
+    if skipped < 0:
+        raise MemoryError("the fused sweep could not allocate its scratch")
+    return skipped
 
 
 def wave_speeds(

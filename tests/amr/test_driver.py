@@ -218,7 +218,8 @@ class TestPhaseTimers:
             obs.reset()
 
     def test_run_span_carries_regrid_churn(self):
-        """A traced run's ``amr_run`` span closes with its RunStats counts."""
+        """A traced run's ``amr_run`` span closes with its RunStats counts,
+        its patch sweeps and the quiescent ones the compiled sweep skipped."""
         driver = AmrDriver(
             ShockBubbleProblem(r0=0.3, rhoin=0.1), AmrConfig(mx=8, max_level=3)
         )
@@ -233,3 +234,9 @@ class TestPhaseTimers:
         assert run.attrs["regrids"] == stats.num_regrids
         assert run.attrs["refinements"] == stats.num_refinements
         assert run.attrs["coarsenings"] == stats.num_coarsenings
+        assert run.attrs["patch_sweeps"] == 2 * sum(s.num_patches for s in stats.steps)
+        assert run.attrs["quiescent_sweeps"] == driver.quiescent_sweeps
+        if driver._stepper.compiled:
+            assert 0 < run.attrs["quiescent_sweeps"] < run.attrs["patch_sweeps"]
+        else:
+            assert run.attrs["quiescent_sweeps"] == 0

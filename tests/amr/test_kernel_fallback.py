@@ -37,6 +37,7 @@ def _run(batched: bool) -> AmrDriver:
 
 def _assert_same_run(a: AmrDriver, b: AmrDriver) -> None:
     assert list(a.patches) == list(b.patches), "leaf set or order diverged"
+    assert a.patch_sweeps == b.patch_sweeps
     assert [r.dt for r in a.stats.steps] == [r.dt for r in b.stats.steps]
     for key, p in a.patches.items():
         assert np.array_equal(b.patches[key].interior, p.interior), key
@@ -51,6 +52,7 @@ def per_patch():
 def test_numpy_fallback_matches_per_patch(no_compiler, per_patch):
     driver = _run(batched=True)
     assert not driver._stepper.compiled and not driver.stack().plan._staging
+    assert driver.quiescent_sweeps == per_patch.quiescent_sweeps == 0
     _assert_same_run(per_patch, driver)
 
 
@@ -58,6 +60,7 @@ def test_numpy_fallback_matches_per_patch(no_compiler, per_patch):
 def test_kernels_match_per_patch(per_patch):
     driver = _run(batched=True)
     assert driver._stepper.compiled and driver.stack().plan._staging
+    assert driver.quiescent_sweeps > 0  # real states reach the shortcut
     _assert_same_run(per_patch, driver)
 
 

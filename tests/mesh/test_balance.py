@@ -1,6 +1,7 @@
 """Tests for 2:1 balance enforcement."""
 
 import copy
+from collections import Counter
 
 import numpy as np
 from hypothesis import given, settings
@@ -141,6 +142,26 @@ class TestWorklist:
         balance_forest(ref)
         assert balance_from_seeds(f, seeds, _refiner(f)) == 2
         assert f.leaf_list() == ref.leaf_list()
+
+    def test_checks_each_ancestor_once_per_call(self):
+        """The four children of one refine share their ancestors: each one
+        is looked up once per face, not once per child."""
+        f = Forest(BrickTopology(1, 1), initial_level=3)
+        seeds = [(0, c) for c in f.trees[0].refine(Quadrant(3, 5, 2))]
+        lookups = Counter()
+        face_neighbor = f.face_neighbor
+
+        def counting(tree, q, face):
+            if q.level <= 2:  # an ancestor of the level-4 seeds
+                lookups[tree, q, face] += 1
+            return face_neighbor(tree, q, face)
+
+        f.face_neighbor = counting
+        assert balance_from_seeds(f, seeds, _refiner(f)) == 0
+        ancestors = (Quadrant(2, 2, 1), Quadrant(1, 1, 0), Quadrant(0, 0, 0))
+        assert lookups == Counter(
+            {(0, a, face): 1 for a in ancestors for face in range(4)}
+        )
 
     def test_stale_seeds_are_skipped(self):
         f = Forest(BrickTopology(1, 1), initial_level=2)

@@ -15,7 +15,8 @@ from repro.amr.batch import ExchangePlan, stack_wave_speeds
 from repro.amr.transfer import prolong_patch, restrict_area_average
 from repro.solver import kernels
 from repro.solver.fv import _sweep_stack
-from repro.solver.state import check_physical
+from repro.solver.riemann import _wave_speeds_davis
+from repro.solver.state import check_physical, primitive_from_conserved
 
 pytestmark = pytest.mark.skipif(
     not kernels.available(),
@@ -40,6 +41,40 @@ def _random_stack(seed: int, P: int = 3, gamma: float = GAMMA) -> np.ndarray:
     q[:, 2] = rho * v
     q[:, 3] = p / (gamma - 1.0) + 0.5 * rho * (u * u + v * v)
     return q
+
+
+def _state(rho, u, v, p, gamma=GAMMA):
+    """One cell's conserved state ``(rho, rho u, rho v, E)``."""
+    return np.array([rho, rho * u, rho * v,
+                     p / (gamma - 1.0) + 0.5 * rho * (u * u + v * v)])
+
+
+def _uniform(*states):
+    """A stack of one patch per state, every cell of it (ghosts too) that state."""
+    return np.array([np.broadcast_to(st[:, None, None], (4, N, N)) for st in states])
+
+
+def _same_bits(a, b):
+    """Bit-for-bit equality: -0.0 differs from +0.0, and NaN equals NaN."""
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+def _sweep_both(q, dt_dx, axis, riemann, limiter):
+    """The kernel's result and skip count, and numpy's result, from ``q``."""
+    ref = q.copy()
+    with np.errstate(all="ignore"):
+        _sweep_stack(ref, dt_dx, NG, "x" if axis == 0 else "y",
+                     riemann, limiter, GAMMA)
+    got = q.copy()
+    skipped = kernels.fused_sweep(got, dt_dx, NG, axis, riemann, limiter, GAMMA)
+    return got, skipped, ref
+
+
+every_scheme = pytest.mark.parametrize(
+    "riemann, limiter, axis",
+    [(r, lim, a) for r in sorted(kernels.RIEMANN_IDS)
+     for lim in sorted(kernels.LIMITER_IDS) for a in (0, 1)],
+)
 
 
 class TestFusedSweep:
@@ -70,6 +105,172 @@ class TestFusedSweep:
         with pytest.raises(ValueError):
             kernels.fused_sweep(q, np.ones(len(q)), NG, 0, "hllc", "mc", GAMMA)
 
+    def test_rejects_dt_dx_not_one_per_patch(self):
+        """C reads one factor per patch: a shorter buffer would be read
+        past its end."""
+        q = _random_stack(seed=4)
+        for bad in (np.full(len(q) - 1, 0.01), np.full((len(q), 1), 0.01),
+                    np.float64(0.01)):
+            with pytest.raises(ValueError):
+                kernels.fused_sweep(q, bad, NG, 0, "hllc", "mc", GAMMA)
+
+    def test_rejects_axis_outside_0_1(self):
+        q = _random_stack(seed=4)
+        for axis in (2, -1):
+            got = q.copy()
+            with pytest.raises(ValueError):
+                kernels.fused_sweep(got, np.full(len(q), 0.01), NG, axis,
+                                    "hllc", "mc", GAMMA)
+            assert _same_bits(got, q)
+
+
+#: Uniform states: at rest, moving, and at rest with dense, hot gas.
+CALM = (_state(1.0, 0.0, 0.0, 1.0), _state(1.1, 0.2, -0.3, 0.8),
+        _state(3.0, 0.0, 0.0, 2.5))
+
+
+class TestQuiescentSweep:
+    """The kernel skips a patch whose stencil holds one finite state only
+    when the full arithmetic would return it bit for bit; every result is
+    compared bit for bit with numpy's, and the skip count is checked."""
+
+    @every_scheme
+    def test_quiescent_patches_among_random_ones(self, riemann, limiter, axis):
+        q = _random_stack(seed=31, P=5)
+        q[[0, 2, 4]] = _uniform(*CALM)
+        got, skipped, ref = _sweep_both(q, np.full(5, 0.01), axis, riemann, limiter)
+        assert skipped == 3
+        assert _same_bits(got, ref)
+        assert _same_bits(got[[0, 2, 4]], q[[0, 2, 4]])
+
+    @every_scheme
+    def test_one_differing_stencil_ghost_runs_the_full_path(
+        self, riemann, limiter, axis
+    ):
+        """Both ghost layers the sweep reads, in each field; the inner one
+        changes the interior, so a skip on interior uniformity alone fails."""
+        for ghost in (NG - 2, NG - 1):
+            for field in range(4):
+                q = _uniform(CALM[1])
+                cell = (ghost, NG) if axis == 0 else (NG, ghost)
+                q[0, field][cell] *= 1.25
+                got, skipped, ref = _sweep_both(q, np.full(1, 0.01), axis,
+                                                riemann, limiter)
+                assert skipped == 0, (ghost, field)
+                assert _same_bits(got, ref), (ghost, field)
+                if ghost == NG - 1:
+                    assert not _same_bits(ref, q), (ghost, field)
+
+    @every_scheme
+    def test_unread_corner_ghosts_do_not_stop_the_skip(self, riemann, limiter, axis):
+        q = _uniform(CALM[1])
+        for rows in (slice(None, NG), slice(-NG, None)):
+            for cols in (slice(None, NG), slice(-NG, None)):
+                q[0, :, rows, cols] = np.nan
+        got, skipped, ref = _sweep_both(q, np.full(1, 0.01), axis, riemann, limiter)
+        assert skipped == 1
+        assert _same_bits(got, ref) and _same_bits(got, q)
+
+    @every_scheme
+    def test_signed_zeros(self, riemann, limiter, axis):
+        """-0.0 momenta survive a +0.0 dt; a -0.0 dt makes the update
+        x - (-0.0), which turns them into +0.0, so that sweep must run."""
+        q = _uniform(_state(1.0, 0.0, 0.0, 1.0))
+        q[0, 1:3] = -0.0
+        got, skipped, ref = _sweep_both(q, np.array([0.0]), axis, riemann, limiter)
+        assert skipped == 1
+        assert _same_bits(got, ref) and _same_bits(got, q)
+        got, skipped, ref = _sweep_both(q, np.array([-0.0]), axis, riemann, limiter)
+        assert skipped == 0
+        assert _same_bits(got, ref)
+        assert not _same_bits(ref, q)
+
+    @every_scheme
+    def test_overflowing_flux(self, riemann, limiter, axis):
+        """Every cell finite, but the flux overflows: the full path writes
+        NaN, so the patch must not be skipped."""
+        q = _uniform(np.array([1.0, 1e200, 0.0, 1.0]))
+        if axis == 1:
+            q[0, [1, 2]] = q[0, [2, 1]]  # the sweep-normal momentum
+        got, skipped, ref = _sweep_both(q, np.full(1, 0.01), axis, riemann, limiter)
+        assert skipped == 0
+        assert _same_bits(got, ref)
+        assert np.isnan(ref[:, :, NG:-NG, NG:-NG]).any()
+
+
+def _cold(u):
+    """Unit density at speed ``u`` with no internal energy: the pressure
+    sits at its floor, and the sound speed is lost in rounding next to u."""
+    return np.array([1.0, u, 0.0, 0.5 * (u * u)])
+
+
+#: (name, left, right): face states, sweep-normal momentum in slot 1, that
+#: reach each select branch of the HLLC flux, a contact speed sm of exactly
+#: 0 and of NaN, and the 1e-300 guards of the contact speed and of the
+#: selected star state.  (The s - sm guard cannot change a flux: it holds
+#: only when sl == sm >= 0, where FL is taken, or sr == sm < 0, where FR
+#: is.)
+HLLC_FACES = [
+    ("sl>=0", _state(1.0, 3.0, 0.1, 1.0), _state(0.8, 2.8, -0.2, 1.1)),
+    ("sl<0<=sm", _state(1.0, 0.5, 0.1, 1.0), _state(0.5, 0.3, -0.2, 0.8)),
+    ("sm<0<=sr", _state(0.5, -0.3, 0.1, 0.8), _state(1.0, -0.5, -0.2, 1.0)),
+    ("sr<0", _state(0.8, -2.8, 0.1, 1.1), _state(1.0, -3.0, -0.2, 1.0)),
+    ("sm=0", _state(1.0, 0.5, 0.1, 1.0), _state(1.0, -0.5, 0.1, 1.0)),
+    ("sm=nan", np.array([1e150, 1e300, 0.0, 1.0]),
+     np.array([1e150, -1e300, 0.0, 1.0])),
+    ("den=0", _cold(-1e12), _cold(1e12)),
+    ("sl-ul=0", _cold(-1e12), _state(1.0, 1.0, 0.0, 1.0)),
+    ("sr-ur=0", _state(1.0, -1.0, 0.0, 1.0), _cold(1e12)),
+]
+
+
+def _face_stack(axis):
+    """One patch per face of HLLC_FACES: the left state on the low half of
+    every normal line, the right state on the high half."""
+    q = np.empty((len(HLLC_FACES), 4, N, N))
+    perm = [0, 1, 2, 3] if axis == 0 else [0, 2, 1, 3]
+    for p, (_, left, right) in enumerate(HLLC_FACES):
+        half = np.where(np.arange(N) < N // 2, 0, 1)
+        states = np.stack([left, right])[half][:, perm]  # (N, 4)
+        line = states.T[:, :, None] if axis == 0 else states.T[:, None, :]
+        q[p] = np.broadcast_to(line, (4, N, N))
+    return q
+
+
+class TestHllcFaces:
+    def test_faces_reach_their_case(self):
+        """What the list's names claim, from numpy's HLLC speeds."""
+        ql = np.array([f[1] for f in HLLC_FACES]).T
+        qr = np.array([f[2] for f in HLLC_FACES]).T
+        with np.errstate(all="ignore"):
+            pl = primitive_from_conserved(ql, GAMMA)
+            pr = primitive_from_conserved(qr, GAMMA)
+            sl, sr = _wave_speeds_davis(ql, qr, GAMMA, pl=pl, pr=pr)
+            (rl, ul), (rr, ur) = pl[:2], pr[:2]
+            num = pr[3] - pl[3] + rl * ul * (sl - ul) - rr * ur * (sr - ur)
+            den = rl * (sl - ul) - rr * (sr - ur)
+            sm = num / np.where(den == 0.0, 1e-300, den)
+        case = dict(zip([f[0] for f in HLLC_FACES], zip(sl, sm, sr, den, sl - ul, sr - ur)))
+        left_star = lambda c: c[0] < 0 <= c[1]  # noqa: E731
+        right_star = lambda c: c[1] < 0 <= c[2]  # noqa: E731
+        assert case["sl>=0"][0] >= 0
+        assert left_star(case["sl<0<=sm"])
+        assert right_star(case["sm<0<=sr"])
+        assert case["sr<0"][2] < 0
+        assert case["sm=0"][1] == 0 and left_star(case["sm=0"])
+        assert np.isnan(case["sm=nan"][1]) and case["sm=nan"][0] < 0 <= case["sm=nan"][2]
+        assert case["den=0"][3] == 0 and left_star(case["den=0"])
+        assert case["sl-ul=0"][4] == 0 and left_star(case["sl-ul=0"])
+        assert case["sr-ur=0"][5] == 0 and right_star(case["sr-ur=0"])
+
+    @every_scheme
+    def test_matches_numpy(self, riemann, limiter, axis):
+        q = _face_stack(axis)
+        got, skipped, ref = _sweep_both(q, np.full(len(q), 0.01), axis,
+                                        riemann, limiter)
+        assert skipped == 0
+        assert _same_bits(got, ref)
+
 
 class TestWaveSpeeds:
     def test_matches_numpy(self):
@@ -80,6 +281,25 @@ class TestWaveSpeeds:
         rx, ry = stack_wave_speeds(q[:, :, NG:-NG, NG:-NG], GAMMA)
         assert np.array_equal(sx, rx)
         assert np.array_equal(sy, ry)
+
+    @staticmethod
+    def _both(q):
+        sx, sy = np.empty(len(q)), np.empty(len(q))
+        kernels.wave_speeds(q, NG, GAMMA, sx, sy)
+        with np.errstate(all="ignore"):
+            rx, ry = stack_wave_speeds(q[:, :, NG:-NG, NG:-NG], GAMMA)
+        assert _same_bits(sx, rx) and _same_bits(sy, ry)
+        return sx, sy
+
+    def test_uniform_interiors_with_poisoned_ghosts(self):
+        """A uniform interior is evaluated at one cell; its ghosts are never
+        read, and a last interior cell that differs is not missed."""
+        q = _poison_ghosts(_random_stack(seed=12, P=6), np.nan)
+        q[:3, :, NG:-NG, NG:-NG] = _uniform(*CALM)[:, :, NG:-NG, NG:-NG]
+        q[3, :, NG:-NG, NG:-NG] = q[1, :, NG:-NG, NG:-NG]
+        q[3, :, -NG - 1, -NG - 1] = _state(1.1, 2.0, -3.0, 0.8)
+        sx, sy = self._both(q)
+        assert sx[3] > sx[1] and sy[3] > sy[1]
 
     def test_rejects_bad_buffers(self):
         q = _random_stack(seed=5, P=4)
@@ -265,6 +485,21 @@ class TestCheckPhysical:
                     else:
                         cell[field] = float(value)
                     assert not self._both(q, gamma), (name, p, i, j)
+
+    @pytest.mark.parametrize("gamma", [GAMMA, 0.5])
+    def test_uniform_interiors(self, gamma):
+        """One cell decides for a uniform interior (ghosts poisoned), and a
+        bad last interior cell is not missed."""
+        calm = [_state(1.0, 0.0, 0.0, 1.0, gamma), _state(1.1, 0.2, -0.3, 0.8, gamma)]
+        q = _poison_ghosts(_uniform(*calm), np.nan)
+        assert self._both(q, gamma)
+        for bad in (_state(1.0, 0.1, 0.0, -0.5, gamma), np.array([0.0, 0.0, 0.0, 1.0])):
+            unphysical = q.copy()
+            unphysical[1, :, NG:-NG, NG:-NG] = bad[:, None, None]
+            assert not self._both(unphysical, gamma)
+            unphysical = q.copy()
+            unphysical[1, :, -NG - 1, -NG - 1] = bad
+            assert not self._both(unphysical, gamma)
 
     def test_rejects_what_it_cannot_read(self):
         q = _random_stack(seed=3)
