@@ -13,14 +13,15 @@ zero-copy view of its slot.  This module provides
   neighbor classification of :func:`repro.amr.ghost.exchange_ghosts`
   (physical boundary, same-level, coarse–fine, fine–coarse) is resolved
   once per hierarchy change into flat ``int32`` element indices of the
-  stack, and executed each step as a few indexed copies, gathers and
+  stack, in two halves (x faces, y faces), and each half is executed
+  before the sweep that reads it as a few indexed copies, gathers and
   scatters — one call of the compiled kernels of
   :mod:`repro.solver.kernels` when they load, numpy otherwise — instead
   of ``4 * P`` Python-level neighbor lookups;
-- :class:`StackStepper` — the one sweep and wave-speed dispatch of the
-  batched driver: the compiled kernels of :mod:`repro.solver.kernels`
-  when they load and implement the configured Riemann solver and
-  limiter, the numpy reference otherwise.
+- :class:`StackStepper` — the one sweep, wave-speed and physicality-check
+  dispatch of the batched driver: the compiled kernels of
+  :mod:`repro.solver.kernels` when they load and implement the configured
+  Riemann solver and limiter, the numpy reference otherwise.
 
 Invariants (see DESIGN.md, "Batched AMR patch kernels"):
 
@@ -29,9 +30,10 @@ Invariants (see DESIGN.md, "Batched AMR patch kernels"):
   paths read and write the same memory.
 - **Plan invalidation** — any refine or coarsen changes the patch set,
   so the stack and its plan must be rebuilt; a regrid that changes no
-  leaf makes neither and keeps them.  :meth:`PatchStack.covers` detects
-  staleness structurally (a new patch owns its own array, so its
-  ``q.base`` is not the stack).
+  leaf makes neither and keeps them.  The driver drops the stack at every
+  refine and coarsen; :meth:`PatchStack.covers` tests staleness
+  structurally (a new patch owns its own array, so its ``q.base`` is not
+  the stack).
 - **Bit-identity** — every batched operation applies exactly the same
   elementwise IEEE operations (and identically-shaped reductions) as the
   per-patch reference path, so results are bit-for-bit equal; enforced by
@@ -40,7 +42,7 @@ Invariants (see DESIGN.md, "Batched AMR patch kernels"):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from functools import lru_cache
 from types import SimpleNamespace
 from typing import Callable
@@ -81,24 +83,27 @@ def stack_wave_speeds(
     return sx, sy
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class StackStepper:
-    """Sweeps and CFL wave speeds over a :class:`PatchStack`'s array.
+    """Sweeps, CFL wave speeds and the physicality check over a stack array.
 
-    It runs the compiled kernels
-    (:func:`repro.solver.kernels.fused_sweep` /
-    :func:`~repro.solver.kernels.wave_speeds`) when
+    It runs the compiled kernels of :mod:`repro.solver.kernels` when
     :func:`repro.solver.kernels.load` succeeds and ``riemann`` and
-    ``limiter`` name routines the C source implements.  Otherwise — no
+    ``limiter`` name routines the C source implements, with their pointer
+    arguments bound once per stack array
+    (:class:`~repro.solver.kernels.StackKernels`).  Otherwise — no
     compiler, a callable solver or limiter, an unknown name — it runs the
     numpy reference (:func:`repro.solver.fv._sweep_stack`,
-    :func:`stack_wave_speeds`).  Both are bit-identical.
+    :func:`stack_wave_speeds`) and :meth:`PatchStack.check_physical`.
+    Both are bit-identical.
     """
 
     ng: int
     riemann: str | Callable
     limiter: str | Callable
     gamma: float
+    #: ``(q, StackKernels)``: the kernels bound to the stack array ``q``.
+    _bound: tuple = field(default=(), init=False, repr=False, compare=False)
 
     @classmethod
     def from_config(cls, config) -> "StackStepper":
@@ -107,7 +112,7 @@ class StackStepper:
 
     @property
     def compiled(self) -> bool:
-        """True iff sweeps and wave speeds run the compiled kernels."""
+        """True iff this stepper runs the compiled kernels."""
         return (
             isinstance(self.riemann, str)
             and self.riemann in kernels.RIEMANN_IDS
@@ -116,30 +121,49 @@ class StackStepper:
             and kernels.load() is not None
         )
 
-    def sweep(self, q: np.ndarray, dt_dx: np.ndarray, axis: int) -> int:
+    def _kernels(self, q: np.ndarray) -> "kernels.StackKernels | None":
+        """The compiled kernels bound to ``q``; None on the numpy path."""
+        if not self.compiled:
+            return None
+        if not self._bound or self._bound[0] is not q:
+            self._bound = (q, kernels.StackKernels(q, self.ng, self.gamma))
+        return self._bound[1]
+
+    def sweep(self, q: np.ndarray, dt_dx: np.ndarray, axis: int) -> tuple[int, int]:
         """In-place sweep of C-contiguous ``(P, 4, n, n)`` rows; axis 0 is x.
 
-        Returns the number of quiescent patches the compiled sweep skipped
-        (:func:`repro.solver.kernels.fused_sweep`); the numpy path skips
-        none.
+        Returns ``(skipped, cells)``: the quiescent patches the compiled
+        sweep skipped and the cells it updated
+        (:meth:`repro.solver.kernels.StackKernels.sweep`); the numpy path
+        skips none and updates every interior cell.
         """
-        if self.compiled:
-            return kernels.fused_sweep(
-                q, dt_dx, self.ng, axis, self.riemann, self.limiter, self.gamma
-            )
+        bound = self._kernels(q)
+        if bound is not None:
+            bound.dt_dx[:] = dt_dx
+            return bound.sweep(axis, self.riemann, self.limiter)
         _sweep_stack(
             q, dt_dx, self.ng, "x" if axis == 0 else "y",
             self.riemann, self.limiter, self.gamma,
         )
-        return 0
+        return 0, len(q) * (q.shape[-1] - 2 * self.ng) ** 2
 
-    def wave_speeds(self, q: np.ndarray, sx: np.ndarray, sy: np.ndarray) -> None:
-        """Per-row interior maxima of ``|u|+c`` / ``|v|+c`` into ``sx`` / ``sy``."""
-        if self.compiled:
-            kernels.wave_speeds(q, self.ng, self.gamma, sx, sy)
-        else:
-            ng = self.ng
-            sx[:], sy[:] = stack_wave_speeds(q[:, :, ng:-ng, ng:-ng], self.gamma)
+    def wave_speeds(self, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Per-row interior maxima of ``|u|+c`` and ``|v|+c``: ``(sx, sy)``."""
+        bound = self._kernels(q)
+        if bound is not None:
+            return bound.wave_speeds()
+        ng = self.ng
+        return stack_wave_speeds(q[:, :, ng:-ng, ng:-ng], self.gamma)
+
+    def check_physical(self, stack: "PatchStack") -> bool:
+        """True iff every interior cell of ``stack`` is physical.
+
+        The bound kernel, or :meth:`PatchStack.check_physical`.
+        """
+        bound = self._kernels(stack.q)
+        if bound is not None:
+            return bound.check_physical()
+        return stack.check_physical(self.gamma)
 
 
 @lru_cache(maxsize=None)
@@ -193,6 +217,13 @@ def _int32(parts: list[np.ndarray], shape: tuple[int, ...]) -> np.ndarray:
     )
 
 
+#: The index arrays of an exchange program, kind by kind.
+_TRAFFIC = (
+    "copy_dst", "copy_src", "neg_dst", "neg_src",
+    "coarse_gather", "coarse_scatter", "fine_gather", "fine_scatter",
+)
+
+
 @dataclass(slots=True)
 class ExchangePlan:
     """The ghost exchange of one fixed hierarchy, compiled to flat indices.
@@ -214,6 +245,17 @@ class ExchangePlan:
 
     All reads gather interior cells and all writes scatter ghost cells, so
     the order of the four kinds cannot matter.
+
+    The program has two halves, one per sweep direction.  The first
+    ``x_rows`` entries of each kind (copies, negated copies, coarse
+    slabs, fine slabs) fill the ghost strips of the x faces (0 and 1),
+    the rest those of the y faces (2 and 3); a plan built without
+    ``x_rows`` holds only a y half.  An x sweep reads only the x-face
+    strips of its interior lines and a y sweep only the y-face ones,
+    while wave speeds, the physicality check, tagging and transfer read
+    interiors.  So the exchange before each sweep runs that sweep's half
+    alone, and the other direction's strips are scratch until their own
+    half refills them.
     """
 
     copy_dst: np.ndarray
@@ -224,14 +266,18 @@ class ExchangePlan:
     coarse_scatter: np.ndarray
     fine_gather: np.ndarray
     fine_scatter: np.ndarray
+    #: Entries of each kind (copy, negated copy, coarse, fine) in the x half.
+    x_rows: tuple[int, int, int, int] = (0, 0, 0, 0)
     #: The kernel path's staging buffers, allocated at its first run.
     _staging: tuple[np.ndarray, ...] = field(default=(), init=False, repr=False)
-    #: The kernel path's ``(q, call)``: the program bound to the stack
-    #: array it last ran on (:func:`repro.solver.kernels.bind_exchange`).
+    #: The kernel path's ``(q, (x call, y call))``: the two halves bound to
+    #: the stack array they last ran on
+    #: (:func:`repro.solver.kernels.bind_exchange`).
     _bound: tuple = field(default=(), init=False, repr=False)
-    #: The numpy path's ``intp`` copies of the eight index arrays, made at
-    #: its first run: numpy converts ``int32`` fancy indices on every use.
-    _intp: tuple[np.ndarray, ...] = field(default=(), init=False, repr=False)
+    #: The numpy path's two halves of ``intp`` copies of the eight index
+    #: arrays, made at its first run: numpy converts ``int32`` fancy
+    #: indices on every use.
+    _intp: tuple = field(default=(), init=False, repr=False)
 
     @classmethod
     def build(
@@ -304,12 +350,14 @@ class ExchangePlan:
                         f"forest not 2:1 balanced: missing neighbor leaf of {nq}"
                     ) from None
 
-        # Stack-wide offsets of each field, one block per traffic group.
-        parts: dict[str, list[np.ndarray]] = {
-            f.name: [] for f in fields(cls) if f.init
-        }
+        # Stack-wide offsets of each field, one block per traffic group,
+        # in the half of the group's face: x faces 0 and 1, y faces 2 and 3.
+        halves: list[dict[str, list[np.ndarray]]] = [
+            {name: [] for name in _TRAFFIC} for _ in range(2)
+        ]
         hmx = mx // 2
         for face, rows in physical.items():
+            parts = halves[face // 2]
             dst = _place(rows, _ghost_offsets(face, mx, ng), S)
             if bc_objs[face] == BoundaryCondition.OUTFLOW:
                 edge = _interior_offsets(face, 1, mx, ng)
@@ -325,12 +373,14 @@ class ExchangePlan:
             parts["neg_dst"].append(dst[:, normal])
             parts["neg_src"].append(src[:, normal])
         for face, pairs in same.items():
+            parts = halves[face // 2]
             dst, src = zip(*pairs)
             parts["copy_dst"].append(_place(dst, _ghost_offsets(face, mx, ng), S))
             parts["copy_src"].append(
                 _place(src, _interior_offsets(OPPOSITE_FACE[face], ng, mx, ng), S)
             )
         for (face, half), pairs in coarse.items():
+            parts = halves[face // 2]
             dst, src = zip(*pairs)
             wide = _interior_offsets(OPPOSITE_FACE[face], ng // 2, mx, ng)
             parts["coarse_scatter"].append(_place(dst, _ghost_offsets(face, mx, ng), S))
@@ -338,6 +388,7 @@ class ExchangePlan:
                 _place(src, wide[:, :, half * hmx : (half + 1) * hmx], S)
             )
         for face, triples in fine.items():
+            parts = halves[face // 2]
             dst, *sources = zip(*triples)
             ghost = _ghost_offsets(face, mx, ng)
             wide = _interior_offsets(OPPOSITE_FACE[face], 2 * ng, mx, ng)
@@ -351,33 +402,58 @@ class ExchangePlan:
             "fine_gather": (NUM_FIELDS, 2 * ng, mx),
             "fine_scatter": (NUM_FIELDS, ng, hmx),
         }
-        return cls(**{
-            name: _int32(rows, shapes.get(name, ())) for name, rows in parts.items()
-        })
+        x, y = (
+            {name: _int32(rows, shapes.get(name, ())) for name, rows in half.items()}
+            for half in halves
+        )
+        return cls(
+            **{name: np.concatenate([x[name], y[name]]) for name in _TRAFFIC},
+            x_rows=tuple(len(x[name]) for name in _TRAFFIC[::2]),
+        )
 
-    def execute(self, q: np.ndarray) -> None:
-        """Fill every ghost strip of the C-contiguous float64 stack ``q``.
+    def _halves(self, kinds: tuple) -> tuple[tuple, tuple]:
+        """``kinds``, one tuple of arrays per traffic kind, cut at ``x_rows``.
 
-        Runs the compiled kernels of :mod:`repro.solver.kernels` when they
-        load, as one call bound once per stack array, and numpy
+        Returns ``(x half, y half)``, each in the layout of ``kinds``.
+        """
+        cuts = tuple(zip(kinds, self.x_rows))
+        x = tuple(tuple(a[:k] for a in arrays) for arrays, k in cuts)
+        y = tuple(tuple(a[k:] for a in arrays) for arrays, k in cuts)
+        return x, y
+
+    def execute(self, q: np.ndarray, axis: int | None = None) -> None:
+        """Fill ghost strips of the C-contiguous float64 stack ``q``.
+
+        ``axis`` 0 runs the x half (faces 0 and 1), 1 the y half (faces 2
+        and 3), and None both, which fills every ghost strip.  Runs the
+        compiled kernels of :mod:`repro.solver.kernels` when they load,
+        one call per half bound once per stack array, and numpy
         otherwise.  Both apply the same elementwise operations per traffic
         row, so they agree bit for bit.
         """
         if not (q.flags.c_contiguous and q.dtype == np.float64):
             raise ValueError("q must be C-contiguous float64")
+        if axis not in (None, 0, 1):
+            raise ValueError(f"axis must be 0, 1 or None, got {axis!r}")
+        axes = (0, 1) if axis is None else (axis,)
         if kernels.load() is None:
             flat = q.reshape(-1)
             if not self._intp:
-                self._intp = tuple(
-                    getattr(self, f.name).astype(np.intp)
-                    for f in fields(self) if f.init
+                copy_dst, copy_src, neg_dst, neg_src, *slabs = (
+                    getattr(self, name).astype(np.intp) for name in _TRAFFIC
                 )
-            (copy_dst, copy_src, neg_dst, neg_src,
-             coarse_gather, coarse_scatter, fine_gather, fine_scatter) = self._intp
-            flat[copy_dst] = flat[copy_src]
-            flat[neg_dst] = flat[neg_src] * -1.0
-            flat[coarse_scatter] = prolong_patch(flat[coarse_gather])
-            flat[fine_scatter] = restrict_area_average(flat[fine_gather])
+                self._intp = self._halves((
+                    (copy_dst, copy_src), (neg_dst, neg_src),
+                    tuple(slabs[:2]), tuple(slabs[2:]),
+                ))
+            for a in axes:
+                ((copy_dst, copy_src), (neg_dst, neg_src),
+                 (coarse_gather, coarse_scatter),
+                 (fine_gather, fine_scatter)) = self._intp[a]
+                flat[copy_dst] = flat[copy_src]
+                flat[neg_dst] = flat[neg_src] * -1.0
+                flat[coarse_scatter] = prolong_patch(flat[coarse_gather])
+                flat[fine_scatter] = restrict_area_average(flat[fine_gather])
             return
         if not self._bound or self._bound[0] is not q:
             if not self._staging:
@@ -387,14 +463,17 @@ class ExchangePlan:
                               self.fine_gather, self.fine_scatter)
                 )
             coarse, prolonged, fine, restricted = self._staging
-            self._bound = (q, kernels.bind_exchange(
-                q.reshape(-1),
+            halves = self._halves((
                 (self.copy_dst, self.copy_src),
                 (self.neg_dst, self.neg_src),
                 (self.coarse_gather, self.coarse_scatter, coarse, prolonged),
                 (self.fine_gather, self.fine_scatter, fine, restricted),
             ))
-        self._bound[1]()
+            self._bound = (q, tuple(
+                kernels.bind_exchange(q.reshape(-1), *half) for half in halves
+            ))
+        for a in axes:
+            self._bound[1][a]()
 
 
 class PatchStack:
@@ -404,7 +483,7 @@ class PatchStack:
     and rebinds each ``patch.q`` to the corresponding zero-copy view, so
     subsequent per-patch and batched accesses alias the same memory.  The
     stack is only valid until the hierarchy changes; the driver drops it on
-    refine/coarsen and :meth:`covers` double-checks structurally.
+    refine/coarsen, and :meth:`covers` checks it structurally.
     """
 
     __slots__ = ("keys", "index", "q", "mx", "ng", "dx", "plan")
@@ -451,9 +530,14 @@ class PatchStack:
 
     # ------------------------------------------------------------ batched ops
 
-    def exchange(self) -> None:
-        """Fill all ghost layers via the precomputed exchange plan."""
-        self.plan.execute(self.q)
+    def exchange(self, axis: int | None = None) -> None:
+        """Fill ghost strips via the precomputed exchange plan.
+
+        ``axis`` 0 fills the x-face strips, which only an x sweep reads, 1
+        the y-face strips, and None all four faces
+        (:meth:`ExchangePlan.execute`).
+        """
+        self.plan.execute(self.q, axis)
 
     def dt_from_speeds(
         self, sx: np.ndarray, sy: np.ndarray, cfl: float, dt_max: float

@@ -17,14 +17,14 @@ leaf keeps the stacked storage and its exchange plan.
 Two stepping backends are provided (``AmrConfig.batched``):
 
 - **batched** (default): the hierarchy's state lives in one shape-stacked
-  ``(P, 4, n, n)`` array (:class:`repro.amr.batch.PatchStack`), sweeps and
-  CFL wave speeds run once over the whole stack through
-  :class:`repro.amr.batch.StackStepper`, and ghost exchange executes the
-  flat-index :class:`repro.amr.batch.ExchangePlan` compiled once per
-  hierarchy change, through the compiled kernels of
+  ``(P, 4, n, n)`` array (:class:`repro.amr.batch.PatchStack`), sweeps,
+  CFL wave speeds and the physicality check run once over the whole stack
+  through :class:`repro.amr.batch.StackStepper`, and ghost exchange
+  executes the flat-index :class:`repro.amr.batch.ExchangePlan` compiled
+  once per hierarchy change, through the compiled kernels of
   :mod:`repro.solver.kernels`, or numpy when no C compiler is available.
-  The physicality check runs the same way (one compiled pass, or numpy),
-  and the conservation reductions are vectorized.
+  The exchange before each sweep fills only the ghost strips that sweep
+  reads, and the conservation reductions are vectorized.
 - **per-patch**: the original patch-by-patch loop, kept as the bit-identical
   reference implementation.
 
@@ -36,8 +36,8 @@ states and statistics; the phases of either path are timed through
 ``amr_sweep``, ``amr_dt``, ``amr_regrid``), and a traced
 run's ``amr_run`` span closes with the run's regrid, refinement and
 coarsening counts from :class:`~repro.amr.stats.RunStats`, its patch
-sweeps (one patch in one dimensional sweep) and how many of them the
-compiled sweep skipped as quiescent.
+sweeps (one patch in one dimensional sweep), how many of them the
+compiled sweep skipped as quiescent, and the cells the sweeps updated.
 """
 
 from __future__ import annotations
@@ -122,11 +122,13 @@ class AmrDriver:
         self.patches: dict[tuple[int, Quadrant], Patch] = {}
         self.t = 0.0
         self.stats = RunStats()
-        #: Patch sweeps run, and those the compiled sweep skipped because
-        #: their stencil held one state (observability only: no result
-        #: depends on them, and the numpy paths skip none).
+        #: Patch sweeps run, those the compiled sweep skipped because each
+        #: line of their stencil held one state, and the cells the sweeps
+        #: updated (observability only: no result depends on them, and the
+        #: numpy paths skip none and update every cell).
         self.patch_sweeps = 0
         self.quiescent_sweeps = 0
+        self.swept_cells = 0
         self._stack: PatchStack | None = None
         self._stepper = StackStepper.from_config(config)
         # Children of refines since the forest was last balanced.  Only such
@@ -231,10 +233,14 @@ class AmrDriver:
     def stack(self) -> PatchStack:
         """The current :class:`PatchStack`, (re)built if the hierarchy changed.
 
-        A rebuild also compiles the stack's ghost exchange
+        Every refine and coarsen drops the stack (:meth:`_invalidate_stack`),
+        so a stack that is kept and holds as many patches as the hierarchy
+        is current; this costs O(1) per call, where
+        :meth:`PatchStack.covers` would visit every patch.  A rebuild also
+        compiles the stack's ghost exchange
         (:class:`~repro.amr.batch.ExchangePlan`).
         """
-        if self._stack is None or not self._stack.covers(self.patches):
+        if self._stack is None or len(self._stack) != len(self.patches):
             cfg = self.config
             with obs.timed("amr_plan", cat="amr"):
                 self._stack = PatchStack(
@@ -363,9 +369,7 @@ class AmrDriver:
         with obs.timed("amr_dt", cat="amr"):
             if cfg.batched:
                 stack = self.stack()
-                sx = np.empty(len(stack))
-                sy = np.empty(len(stack))
-                self._stepper.wave_speeds(stack.q, sx, sy)
+                sx, sy = self._stepper.wave_speeds(stack.q)
                 return stack.dt_from_speeds(sx, sy, cfg.cfl, float(dt_max))
             dt = float(dt_max)
             for p in self.patches.values():
@@ -387,12 +391,13 @@ class AmrDriver:
             stack = self.stack()
             dt_dx = dt / stack.dx
             for axis in (0, 1):
+                # Each sweep reads only its own direction's ghost strips.
                 with obs.timed("amr_exchange", cat="amr"):
-                    stack.exchange()
+                    stack.exchange(axis)
                 with obs.timed("amr_sweep", cat="amr"):
-                    self.quiescent_sweeps += self._stepper.sweep(
-                        stack.q, dt_dx, axis
-                    )
+                    skipped, cells = self._stepper.sweep(stack.q, dt_dx, axis)
+                self.quiescent_sweeps += skipped
+                self.swept_cells += cells
         else:
             with obs.timed("amr_exchange", cat="amr"):
                 self._exchange()
@@ -404,6 +409,7 @@ class AmrDriver:
             with obs.timed("amr_sweep", cat="amr"):
                 for p in self.patches.values():
                     sweep_y(p.q, dt / p.dx, cfg.ng, **kw)
+            self.swept_cells += 2 * len(self.patches) * cfg.mx * cfg.mx
         self.t += dt
         self.patch_sweeps += 2 * len(self.patches)
         cells = len(self.patches) * cfg.mx * cfg.mx
@@ -421,7 +427,7 @@ class AmrDriver:
     def _all_physical(self) -> bool:
         cfg = self.config
         if cfg.batched:
-            return self.stack().check_physical(cfg.gamma)
+            return self._stepper.check_physical(self.stack())
         return all(check_physical(p.interior, cfg.gamma) for p in self.patches.values())
 
     def run(
@@ -453,6 +459,7 @@ class AmrDriver:
                         coarsenings=self.stats.num_coarsenings,
                         patch_sweeps=self.patch_sweeps,
                         quiescent_sweeps=self.quiescent_sweeps,
+                        swept_cells=self.swept_cells,
                     )
                     return self.stats
                 with obs.span("amr_step", cat="amr", step=k):

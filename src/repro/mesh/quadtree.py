@@ -62,7 +62,8 @@ class Quadtree:
     Notes
     -----
     The leaf list is kept sorted by Morton key at all times, which makes
-    point location and ancestry queries ``O(log n)``.
+    point location and ancestry queries ``O(log n)``.  A set of the same
+    leaves answers membership in ``O(1)`` without computing a key.
     """
 
     def __init__(self, leaves: Iterable[Quadrant] | None = None) -> None:
@@ -72,6 +73,7 @@ class Quadtree:
             self._leaves = sorted(leaves, key=_key)
             self._check_tiling()
         self._keys = [_key(q) for q in self._leaves]
+        self._leaf_set = set(self._leaves)
 
     # -- construction helpers -------------------------------------------------
 
@@ -106,8 +108,7 @@ class Quadtree:
         return len(self._leaves)
 
     def __contains__(self, q: Quadrant) -> bool:
-        i = bisect_left(self._keys, _key(q))
-        return i < len(self._keys) and self._leaves[i] == q
+        return q in self._leaf_set
 
     @property
     def max_level(self) -> int:
@@ -172,6 +173,8 @@ class Quadtree:
         children = quadrant_children(q)
         self._leaves[i : i + 1] = list(children)
         self._keys[i : i + 1] = [_key(c) for c in children]
+        self._leaf_set.remove(q)
+        self._leaf_set.update(children)
         return children
 
     def coarsen(self, q: Quadrant) -> Quadrant:
@@ -189,6 +192,8 @@ class Quadtree:
             raise ValueError(f"siblings of {q} are not all leaves")
         self._leaves[i : i + 4] = [parent]
         self._keys[i : i + 4] = [_key(parent)]
+        self._leaf_set.difference_update(family)
+        self._leaf_set.add(parent)
         return parent
 
     # -- aggregate statistics ------------------------------------------------------

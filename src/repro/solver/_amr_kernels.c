@@ -3,8 +3,9 @@
  * These routines are the execution engine of the batched AMR driver: they
  * advance the shape-stacked hierarchy with a fused finite-volume sweep,
  * compute its per-patch CFL wave speeds, check that its interiors are
- * physical, and run the whole flat-index ghost-exchange program of
- * repro.amr.batch.ExchangePlan in one call.
+ * physical, and run a flat-index ghost-exchange program of
+ * repro.amr.batch.ExchangePlan (the x-face half, the y-face half, or both)
+ * in one call.
  *
  * Bit-identity contract: every arithmetic expression below reproduces the
  * numpy reference (repro.solver.fv._sweep_stack and friends) operation for
@@ -14,10 +15,15 @@
  * enforces this for every riemann x limiter combination.
  *
  * Work the result does not need is skipped, never approximated:
- *   - a quiescent patch, whose sweep stencil holds one finite state in each
- *     field (bit for bit), is returned as it is when the full arithmetic
- *     would return it (see sweep_body); wave_speeds and check_physical
- *     evaluate one cell of an interior that holds one value per field;
+ *   - a sweep updates only the band of normal cells whose stencil is not
+ *     one state (bit for bit) in every line, and keeps the cells outside
+ *     it only when the full arithmetic would return them as they are;
+ *     a quiescent patch, whose every line holds one state, is returned
+ *     whole (see sweep_body);
+ *   - the exchange before a sweep fills only the ghost strips that sweep
+ *     reads (its direction's half of the program);
+ *   - wave_speeds and check_physical evaluate one cell of an interior that
+ *     holds one value per field;
  *   - the HLLC flux builds only the star state its select can take, that
  *     of the contact's upwind side.
  *
@@ -172,31 +178,86 @@ static inline int uniform_fields(const double *qp, long n, long off,
     return 1;
 }
 
-/* 1 iff x - fac * (f[c] - f[c]) is x for every finite x, -0.0 included,
- * in each of the four fields c (cs apart): iff fac * (f - f) is +0.0, so
- * f is finite and fac is neither negative, -0.0 nor non-finite. */
-static inline int update_keeps(double fac, const double *f, long cs) {
+/* 1 iff x - fac * (f - f) is x for every x but a signaling NaN, -0.0
+ * included, on each of `lines` tangential lines of one face row f (its
+ * four fields cs apart): iff every fac * (f - f) is +0.0, so each flux is
+ * finite and fac is neither negative, -0.0 nor non-finite. */
+static inline int face_keeps(double fac, const double *f, long cs, long lines) {
+    uint64_t bits = 0;
     for (int c = 0; c < 4; c++)
-        if (bits_of(fac * (f[c * cs] - f[c * cs])) != 0) return 0;
+        for (long j = 0; j < lines; j++)
+            bits |= bits_of(fac * (f[c * cs + j] - f[c * cs + j]));
+    return bits == 0;
+}
+
+/* 1 iff the x sweep's W rows i and i+1 (normal cells ng-2+i, ng-1+i: two
+ * contiguous memory rows) differ in some field of some interior line. */
+static inline int x_rows_differ(const double *qp, long n, long ng, long i) {
+    long mx = n - 2 * ng;
+    const double *r = qp + (ng - 2 + i) * n + ng;
+    uint64_t diff = 0;
+    for (int c = 0; c < 4; c++) {
+        const double *lo = r + c * n * n, *hi = lo + n;
+        for (long j = 0; j < mx; j++) diff |= bits_of(lo[j]) ^ bits_of(hi[j]);
+    }
+    return diff != 0;
+}
+
+/* The band [*a, *b] of interior cells m whose stencil, W rows m..m+4, is
+ * not one state (bit for bit, all four fields) in every interior line:
+ * with i0 and i1 the first and last W row pairs (i, i+1) that differ in
+ * some line, a = max(0, i0 - 3) and b = min(mx - 1, i1).  Returns 0, and
+ * leaves *a and *b alone, when no pair differs: every line then holds one
+ * state along the normal.  Along x a pair is two memory rows, scanned
+ * from each end up to the first difference; along y each line is a
+ * memory row, so its pair differences are ORed into diff[0 .. mx+2] in
+ * one contiguous pass per row instead of a strided scan per column. */
+static inline int stencil_band(const double *qp, long n, long ng, int axis,
+                               uint64_t *restrict diff, long *a, long *b) {
+    long mx = n - 2 * ng, pairs = mx + 3, i0, i1;
+    if (axis == 0) {
+        for (i0 = 0; i0 < pairs && !x_rows_differ(qp, n, ng, i0); i0++) {}
+        if (i0 == pairs) return 0;
+        for (i1 = pairs - 1; i1 > i0 && !x_rows_differ(qp, n, ng, i1); i1--) {}
+    } else {
+        for (long i = 0; i < pairs; i++) diff[i] = 0;
+        for (int c = 0; c < 4; c++) {
+            for (long j = 0; j < mx; j++) {
+                const double *row = qp + c * n * n + (ng + j) * n + ng - 2;
+                for (long i = 0; i < pairs; i++)
+                    diff[i] |= bits_of(row[i]) ^ bits_of(row[i + 1]);
+            }
+        }
+        for (i0 = 0; i0 < pairs && !diff[i0]; i0++) {}
+        if (i0 == pairs) return 0;
+        for (i1 = pairs - 1; !diff[i1]; i1--) {}
+    }
+    *a = i0 > 3 ? i0 - 3 : 0;
+    *b = i1 < mx - 1 ? i1 : mx - 1;
     return 1;
 }
 
 /* One fused dimensional sweep over P stacked patches; returns the number
- * of quiescent patches it skipped.  The primitive scratch W spans normal
- * cells lo-1..hi+1 so the slope and reconstruction stages are branch-free
- * over their index ranges; one flux row is built per interface and
- * immediately applied (fluxes live only in the F scratch).
+ * of quiescent patches it skipped and adds the cells it updated to *cells.
+ * The primitive scratch W spans normal cells lo-1..hi+1 (W row i is normal
+ * cell ng-2+i) so the slope and reconstruction stages are branch-free over
+ * their index ranges; face k lies between W rows k+1 and k+2, and its flux
+ * is built from W rows k..k+3.  Fluxes live only in the F scratch.
  *
- * A quiescent patch holds the same finite value in each field over every
- * cell the sweep reads (bit for bit).  Every face then gets the same
- * states and so the same flux f, and every interior cell x becomes
- * x - fac * (f - f).  So the stages first run over one face of one line
- * (the four cells its slopes read), and the patch is kept as it is when
- * update_keeps holds for that flux; otherwise the stages run in full. */
+ * Only the band [a, b] of stencil_band is updated: the stages run over W
+ * rows a..b+4 and faces a..b+1 of every line.  A face below a reads one
+ * state per line, so its flux is face a's, bit for bit, and every cell x
+ * below a becomes x - fac * (f - f); above b the same holds with face b+1.
+ * So those cells are kept as they are when face_keeps holds on face a (if
+ * a > 0) and on face b+1 (if b < mx-1); otherwise the stages run over the
+ * whole patch.  An empty band leaves one state per line: the stages run
+ * over face 0 of every line, and the patch is skipped as quiescent when
+ * face_keeps holds there, else swept in full. */
 static inline __attribute__((always_inline)) long
 sweep_body(double *restrict q, long P, long n, long ng,
            const double *restrict dt_d, int axis, int rie, int lim, double gamma,
-           double *restrict w, double *restrict dw, double *restrict f) {
+           double *restrict w, double *restrict dw, double *restrict f,
+           uint64_t *restrict diff, long *restrict cells) {
     long mx = n - 2 * ng;
     long lo = ng - 1;
     long ncw = mx + 4;  /* cells lo-1 .. hi+1 */
@@ -209,19 +270,17 @@ sweep_body(double *restrict q, long P, long n, long ng,
     long imt = axis == 0 ? 2 : 1;
     long comp[4];
     comp[0] = 0; comp[1] = imn; comp[2] = imt; comp[3] = 3;
-    /* the stencil: normal cells lo-1..hi+1 of every interior tangential line */
-    long off = axis == 0 ? (lo - 1) * n + ng : ng * n + (lo - 1);
-    long rows = axis == 0 ? ncw : tan, cols = axis == 0 ? tan : ncw;
     long skipped = 0;
     for (long p = 0; p < P; p++) {
         double *qp = q + p * 4 * n * n;
         double fac = dt_d[p];
-        int quiet = uniform_fields(qp, n, off, rows, cols);
+        long a = 0, b = mx - 1;
+        int quiet = !stencil_band(qp, n, ng, axis, diff, &a, &b);
         for (;;) {
-            /* W rows, lines and faces the stages run over */
-            long gi = quiet ? 4 : ncw, gj = quiet ? 1 : tan, gk = quiet ? 1 : nf;
+            /* the faces k0..k1 the stages run over, and their W rows */
+            long k0 = quiet ? 0 : a, k1 = quiet ? 0 : b + 1;
             /* gather primitives (or raw conserved states for first order) */
-            for (long i = 0; i < gi; i++) {
+            for (long i = k0; i <= k1 + 3; i++) {
                 long ni = lo - 1 + i;
                 const double *q0r, *q1r, *q2r, *q3r;
                 long stride;
@@ -239,14 +298,14 @@ sweep_body(double *restrict q, long P, long n, long ng,
                     stride = n;
                 }
                 if (lim < 0) {
-                    for (long j = 0; j < gj; j++) {
+                    for (long j = 0; j < tan; j++) {
                         W(0, i, j) = q0r[j * stride];
                         W(1, i, j) = q1r[j * stride];
                         W(2, i, j) = q2r[j * stride];
                         W(3, i, j) = q3r[j * stride];
                     }
                 } else {
-                    for (long j = 0; j < gj; j++) {
+                    for (long j = 0; j < tan; j++) {
                         double q0 = q0r[j * stride], q1 = q1r[j * stride];
                         double q2 = q2r[j * stride], q3 = q3r[j * stride];
                         double rho = npmax(q0, DENSITY_FLOOR);
@@ -261,24 +320,24 @@ sweep_body(double *restrict q, long P, long n, long ng,
                 }
             }
             if (lim >= 0) {
-                /* limited slopes at cells lo..hi => W rows 1..gi-2 */
+                /* limited slopes at W rows k0+1..k1+2 */
                 for (long c = 0; c < 4; c++) {
-                    for (long i = 1; i < gi - 1; i++) {
+                    for (long i = k0 + 1; i <= k1 + 2; i++) {
                         const double *wm = &W(c, i - 1, 0);
                         const double *wc = &W(c, i, 0);
                         const double *wp = &W(c, i + 1, 0);
                         double *out = &DW(c, i, 0);
-                        for (long j = 0; j < gj; j++) {
-                            double a = wc[j] - wm[j];
-                            double b = wp[j] - wc[j];
-                            out[j] = limit_one(lim, a, b);
+                        for (long j = 0; j < tan; j++) {
+                            double sa = wc[j] - wm[j];
+                            double sb = wp[j] - wc[j];
+                            out[j] = limit_one(lim, sa, sb);
                         }
                     }
                 }
             }
-            for (long k = 0; k < gk; k++) {
+            for (long k = k0; k <= k1; k++) {
                 long il = k + 1, ir = k + 2; /* W rows of cells lo+k, lo+k+1 */
-                for (long j = 0; j < gj; j++) {
+                for (long j = 0; j < tan; j++) {
                     double ql0, ql1, ql2, ql3, qr0, qr1, qr2, qr3;
                     if (lim < 0) {
                         ql0 = W(0, il, j); ql1 = W(1, il, j);
@@ -305,14 +364,23 @@ sweep_body(double *restrict q, long P, long n, long ng,
                              &F(0, k, j), &F(1, k, j), &F(2, k, j), &F(3, k, j));
                 }
             }
-            if (!quiet || update_keeps(fac, &F(0, 0, 0), nf * tan)) break;
+            /* The cells outside the band take the flux of face a (below)
+             * and face b+1 (above), or of face 0 when the band is empty. */
+            int keep = quiet
+                ? face_keeps(fac, &F(0, 0, 0), nf * tan, tan)
+                : (a == 0 || face_keeps(fac, &F(0, a, 0), nf * tan, tan)) &&
+                  (b == mx - 1 || face_keeps(fac, &F(0, b + 1, 0), nf * tan, tan));
+            if (keep) break;
+            /* a cell outside the band could change: sweep the whole patch */
             quiet = 0;
+            a = 0;
+            b = mx - 1;
         }
         if (quiet) {
             skipped++;
             continue;
         }
-        for (long m = 0; m < mx; m++) {
+        for (long m = a; m <= b; m++) {
             for (long c = 0; c < 4; c++) {
                 const double *fhi = &F(c, m + 1, 0);
                 const double *flo = &F(c, m, 0);
@@ -329,6 +397,7 @@ sweep_body(double *restrict q, long P, long n, long ng,
                     row[j * stride] -= fac * (fhi[j] - flo[j]);
             }
         }
+        *cells += (b - a + 1) * tan;
     }
     return skipped;
 #undef W
@@ -344,9 +413,10 @@ sweep_body(double *restrict q, long P, long n, long ng,
     static long name(double *restrict q, long P, long n, long ng,           \
                      const double *restrict dt_d, int axis, double gamma,   \
                      double *restrict w, double *restrict dw,               \
-                     double *restrict f) {                                  \
+                     double *restrict f, uint64_t *restrict diff,           \
+                     long *restrict cells) {                                \
         return sweep_body(q, P, n, ng, dt_d, axis, (RIE), (LIM), gamma,     \
-                          w, dw, f);                                        \
+                          w, dw, f, diff, cells);                           \
     }
 
 SPECIALIZE(sweep_hllc_mc, 2, 2)
@@ -354,31 +424,40 @@ SPECIALIZE(sweep_hllc_minmod, 2, 0)
 SPECIALIZE(sweep_hll_mc, 1, 2)
 SPECIALIZE(sweep_rusanov_mc, 0, 2)
 
-/* The sweep of sweep_body, dispatched; -1 if its scratch cannot be
- * allocated (the stack is then left as it was). */
+/* The sweep of sweep_body, dispatched: returns the number of quiescent
+ * patches skipped and sets *cells to the number of cells updated; -1 if
+ * its scratch cannot be allocated (the stack is then left as it was).
+ * The arguments that stay fixed for one stack come first, so a caller can
+ * bind them once. */
 long fused_sweep(double *restrict q, long P, long n, long ng,
-                 const double *restrict dt_d, int axis, int rie, int lim,
-                 double gamma) {
+                 const double *restrict dt_d, double gamma,
+                 long *restrict cells, int rie, int lim, int axis) {
     long mx = n - 2 * ng;
     long ncw = mx + 4, nf = mx + 1, tan = mx;
     double *w = malloc(sizeof(double) * 4 * ncw * tan);
     double *dw = malloc(sizeof(double) * 4 * ncw * tan);
     double *f = malloc(sizeof(double) * 4 * nf * tan);
+    uint64_t *diff = malloc(sizeof(uint64_t) * (ncw - 1));
     long skipped = -1;
-    if (w && dw && f) {
+    *cells = 0;
+    if (w && dw && f && diff) {
         if (rie == 2 && lim == 2)
-            skipped = sweep_hllc_mc(q, P, n, ng, dt_d, axis, gamma, w, dw, f);
+            skipped = sweep_hllc_mc(q, P, n, ng, dt_d, axis, gamma, w, dw, f,
+                                    diff, cells);
         else if (rie == 2 && lim == 0)
-            skipped = sweep_hllc_minmod(q, P, n, ng, dt_d, axis, gamma, w, dw, f);
+            skipped = sweep_hllc_minmod(q, P, n, ng, dt_d, axis, gamma, w, dw,
+                                        f, diff, cells);
         else if (rie == 1 && lim == 2)
-            skipped = sweep_hll_mc(q, P, n, ng, dt_d, axis, gamma, w, dw, f);
+            skipped = sweep_hll_mc(q, P, n, ng, dt_d, axis, gamma, w, dw, f,
+                                   diff, cells);
         else if (rie == 0 && lim == 2)
-            skipped = sweep_rusanov_mc(q, P, n, ng, dt_d, axis, gamma, w, dw, f);
+            skipped = sweep_rusanov_mc(q, P, n, ng, dt_d, axis, gamma, w, dw,
+                                       f, diff, cells);
         else
             skipped = sweep_body(q, P, n, ng, dt_d, axis, rie, lim, gamma,
-                                 w, dw, f);
+                                 w, dw, f, diff, cells);
     }
-    free(w); free(dw); free(f);
+    free(w); free(dw); free(f); free(diff);
     return skipped;
 }
 
@@ -387,9 +466,14 @@ long fused_sweep(double *restrict q, long P, long n, long ng,
  * primitive_from_conserved; the max reductions are order-insensitive, so
  * the values match PatchStack.compute_dt's bit for bit.  Each row runs the per-cell
  * arithmetic first, into cx/cy (a loop the compiler vectorizes), then the
- * scalar max over the row in cell order.  An interior that holds one
- * value per field is evaluated at one cell: the maximum of identical
- * values is that value.  Ghost cells are never read. */
+ * scalar max over the row in cell order.  As numpy's max does, a NaN
+ * speed makes the maximum NaN, where the scalar max alone would skip it.
+ * |u|+c and |v|+c are NaN exactly when c is (a NaN velocity makes the
+ * pressure and so c NaN, and the sum of two non-NaN values >= 0 is not
+ * NaN), so the per-cell loop flags a NaN c, and both maxima of a flagged
+ * patch are NaN.  An interior that holds one value per field is
+ * evaluated at one cell: the maximum of identical values is that value.
+ * Ghost cells are never read. */
 void wave_speeds(const double *restrict q, long P, long n, long ng,
                  double gamma, double *restrict sx, double *restrict sy) {
     long mx = n - 2 * ng;
@@ -398,6 +482,7 @@ void wave_speeds(const double *restrict q, long P, long n, long ng,
         const double *qp = q + p * 4 * n * n;
         long m = uniform_fields(qp, n, ng * n + ng, mx, mx) ? 1 : mx;
         double mx_sx = -HUGE_VAL, mx_sy = -HUGE_VAL;
+        uint64_t nan = 0;
         for (long i = 0; i < m; i++) {
             const double *q0r = qp + 0 * n * n + (ng + i) * n + ng;
             const double *q1r = qp + 1 * n * n + (ng + i) * n + ng;
@@ -412,14 +497,15 @@ void wave_speeds(const double *restrict q, long P, long n, long ng,
                 double c = sqrt(gamma * pp / rho);
                 cx[j] = npabs(u) + c;
                 cy[j] = npabs(v) + c;
+                nan |= (uint64_t)(c != c);
             }
             for (long j = 0; j < m; j++) {
                 if (cx[j] > mx_sx) mx_sx = cx[j];
                 if (cy[j] > mx_sy) mx_sy = cy[j];
             }
         }
-        sx[p] = mx_sx;
-        sy[p] = mx_sy;
+        sx[p] = nan ? NAN : mx_sx;
+        sy[p] = nan ? NAN : mx_sy;
     }
 }
 
@@ -535,11 +621,11 @@ static void scatter_indexed(double *restrict flat, const int32_t *restrict idx,
     for (long k = 0; k < K; k++) flat[idx[k]] = vals[k];
 }
 
-/* The whole exchange program of repro.amr.batch.ExchangePlan on the flat
- * stack: the copies, the negated copies, then R coarse (cnx, cny) slabs
- * gathered, prolonged and scattered, and R' fine (fnx, fny) slabs
- * gathered, restricted and scattered, through the caller's staging
- * buffers.  Reads touch interior cells and writes ghost cells only, so the
+/* One exchange program of repro.amr.batch.ExchangePlan (a direction's
+ * half, or the whole) on the flat stack: the copies, the negated copies,
+ * then R coarse (cnx, cny) slabs gathered, prolonged and scattered, and R'
+ * fine (fnx, fny) slabs gathered, restricted and scattered, through the
+ * caller's staging buffers.  Reads touch interior cells and writes ghost cells only, so the
  * order of the four kinds cannot matter. */
 void exchange(double *restrict flat,
               const int32_t *restrict copy_dst, const int32_t *restrict copy_src,

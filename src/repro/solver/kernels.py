@@ -1,10 +1,10 @@
 """Runtime-compiled C kernels for batched AMR stepping.
 
 The batched :class:`~repro.amr.driver.AmrDriver` steps its shape-stacked
-hierarchy through the routines in ``_amr_kernels.c``: the fused sweep and
-the CFL wave speeds (dispatched by :class:`repro.amr.batch.StackStepper`),
-the physicality check of the stacked interiors
-(:meth:`repro.amr.batch.PatchStack.check_physical`), and the whole ghost
+hierarchy through the routines in ``_amr_kernels.c``: the fused sweep, the
+CFL wave speeds and the physicality check of the stacked interiors, whose
+ctypes arguments :class:`StackKernels` converts once per stack array (for
+:class:`repro.amr.batch.StackStepper`), and each half of the ghost
 exchange program of :class:`repro.amr.batch.ExchangePlan` as one call,
 whose ctypes arguments :func:`bind_exchange` converts once.  This module
 owns the build-and-load lifecycle:
@@ -25,12 +25,14 @@ owns the build-and-load lifecycle:
   FMA contraction), so their results are bit-for-bit equal to the
   reference; ``tests/solver/test_kernels.py`` pins this for every
   riemann x limiter combination, the exchange and the physicality check.
-- **Skipped work, same bits** — the sweep returns a quiescent patch (one
-  finite state, bit for bit, over its whole stencil) untouched when the
-  full arithmetic would return it, and counts it; the wave speeds and
-  the physicality check evaluate one cell of a uniform interior; and the
-  HLLC flux builds only the star state its select can take.  The numpy
-  reference does all the arithmetic.
+- **Skipped work, same bits** — the sweep updates only the band of
+  normal cells whose stencil is not one state (bit for bit) in every
+  line, keeps the rest when the full arithmetic would return them as they
+  are, returns a quiescent patch (one state along every line) untouched,
+  and counts both; the wave speeds and the physicality check evaluate one
+  cell of a uniform interior; and the HLLC flux builds only the star
+  state its select can take.  The numpy reference does all the
+  arithmetic.
 
 Every process calls :func:`load` independently; they all hit the same
 cache file, so the compile cost is paid once per machine (per cache
@@ -97,8 +99,8 @@ def _bind(lib: ctypes.CDLL) -> ctypes.CDLL:
     dp = ctypes.POINTER(ctypes.c_double)
     ip = ctypes.POINTER(ctypes.c_int32)
     lib.fused_sweep.argtypes = [
-        dp, ctypes.c_long, ctypes.c_long, ctypes.c_long, dp,
-        ctypes.c_int, ctypes.c_int, ctypes.c_int, ctypes.c_double,
+        dp, ctypes.c_long, ctypes.c_long, ctypes.c_long, dp, ctypes.c_double,
+        ctypes.POINTER(ctypes.c_long), ctypes.c_int, ctypes.c_int, ctypes.c_int,
     ]
     lib.fused_sweep.restype = ctypes.c_long
     lib.wave_speeds.argtypes = [
@@ -171,6 +173,68 @@ def _as_int32_ptr(a: np.ndarray):
     return a.ctypes.data_as(ctypes.POINTER(ctypes.c_int32))
 
 
+class StackKernels:
+    """The sweep, wave speeds and physicality check of one stack array.
+
+    ``q`` is a C-contiguous float64 ``(P, 4, n, n)`` stack.  Every pointer
+    argument of the three C routines is converted to ctypes here, once, as
+    :func:`bind_exchange` does for the exchange; the object holds
+    references to the arrays.  ``dt_dx`` is the ``(P,)`` buffer of
+    per-patch ``dt / dx`` factors the sweep reads, and :meth:`wave_speeds`
+    fills the ``(P,)`` buffers ``sx`` and ``sy``.
+    """
+
+    __slots__ = ("q", "dt_dx", "sx", "sy", "_cells", "_sweep", "_speeds",
+                 "_check")
+
+    def __init__(self, q: np.ndarray, ng: int, gamma: float) -> None:
+        lib = _require()
+        _check_stack(q, ng)
+        P, _, n, _ = q.shape
+        self.q = q
+        self.dt_dx = np.zeros(P)
+        self.sx = np.empty(P)
+        self.sy = np.empty(P)
+        self._cells = ctypes.c_long()
+        stack = (_as_double_ptr(q), P, n, ng)
+        self._sweep = functools.partial(
+            lib.fused_sweep, *stack, _as_double_ptr(self.dt_dx), float(gamma),
+            ctypes.pointer(self._cells),
+        )
+        self._speeds = functools.partial(
+            lib.wave_speeds, *stack, float(gamma),
+            _as_double_ptr(self.sx), _as_double_ptr(self.sy),
+        )
+        self._check = functools.partial(lib.check_physical, *stack, float(gamma))
+
+    def sweep(self, axis: int, riemann: str, limiter: str) -> tuple[int, int]:
+        """In-place fused dimensional sweep with the factors in ``dt_dx``.
+
+        ``axis`` 0 sweeps x, 1 sweeps y.  Only the band of normal cells
+        whose stencil is not one state in every line is updated; the
+        cells outside it are kept when the full arithmetic would return
+        them as they are, bit for bit.  Returns ``(skipped, cells)``: the
+        quiescent patches skipped, whose every line holds one state along
+        the normal, and the cells updated.
+        """
+        skipped = self._sweep(RIEMANN_IDS[riemann], LIMITER_IDS[limiter], axis)
+        if skipped < 0:
+            raise MemoryError("the fused sweep could not allocate its scratch")
+        return skipped, self._cells.value
+
+    def wave_speeds(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per-patch interior maxima of ``|u|+c`` / ``|v|+c``: ``(sx, sy)``.
+
+        NaN where a speed is NaN, as numpy's ``max``; ghosts are not read.
+        """
+        self._speeds()
+        return self.sx, self.sy
+
+    def check_physical(self) -> bool:
+        """True iff every interior cell of the stack is physical."""
+        return bool(self._check())
+
+
 def fused_sweep(
     q: np.ndarray,
     dt_dx: np.ndarray,
@@ -186,25 +250,19 @@ def fused_sweep(
     :class:`~repro.amr.batch.PatchStack` qualifies); ``dt_dx`` holds the
     ``(P,)`` per-patch ``dt / dx`` factors.  ``axis`` 0 sweeps x, 1 sweeps y.
 
-    Returns the number of quiescent patches the kernel skipped: those whose
-    stencil holds one finite state, for which the full arithmetic would
-    return the patch bit for bit.
+    Returns the number of quiescent patches the kernel skipped: those
+    whose every line holds one state along the normal, for which the full
+    arithmetic would return the patch bit for bit.  In the others only the
+    band of :meth:`StackKernels.sweep` is computed.
     """
-    lib = _require()
-    _check_stack(q, ng)
-    P, _, n, _ = q.shape
-    dtd = np.ascontiguousarray(dt_dx, dtype=np.float64)
-    if dtd.shape != (P,):
-        raise ValueError(f"dt_dx must have shape ({P},), got {dtd.shape}")
+    bound = StackKernels(q, ng, gamma)
+    dtd = np.asarray(dt_dx, dtype=np.float64)
+    if dtd.shape != bound.dt_dx.shape:
+        raise ValueError(f"dt_dx must have shape {bound.dt_dx.shape}, got {dtd.shape}")
     if axis not in (0, 1):
         raise ValueError(f"axis must be 0 or 1, got {axis!r}")
-    skipped = lib.fused_sweep(
-        _as_double_ptr(q), P, n, ng, _as_double_ptr(dtd),
-        int(axis), RIEMANN_IDS[riemann], LIMITER_IDS[limiter], float(gamma),
-    )
-    if skipped < 0:
-        raise MemoryError("the fused sweep could not allocate its scratch")
-    return skipped
+    bound.dt_dx[:] = dtd
+    return bound.sweep(int(axis), riemann, limiter)[0]
 
 
 def wave_speeds(
@@ -214,19 +272,14 @@ def wave_speeds(
 
     ``q`` must be C-contiguous float64 ``(P, 4, n, n)``; ``sx`` and ``sy``
     C-contiguous float64 ``(P,)`` (a row slice of a scratch vector
-    qualifies).
+    qualifies).  NaN where a speed is NaN, as numpy's ``max``.
     """
-    lib = _require()
-    _check_stack(q, ng)
-    P, _, n, _ = q.shape
+    bound = StackKernels(q, ng, gamma)
     for out in (sx, sy):
         if not (out.flags.c_contiguous and out.dtype == np.float64
-                and out.shape == (P,)):
+                and out.shape == bound.sx.shape):
             raise ValueError("sx and sy must be C-contiguous float64 of shape (P,)")
-    lib.wave_speeds(
-        _as_double_ptr(q), P, n, ng, float(gamma),
-        _as_double_ptr(sx), _as_double_ptr(sy),
-    )
+    sx[:], sy[:] = bound.wave_speeds()
 
 
 def check_physical(q: np.ndarray, ng: int, gamma: float) -> bool:
@@ -236,10 +289,7 @@ def check_physical(q: np.ndarray, ng: int, gamma: float) -> bool:
     numpy path: every field finite, density and pressure positive.  Ghost
     cells are not read.
     """
-    lib = _require()
-    _check_stack(q, ng)
-    P, _, n, _ = q.shape
-    return bool(lib.check_physical(_as_double_ptr(q), P, n, ng, float(gamma)))
+    return StackKernels(q, ng, gamma).check_physical()
 
 
 def bind_exchange(

@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 
 from repro.amr import AmrConfig, AmrDriver, ExchangePlan, PatchStack
+from repro.amr.batch import StackStepper
 from repro.amr.ghost import exchange_ghosts
 from repro.amr.patch import NUM_FIELDS
 from repro.amr.tagging import tag_for_refinement, tag_stack
@@ -214,6 +215,87 @@ class TestExchangePlan:
             )
 
 
+def _physical_interiors(stack, gamma=1.4, seed=0):
+    """Seeded random physical states in every interior cell of ``stack``."""
+    rng = np.random.default_rng(seed)
+    shape = stack.interior[:, 0].shape
+    rho, p = rng.uniform(0.5, 2.0, shape), rng.uniform(0.5, 2.0, shape)
+    u, v = rng.uniform(-0.5, 0.5, shape), rng.uniform(-0.5, 0.5, shape)
+    interior = stack.interior
+    interior[:, 0] = rho
+    interior[:, 1] = rho * u
+    interior[:, 2] = rho * v
+    interior[:, 3] = p / (gamma - 1.0) + 0.5 * rho * (u * u + v * v)
+
+
+class TestExchangeHalves:
+    """The exchange before a sweep runs only that sweep's half of the
+    program: the halves split the full program's ghost cells by face, and a
+    sweep after its half gives what it gives after the full exchange."""
+
+    @pytest.fixture(scope="class")
+    def driver(self):
+        cfg = AmrConfig(mx=8, min_level=1, max_level=3, batched=True)
+        driver = AmrDriver(_problem(), cfg)
+        _physical_interiors(driver.stack(), cfg.gamma)
+        return driver
+
+    @staticmethod
+    def _poisoned(stack):
+        q = stack.q.copy()
+        ng = stack.ng
+        for band in (np.s_[:, :, :ng], np.s_[:, :, -ng:],
+                     np.s_[:, :, :, :ng], np.s_[:, :, :, -ng:]):
+            q[band] = 777.0
+        return q
+
+    @pytest.mark.parametrize("executor", ["kernels", "numpy"])
+    def test_halves_split_the_program_by_face(self, driver, executor, monkeypatch):
+        if executor == "numpy":
+            monkeypatch.setattr(kernels, "load", lambda: None)
+        stack = driver.stack()
+        plan, ng, n = stack.plan, stack.ng, stack.q.shape[-1]
+        poisoned = self._poisoned(stack)
+        runs = {}
+        for axis in (0, 1, None):
+            q = poisoned.copy()
+            plan.execute(q, axis)
+            runs[axis] = q
+        written = {axis: q != poisoned for axis, q in runs.items()}
+        assert not (written[0] & written[1]).any()
+        assert np.array_equal(written[0] | written[1], written[None])
+        for axis in (0, 1):
+            assert np.array_equal(runs[axis][written[axis]],
+                                  runs[None][written[axis]])
+        # x-face strips are rows of interior columns, y-face strips the
+        # transpose, and together they are every edge ghost cell.
+        edge = np.zeros(n, dtype=bool)
+        edge[:ng] = edge[-ng:] = True
+        x_strips = edge[:, None] & ~edge[None, :]
+        assert np.array_equal(written[0], np.broadcast_to(x_strips, poisoned.shape))
+        assert np.array_equal(written[1], np.broadcast_to(x_strips.T, poisoned.shape))
+
+    @pytest.mark.parametrize("executor", ["kernels", "numpy"])
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_sweep_after_its_half_matches_full_exchange(
+        self, driver, executor, axis, monkeypatch
+    ):
+        if executor == "numpy":
+            monkeypatch.setattr(kernels, "load", lambda: None)
+        stack = driver.stack()
+        stepper = StackStepper.from_config(driver.config)
+        sx, sy = stepper.wave_speeds(stack.q)
+        dt_dx = 0.3 * stack.dx.min() / max(sx.max(), sy.max()) / stack.dx
+        interiors = []
+        for half in (axis, None):
+            q = self._poisoned(stack)
+            stack.plan.execute(q, half)
+            stepper.sweep(q, dt_dx, axis)
+            interiors.append(q[:, :, stack.ng:-stack.ng, stack.ng:-stack.ng])
+        assert not np.array_equal(interiors[0], stack.interior)
+        assert np.array_equal(interiors[0].view(np.uint64), interiors[1].view(np.uint64))
+
+
 class TestStackLifecycle:
     """View aliasing and plan invalidation across hierarchy changes."""
 
@@ -262,6 +344,36 @@ class TestStackLifecycle:
             assert driver.stack() is before
         else:  # pragma: no cover - depends on tagging thresholds
             assert driver.stack() is not before
+
+    def test_step_makes_no_covers_call(self, monkeypatch):
+        """The driver finds its stack in O(1): no step visits every patch."""
+        driver = self._driver()
+        calls = []
+        covers = PatchStack.covers
+        monkeypatch.setattr(
+            PatchStack, "covers",
+            lambda stack, patches: calls.append(1) or covers(stack, patches),
+        )
+        before = driver.stack()
+        for _ in range(3):
+            driver.step(driver.compute_dt())
+            assert driver._all_physical()
+        assert driver.stack() is before
+        assert calls == []
+
+    def test_leaf_changing_regrid_rebuilds_stack(self):
+        driver = AmrDriver(_problem(), AmrConfig(mx=8, min_level=1, max_level=3))
+        for _ in range(20):
+            before, leaves = driver.stack(), list(driver.patches)
+            driver.step(driver.compute_dt())
+            driver.regrid()
+            if list(driver.patches) != leaves:
+                break
+        else:  # pragma: no cover - the shock moves within 20 steps
+            pytest.fail("no regrid changed the leaves")
+        fresh = driver.stack()
+        assert fresh is not before and fresh.covers(driver.patches)
+        assert len(fresh) == len(driver.patches)
 
     def test_covers_detects_foreign_patch(self):
         """covers() is structural: a rebound patch array flips it off."""

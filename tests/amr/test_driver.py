@@ -219,7 +219,8 @@ class TestPhaseTimers:
 
     def test_run_span_carries_regrid_churn(self):
         """A traced run's ``amr_run`` span closes with its RunStats counts,
-        its patch sweeps and the quiescent ones the compiled sweep skipped."""
+        its patch sweeps, the quiescent ones the compiled sweep skipped, and
+        the cells the sweeps updated (the compiled sweep only its bands)."""
         driver = AmrDriver(
             ShockBubbleProblem(r0=0.3, rhoin=0.1), AmrConfig(mx=8, max_level=3)
         )
@@ -236,7 +237,11 @@ class TestPhaseTimers:
         assert run.attrs["coarsenings"] == stats.num_coarsenings
         assert run.attrs["patch_sweeps"] == 2 * sum(s.num_patches for s in stats.steps)
         assert run.attrs["quiescent_sweeps"] == driver.quiescent_sweeps
+        assert run.attrs["swept_cells"] == driver.swept_cells
+        every_cell = run.attrs["patch_sweeps"] * driver.config.mx ** 2
         if driver._stepper.compiled:
             assert 0 < run.attrs["quiescent_sweeps"] < run.attrs["patch_sweeps"]
+            assert 0 < run.attrs["swept_cells"] < every_cell
         else:
             assert run.attrs["quiescent_sweeps"] == 0
+            assert run.attrs["swept_cells"] == every_cell

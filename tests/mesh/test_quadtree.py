@@ -1,5 +1,7 @@
 """Tests for the linear quadtree."""
 
+from bisect import bisect_left
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -120,6 +122,43 @@ class TestQueries:
         t = Quadtree.uniform(2)
         assert Quadrant(2, 1, 1) in t
         assert Quadrant(1, 0, 0) not in t
+
+    @given(
+        st.lists(
+            st.tuples(st.booleans(), st.integers(min_value=0, max_value=255)),
+            min_size=1,
+            max_size=24,
+        ),
+        st.lists(
+            st.tuples(st.integers(min_value=0, max_value=7),
+                      st.integers(min_value=0, max_value=127),
+                      st.integers(min_value=0, max_value=127)),
+            max_size=20,
+        ),
+    )
+    @settings(max_examples=50, deadline=None)
+    def test_membership_matches_bisect(self, edits, probes):
+        """After every refine and coarsen, ``in`` answers what a bisection
+        of the sorted keys answers, for the leaves, their parents and
+        children, and random quadrants."""
+        t = Quadtree()
+        randoms = {Quadrant(lv, x % (1 << lv), y % (1 << lv)) for lv, x, y in probes}
+        for coarsen, c in edits:
+            leaf = t.leaves[c % len(t)]
+            if not coarsen:
+                if leaf.level < 6:
+                    t.refine(leaf)
+            elif leaf.level > 0 and set(
+                quadrant_children(quadrant_parent(leaf))
+            ) <= set(t.leaves):
+                t.coarsen(leaf)
+            leaves = t.leaves
+            keys = [_key(q) for q in leaves]
+            near = {r for q in leaves for r in quadrant_children(q)}
+            near |= {quadrant_parent(q) for q in leaves if q.level}
+            for q in set(leaves) | near | randoms:
+                i = bisect_left(keys, _key(q))
+                assert (q in t) == (i < len(keys) and leaves[i] == q), q
 
     def test_index_of_matches_order(self):
         t = Quadtree.uniform(2)

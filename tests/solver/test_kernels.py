@@ -198,6 +198,182 @@ class TestQuiescentSweep:
         assert np.isnan(ref[:, :, NG:-NG, NG:-NG]).any()
 
 
+def _band(q, axis):
+    """The kernel's band [a, b] of one patch, from numpy: the interior cells
+    whose stencil (normal cells m .. m+4 from ng-2) is not one state in
+    every interior line, bit for bit; None if every line holds one state."""
+    lines = q[0, :, :, NG:-NG] if axis == 0 else np.swapaxes(q[0, :, NG:-NG, :], 1, 2)
+    rows = lines[:, NG - 2 : N - NG + 2].view(np.uint64)
+    pairs = np.flatnonzero((rows[:, 1:] != rows[:, :-1]).any(axis=(0, 2)))
+    if not pairs.size:
+        return None
+    return max(0, pairs[0] - 3), min(MX - 1, pairs[-1])
+
+
+def _outside(q, axis, band):
+    """The interior cells of patch 0 outside ``band``, in all four fields."""
+    a, b = band
+    inner = q[0, :, NG:-NG, NG:-NG]
+    keep = np.r_[0:a, b + 1 : MX]
+    return inner[:, keep] if axis == 0 else inner[:, :, keep]
+
+
+def _band_both(q, dt_dx, axis, riemann, limiter):
+    """The kernel's result, skip count and updated cells, and numpy's
+    result, from the one-patch stack ``q``."""
+    ref = q.copy()
+    with np.errstate(all="ignore"):
+        _sweep_stack(ref, dt_dx, NG, "x" if axis == 0 else "y",
+                     riemann, limiter, GAMMA)
+    got = q.copy()
+    bound = kernels.StackKernels(got, NG, GAMMA)
+    bound.dt_dx[:] = dt_dx
+    skipped, cells = bound.sweep(axis, riemann, limiter)
+    return got, skipped, cells, ref
+
+
+def _planar(axis, low, high, at):
+    """One patch holding ``low`` below normal index ``at`` and ``high`` from
+    it on, in every line (states given with the normal momentum in slot 1)."""
+    perm = [0, 1, 2, 3] if axis == 0 else [0, 2, 1, 3]
+    states = np.where(np.arange(N)[:, None] < at, low[perm], high[perm])  # (N, 4)
+    line = states.T[:, :, None] if axis == 0 else states.T[:, None, :]
+    return np.broadcast_to(line, (4, N, N))[None].copy()
+
+
+#: Two states of a planar jump: at rest, and denser gas moving along the
+#: normal.
+LOW, HIGH = _state(1.0, 0.0, 0.0, 1.0), _state(2.0, 0.3, -0.1, 1.5)
+
+
+class TestBandSweep:
+    """Only the band of cells whose stencil is not one state in every line
+    is updated; the cells outside it are kept only when the full
+    arithmetic keeps them, bit for bit.  Every result is compared bit for
+    bit with numpy's, and the updated cells with the band rule."""
+
+    @every_scheme
+    def test_planar_jump_at_each_position(self, riemann, limiter, axis):
+        """A band at the low end, inside, and at the high end; numpy
+        changes no cell outside it."""
+        for at in range(1, N):
+            q = _planar(axis, LOW, HIGH, at)
+            got, skipped, cells, ref = _band_both(q, np.full(1, 0.01), axis,
+                                                  riemann, limiter)
+            band = _band(q, axis)
+            assert skipped == 0, at
+            assert cells == (band[1] - band[0] + 1) * MX, at
+            assert _same_bits(got, ref), at
+            assert _same_bits(_outside(ref, axis, band), _outside(q, axis, band)), at
+
+    @every_scheme
+    def test_lines_of_distinct_uniform_states(self, riemann, limiter, axis):
+        """One state along the normal in each line, a different one per
+        line: an empty band, so the patch is skipped unchanged."""
+        q = np.empty((1, 4, N, N))
+        for t in range(N):
+            st = _state(1.0 + 0.1 * t, 0.05 * t, -0.02 * t, 1.0 + 0.03 * t)
+            if axis == 0:
+                q[0, :, :, t] = st[:, None]
+            else:
+                q[0, :, t, :] = st[[0, 2, 1, 3]][:, None]
+        assert _band(q, axis) is None
+        got, skipped, cells, ref = _band_both(q, np.full(1, 0.01), axis,
+                                              riemann, limiter)
+        assert (skipped, cells) == (1, 0)
+        assert _same_bits(got, ref) and _same_bits(got, q)
+
+    @every_scheme
+    def test_reflecting_wall_ghosts(self, riemann, limiter, axis):
+        """Gas at rest whose ghosts at one end hold the wall's negated copy
+        of its +0.0 normal momentum, -0.0: only the two cells next to the
+        wall are computed."""
+        normal = 1 if axis == 0 else 2
+        for ghosts in (np.s_[:NG], np.s_[-NG:]):
+            q = _uniform(_state(1.0, 0.0, 0.0, 1.0))
+            if axis == 0:
+                q[0, normal, ghosts, :] = -0.0
+            else:
+                q[0, normal, :, ghosts] = -0.0
+            got, skipped, cells, ref = _band_both(q, np.full(1, 0.01), axis,
+                                                  riemann, limiter)
+            assert (skipped, cells) == (0, 2 * MX)
+            assert _same_bits(got, ref)
+
+    @every_scheme
+    def test_non_finite_uniform_side_runs_the_full_range(self, riemann, limiter, axis):
+        """A NaN in any field, or an infinite energy, on one side of a jump:
+        the flux there is not finite, numpy writes NaN over that side, and
+        the kernel must sweep every cell.  (From an infinite state the
+        superbee slopes of numpy and C are NaNs of different sign bits, so
+        that case compares values, NaN matching NaN.)"""
+        bad = [LOW.copy() for _ in range(5)]
+        for field in range(4):
+            bad[field][field] = np.nan
+        bad[4][3] = np.inf
+        for state in bad:
+            for low, high, at in ((state, HIGH, 7), (LOW, state, 5)):
+                q = _planar(axis, low, high, at)
+                got, skipped, cells, ref = _band_both(q, np.full(1, 0.01), axis,
+                                                      riemann, limiter)
+                band = _band(q, axis)
+                assert (skipped, cells) == (0, MX * MX), (state, at)
+                if np.isinf(state).any():
+                    assert np.array_equal(got, ref, equal_nan=True), at
+                else:
+                    assert _same_bits(got, ref), (state, at)
+                assert not _same_bits(_outside(ref, axis, band),
+                                      _outside(q, axis, band)), (state, at)
+
+    @every_scheme
+    def test_one_sided_flux_overflow(self, riemann, limiter, axis):
+        """Finite states whose flux overflows on one side of a jump."""
+        fast = np.array([1.0, 1e200, 0.0, 1.0])
+        for low, high, at in ((fast, LOW, 7), (LOW, fast, 5)):
+            q = _planar(axis, low, high, at)
+            got, skipped, cells, ref = _band_both(q, np.full(1, 0.01), axis,
+                                                  riemann, limiter)
+            assert (skipped, cells) == (0, MX * MX), at
+            assert _same_bits(got, ref), at
+
+    @every_scheme
+    def test_dt_dx_signs(self, riemann, limiter, axis):
+        """-0.0 momenta on both sides of a density jump.  A +0.0 factor
+        keeps the cells outside the band; a -0.0 or negative one turns
+        their -0.0 into +0.0, so every cell is swept."""
+        cold = _state(1.0, 0.0, 0.0, 1.0)
+        cold[1:3] = -0.0
+        dense = cold.copy()
+        dense[0] = 3.0
+        q = _planar(axis, cold, dense, 6)
+        band = _band(q, axis)
+        for fac, full in ((0.0, False), (-0.0, True), (-0.01, True)):
+            got, skipped, cells, ref = _band_both(q, np.array([fac]), axis,
+                                                  riemann, limiter)
+            assert skipped == 0, fac
+            assert cells == (MX * MX if full else (band[1] - band[0] + 1) * MX), fac
+            assert _same_bits(got, ref), fac
+            assert _same_bits(_outside(ref, axis, band),
+                              _outside(q, axis, band)) != full, fac
+
+    def test_stack_of_mixed_patches(self):
+        """Per-patch bands, skips and factors in one call."""
+        q = np.concatenate([
+            _planar(0, LOW, HIGH, 6), _uniform(CALM[1]), _random_stack(seed=41, P=1),
+            _planar(0, LOW, HIGH, 2),
+        ])
+        dt_dx = np.array([0.01, 0.02, 0.005, 0.01])
+        bands = [_band(q[[p]], 0) for p in (0, 3)]
+        ref = q.copy()
+        _sweep_stack(ref, dt_dx, NG, "x", "hllc", "mc", GAMMA)
+        bound = kernels.StackKernels(q, NG, GAMMA)
+        bound.dt_dx[:] = dt_dx
+        skipped, cells = bound.sweep(0, "hllc", "mc")
+        assert skipped == 1
+        assert cells == sum(b - a + 1 for a, b in bands) * MX + MX * MX
+        assert _same_bits(q, ref)
+
+
 def _cold(u):
     """Unit density at speed ``u`` with no internal energy: the pressure
     sits at its floor, and the sound speed is lost in rounding next to u."""
@@ -300,6 +476,22 @@ class TestWaveSpeeds:
         q[3, :, -NG - 1, -NG - 1] = _state(1.1, 2.0, -3.0, 0.8)
         sx, sy = self._both(q)
         assert sx[3] > sx[1] and sy[3] > sy[1]
+
+    @pytest.mark.parametrize("field", range(4))
+    def test_nan_in_one_interior_cell(self, field):
+        """A NaN in any field of one interior cell makes that patch's two
+        maxima NaN, as numpy's max does; the other patches keep theirs."""
+        q = _random_stack(seed=13, P=3)
+        for cell in ((NG + 3, NG + 5), (NG + MX - 1, NG + MX - 1)):
+            bad = q.copy()
+            bad[1, field][cell] = np.nan
+            sx, sy = np.empty(3), np.empty(3)
+            kernels.wave_speeds(bad, NG, GAMMA, sx, sy)
+            with np.errstate(all="ignore"):
+                rx, ry = stack_wave_speeds(bad[:, :, NG:-NG, NG:-NG], GAMMA)
+            assert np.isnan(rx[1]) and np.isnan(ry[1])
+            assert np.array_equal(sx, rx, equal_nan=True), cell
+            assert np.array_equal(sy, ry, equal_nan=True), cell
 
     def test_rejects_bad_buffers(self):
         q = _random_stack(seed=5, P=4)
