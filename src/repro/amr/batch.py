@@ -6,9 +6,13 @@ so the whole hierarchy can live in a single stacked array of shape
 zero-copy view of its slot.  This module provides
 
 - :class:`PatchStack` — builds the stacked storage, rebinds every patch's
-  state to a view of it, and exposes whole-hierarchy reductions
-  (``dt_from_speeds``, ``conserved_totals``, ``total_bytes``, and
-  ``check_physical``, one compiled pass when the kernels load);
+  state to a view of it, and steps it: the sweep, the CFL wave speeds and
+  the physicality check run once over the whole stack, through the
+  compiled kernels of :mod:`repro.solver.kernels` bound to the stack's
+  array when they load and the configured scheme is the one they
+  implement (HLLC with MC), and through the numpy reference otherwise,
+  decided once when the stack is built.  It also folds the whole-hierarchy
+  reductions (``dt_from_speeds``, ``conserved_totals``, ``total_bytes``);
 - :class:`ExchangePlan` — the compiled ghost exchange: the per-face
   neighbor classification of :func:`repro.amr.ghost.exchange_ghosts`
   (physical boundary, same-level, coarse–fine, fine–coarse) is resolved
@@ -17,11 +21,7 @@ zero-copy view of its slot.  This module provides
   before the sweep that reads it as a few indexed copies, gathers and
   scatters — one call of the compiled kernels of
   :mod:`repro.solver.kernels` when they load, numpy otherwise — instead
-  of ``4 * P`` Python-level neighbor lookups;
-- :class:`StackStepper` — the one sweep, wave-speed and physicality-check
-  dispatch of the batched driver: the compiled kernels of
-  :mod:`repro.solver.kernels` when they load and implement the configured
-  Riemann solver and limiter, the numpy reference otherwise.
+  of ``4 * P`` Python-level neighbor lookups.
 
 Invariants (see DESIGN.md, "Batched AMR patch kernels"):
 
@@ -45,7 +45,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 from types import SimpleNamespace
-from typing import Callable
 
 import numpy as np
 
@@ -81,89 +80,6 @@ def stack_wave_speeds(
     sx = (np.abs(prim[1]) + c).max(axis=(-2, -1))
     sy = (np.abs(prim[2]) + c).max(axis=(-2, -1))
     return sx, sy
-
-
-@dataclass(slots=True)
-class StackStepper:
-    """Sweeps, CFL wave speeds and the physicality check over a stack array.
-
-    It runs the compiled kernels of :mod:`repro.solver.kernels` when
-    :func:`repro.solver.kernels.load` succeeds and ``riemann`` and
-    ``limiter`` name routines the C source implements, with their pointer
-    arguments bound once per stack array
-    (:class:`~repro.solver.kernels.StackKernels`).  Otherwise — no
-    compiler, a callable solver or limiter, an unknown name — it runs the
-    numpy reference (:func:`repro.solver.fv._sweep_stack`,
-    :func:`stack_wave_speeds`) and :meth:`PatchStack.check_physical`.
-    Both are bit-identical.
-    """
-
-    ng: int
-    riemann: str | Callable
-    limiter: str | Callable
-    gamma: float
-    #: ``(q, StackKernels)``: the kernels bound to the stack array ``q``.
-    _bound: tuple = field(default=(), init=False, repr=False, compare=False)
-
-    @classmethod
-    def from_config(cls, config) -> "StackStepper":
-        """The stepper of an :class:`~repro.amr.driver.AmrConfig`."""
-        return cls(config.ng, config.riemann, config.limiter, config.gamma)
-
-    @property
-    def compiled(self) -> bool:
-        """True iff this stepper runs the compiled kernels."""
-        return (
-            isinstance(self.riemann, str)
-            and self.riemann in kernels.RIEMANN_IDS
-            and isinstance(self.limiter, str)
-            and self.limiter in kernels.LIMITER_IDS
-            and kernels.load() is not None
-        )
-
-    def _kernels(self, q: np.ndarray) -> "kernels.StackKernels | None":
-        """The compiled kernels bound to ``q``; None on the numpy path."""
-        if not self.compiled:
-            return None
-        if not self._bound or self._bound[0] is not q:
-            self._bound = (q, kernels.StackKernels(q, self.ng, self.gamma))
-        return self._bound[1]
-
-    def sweep(self, q: np.ndarray, dt_dx: np.ndarray, axis: int) -> tuple[int, int]:
-        """In-place sweep of C-contiguous ``(P, 4, n, n)`` rows; axis 0 is x.
-
-        Returns ``(skipped, cells)``: the quiescent patches the compiled
-        sweep skipped and the cells it updated
-        (:meth:`repro.solver.kernels.StackKernels.sweep`); the numpy path
-        skips none and updates every interior cell.
-        """
-        bound = self._kernels(q)
-        if bound is not None:
-            bound.dt_dx[:] = dt_dx
-            return bound.sweep(axis, self.riemann, self.limiter)
-        _sweep_stack(
-            q, dt_dx, self.ng, "x" if axis == 0 else "y",
-            self.riemann, self.limiter, self.gamma,
-        )
-        return 0, len(q) * (q.shape[-1] - 2 * self.ng) ** 2
-
-    def wave_speeds(self, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Per-row interior maxima of ``|u|+c`` and ``|v|+c``: ``(sx, sy)``."""
-        bound = self._kernels(q)
-        if bound is not None:
-            return bound.wave_speeds()
-        ng = self.ng
-        return stack_wave_speeds(q[:, :, ng:-ng, ng:-ng], self.gamma)
-
-    def check_physical(self, stack: "PatchStack") -> bool:
-        """True iff every interior cell of ``stack`` is physical.
-
-        The bound kernel, or :meth:`PatchStack.check_physical`.
-        """
-        bound = self._kernels(stack.q)
-        if bound is not None:
-            return bound.check_physical()
-        return stack.check_physical(self.gamma)
 
 
 @lru_cache(maxsize=None)
@@ -477,27 +393,37 @@ class ExchangePlan:
 
 
 class PatchStack:
-    """Shape-stacked storage plus compiled exchange plan for one hierarchy.
+    """Shape-stacked storage, exchange plan and stepping of one hierarchy.
 
     Construction copies every patch's state into one ``(P, 4, n, n)`` array
     and rebinds each ``patch.q`` to the corresponding zero-copy view, so
     subsequent per-patch and batched accesses alias the same memory.  The
     stack is only valid until the hierarchy changes; the driver drops it on
     refine/coarsen, and :meth:`covers` checks it structurally.
+
+    Construction also decides, once, how :meth:`sweep`,
+    :meth:`wave_speeds` and :meth:`check_physical` run: through the
+    compiled kernels of :mod:`repro.solver.kernels`, bound to the stack's
+    array (:class:`~repro.solver.kernels.StackKernels`), when they load and
+    ``config`` names the scheme they implement, ``"hllc"`` with ``"mc"``;
+    otherwise — no compiler, another named scheme, a callable solver or
+    limiter — through the numpy reference
+    (:func:`repro.solver.fv._sweep_stack`, :func:`stack_wave_speeds`,
+    :func:`repro.solver.state.check_physical`).  Both are bit-identical.
     """
 
-    __slots__ = ("keys", "index", "q", "mx", "ng", "dx", "plan")
+    __slots__ = ("keys", "index", "q", "mx", "ng", "dx", "plan", "config",
+                 "_kernels")
 
     def __init__(
         self,
         forest: Forest,
         patches: dict[tuple[int, Quadrant], Patch],
-        mx: int,
-        ng: int,
-        bcs: tuple,
+        config,
     ) -> None:
         if not patches:
             raise ValueError("cannot stack an empty hierarchy")
+        mx, ng = config.mx, config.ng
         self.keys = tuple(patches)
         self.index = {key: i for i, key in enumerate(self.keys)}
         n = mx + 2 * ng
@@ -511,7 +437,16 @@ class PatchStack:
         self.mx = mx
         self.ng = ng
         self.dx = np.array([patches[key].dx for key in self.keys])
-        self.plan = ExchangePlan.build(forest, patches, self.index, mx, ng, bcs)
+        self.plan = ExchangePlan.build(forest, patches, self.index, mx, ng, config.bcs)
+        #: The :class:`~repro.amr.driver.AmrConfig` the stack steps with.
+        self.config = config
+        #: The compiled kernels bound to ``q``; None on the numpy path.
+        self._kernels = (
+            kernels.StackKernels(self.q, ng, config.gamma)
+            if (config.riemann, config.limiter) == ("hllc", "mc")
+            and kernels.load() is not None
+            else None
+        )
 
     def __len__(self) -> int:
         return len(self.keys)
@@ -539,13 +474,49 @@ class PatchStack:
         """
         self.plan.execute(self.q, axis)
 
+    @property
+    def compiled(self) -> bool:
+        """True iff this stack steps through the compiled kernels."""
+        return self._kernels is not None
+
+    def sweep(self, dt_dx: np.ndarray, axis: int) -> tuple[int, int]:
+        """In-place dimensional sweep of every patch; axis 0 is x, 1 is y.
+
+        ``dt_dx`` holds the ``(P,)`` per-patch ``dt / dx`` factors.
+        Returns ``(skipped, cells)``: the quiescent patches the compiled
+        sweep skipped and the cells it updated
+        (:meth:`repro.solver.kernels.StackKernels.sweep`); the numpy path
+        skips none and updates every interior cell.
+        """
+        if self._kernels is not None:
+            self._kernels.dt_dx[:] = dt_dx
+            return self._kernels.sweep(axis)
+        cfg = self.config
+        _sweep_stack(
+            self.q, dt_dx, self.ng, "x" if axis == 0 else "y",
+            cfg.riemann, cfg.limiter, cfg.gamma,
+        )
+        return 0, len(self.keys) * self.mx * self.mx
+
+    def wave_speeds(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per-patch interior maxima of ``|u|+c`` and ``|v|+c``: ``(sx, sy)``."""
+        if self._kernels is not None:
+            return self._kernels.wave_speeds()
+        return stack_wave_speeds(self.interior, self.config.gamma)
+
+    def check_physical(self) -> bool:
+        """True iff every interior cell of every patch is physical."""
+        if self._kernels is not None:
+            return self._kernels.check_physical()
+        return check_physical(np.moveaxis(self.interior, 1, 0), self.config.gamma)
+
     def dt_from_speeds(
         self, sx: np.ndarray, sy: np.ndarray, cfl: float, dt_max: float
     ) -> float:
         """Fold per-patch wave speeds into the global CFL step.
 
-        The speeds come from :meth:`StackStepper.wave_speeds`; the
-        reduction is bit-identical to the patch loop.
+        The speeds come from :meth:`wave_speeds`; the reduction is
+        bit-identical to the patch loop.
         """
         smax = np.maximum(sx, sy)
         moving = smax > 0
@@ -553,18 +524,6 @@ class PatchStack:
         if np.any(moving):
             dt = min(dt, float((cfl * self.dx[moving] / smax[moving]).min()))
         return dt
-
-    def check_physical(self, gamma: float) -> bool:
-        """True iff every interior cell of every patch is physical.
-
-        One pass of the compiled kernels
-        (:func:`repro.solver.kernels.check_physical`) when they load;
-        otherwise :func:`repro.solver.state.check_physical` over the
-        stacked interiors, with the same result.
-        """
-        if kernels.load() is not None:
-            return kernels.check_physical(self.q, self.ng, gamma)
-        return check_physical(np.moveaxis(self.interior, 1, 0), gamma)
 
     def conserved_totals(self) -> tuple[float, float]:
         """(total mass, total energy) integrated over the hierarchy.

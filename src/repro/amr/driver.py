@@ -17,14 +17,16 @@ leaf keeps the stacked storage and its exchange plan.
 Two stepping backends are provided (``AmrConfig.batched``):
 
 - **batched** (default): the hierarchy's state lives in one shape-stacked
-  ``(P, 4, n, n)`` array (:class:`repro.amr.batch.PatchStack`), sweeps,
-  CFL wave speeds and the physicality check run once over the whole stack
-  through :class:`repro.amr.batch.StackStepper`, and ghost exchange
-  executes the flat-index :class:`repro.amr.batch.ExchangePlan` compiled
-  once per hierarchy change, through the compiled kernels of
-  :mod:`repro.solver.kernels`, or numpy when no C compiler is available.
-  The exchange before each sweep fills only the ghost strips that sweep
-  reads, and the conservation reductions are vectorized.
+  ``(P, 4, n, n)`` array (:class:`repro.amr.batch.PatchStack`), whose
+  sweeps, CFL wave speeds and physicality check run once over the whole
+  stack, and ghost exchange executes the flat-index
+  :class:`repro.amr.batch.ExchangePlan` compiled once per hierarchy
+  change.  They run through the compiled kernels of
+  :mod:`repro.solver.kernels` when a C compiler is available, the sweep,
+  wave speeds and check only for the default scheme (HLLC with MC, decided
+  once per stack), and through numpy otherwise.  The exchange before each
+  sweep fills only the ghost strips that sweep reads, and the
+  conservation reductions are vectorized.
 - **per-patch**: the original patch-by-patch loop, kept as the bit-identical
   reference implementation.
 
@@ -34,7 +36,8 @@ evaluation of the initial condition.  Both produce bit-for-bit identical
 states and statistics; the phases of either path are timed through
 :mod:`repro.obs` (``amr_init``, ``amr_plan``, ``amr_exchange``,
 ``amr_sweep``, ``amr_dt``, ``amr_regrid``), and a traced
-run's ``amr_run`` span closes with the run's regrid, refinement and
+run's ``amr_run`` span says whether the run stepped through the compiled
+kernels (``compiled``) and closes with the run's regrid, refinement and
 coarsening counts from :class:`~repro.amr.stats.RunStats`, its patch
 sweeps (one patch in one dimensional sweep), how many of them the
 compiled sweep skipped as quiescent, and the cells the sweeps updated.
@@ -42,6 +45,7 @@ compiled sweep skipped as quiescent, and the cells the sweeps updated.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass
 from typing import Callable
@@ -49,7 +53,7 @@ from typing import Callable
 import numpy as np
 
 from repro import obs
-from repro.amr.batch import PatchStack, StackStepper
+from repro.amr.batch import PatchStack
 from repro.amr.ghost import exchange_ghosts
 from repro.amr.patch import Patch
 from repro.amr.stats import RunStats, StepRecord
@@ -58,7 +62,7 @@ from repro.amr.transfer import prolong_child, restrict_patch
 from repro.mesh.balance import balance_from_seeds, coarsening_keeps_balance
 from repro.mesh.forest import BrickTopology, Forest
 from repro.mesh.quadrant import Quadrant, quadrant_children, quadrant_parent
-from repro.solver.fv import sweep_x, sweep_y
+from repro.solver.fv import _resolve_limiter, _resolve_solver, sweep_x, sweep_y
 from repro.solver.initial_conditions import ShockBubbleProblem
 from repro.solver.state import GAMMA_AIR, check_physical, max_wave_speed
 
@@ -72,7 +76,14 @@ class AmrConfig:
     level (Table I); ``min_level`` sets the coarsest allowed mesh.
     ``batched`` selects the shape-stacked stepping backend (bit-identical to
     the per-patch reference, just faster; it runs the compiled kernels
-    when a C compiler is available).
+    when a C compiler is available, all but the exchange only for the
+    default ``"hllc"`` solver with the ``"mc"`` limiter).
+
+    A value that would silently change a run is rejected: a ``cfl`` that is
+    not finite and positive (``min(dt, nan)`` would drop the CFL limit), a
+    NaN threshold (no leaf would ever refine), and a solver or limiter name
+    that :data:`~repro.solver.riemann.RIEMANN_SOLVERS` or
+    :data:`~repro.solver.limiters.LIMITERS` (or ``"none"``) does not hold.
     """
 
     mx: int = 8
@@ -98,6 +109,13 @@ class AmrConfig:
             raise ValueError("ng must be even (coarse-fine ghost exchange)")
         if self.regrid_interval < 1:
             raise ValueError("regrid_interval must be >= 1")
+        if not (math.isfinite(self.cfl) and self.cfl > 0):
+            raise ValueError(f"cfl must be finite and positive, got {self.cfl!r}")
+        for threshold in (self.refine_threshold, self.coarsen_threshold):
+            if threshold is not None and math.isnan(threshold):
+                raise ValueError("refinement thresholds must not be NaN")
+        _resolve_solver(self.riemann)
+        _resolve_limiter(self.limiter)
 
 
 class AmrDriver:
@@ -130,7 +148,6 @@ class AmrDriver:
         self.quiescent_sweeps = 0
         self.swept_cells = 0
         self._stack: PatchStack | None = None
-        self._stepper = StackStepper.from_config(config)
         # Children of refines since the forest was last balanced.  Only such
         # leaves can take part in a new 2:1 violation (a coarsening is made
         # only where it keeps the balance), so they seed the worklist
@@ -241,11 +258,8 @@ class AmrDriver:
         (:class:`~repro.amr.batch.ExchangePlan`).
         """
         if self._stack is None or len(self._stack) != len(self.patches):
-            cfg = self.config
             with obs.timed("amr_plan", cat="amr"):
-                self._stack = PatchStack(
-                    self.forest, self.patches, cfg.mx, cfg.ng, cfg.bcs
-                )
+                self._stack = PatchStack(self.forest, self.patches, self.config)
         return self._stack
 
     # ------------------------------------------------------------- regridding
@@ -369,7 +383,7 @@ class AmrDriver:
         with obs.timed("amr_dt", cat="amr"):
             if cfg.batched:
                 stack = self.stack()
-                sx, sy = self._stepper.wave_speeds(stack.q)
+                sx, sy = stack.wave_speeds()
                 return stack.dt_from_speeds(sx, sy, cfg.cfl, float(dt_max))
             dt = float(dt_max)
             for p in self.patches.values():
@@ -395,7 +409,7 @@ class AmrDriver:
                 with obs.timed("amr_exchange", cat="amr"):
                     stack.exchange(axis)
                 with obs.timed("amr_sweep", cat="amr"):
-                    skipped, cells = self._stepper.sweep(stack.q, dt_dx, axis)
+                    skipped, cells = stack.sweep(dt_dx, axis)
                 self.quiescent_sweeps += skipped
                 self.swept_cells += cells
         else:
@@ -427,7 +441,7 @@ class AmrDriver:
     def _all_physical(self) -> bool:
         cfg = self.config
         if cfg.batched:
-            return self._stepper.check_physical(self.stack())
+            return self.stack().check_physical()
         return all(check_physical(p.interior, cfg.gamma) for p in self.patches.values())
 
     def run(
@@ -449,6 +463,9 @@ class AmrDriver:
         with obs.span(
             "amr_run", cat="amr", t_end=t_end, batched=cfg.batched
         ) as run_span:
+            # Every stack of the run decides alike; this builds the one the
+            # first step would.
+            run_span.annotate(compiled=cfg.batched and self.stack().compiled)
             for k in range(max_steps):
                 if self.t >= t_end - 1e-14:
                     run_span.annotate(

@@ -7,12 +7,17 @@
  * repro.amr.batch.ExchangePlan (the x-face half, the y-face half, or both)
  * in one call.
  *
+ * The sweep implements one scheme, the one every AMR run uses: MUSCL
+ * reconstruction with the MC limiter and the HLLC flux, as straight-line
+ * code.  A stack configured with any other solver or limiter steps through
+ * the numpy sweep (repro.amr.batch.PatchStack decides when it is built).
+ *
  * Bit-identity contract: every arithmetic expression below reproduces the
  * numpy reference (repro.solver.fv._sweep_stack and friends) operation for
  * operation — same association order, same floors, same guard values — and
  * the build disables FP contraction (-ffp-contract=off), so results are
  * bit-for-bit equal to the serial batched path.  tests/solver/test_kernels.py
- * enforces this for every riemann x limiter combination.
+ * enforces this.
  *
  * Work the result does not need is skipped, never approximated:
  *   - a sweep updates only the band of normal cells whose stencil is not
@@ -47,39 +52,21 @@ static inline double npmin(double a, double b) { return a <= b || a != a ? a : b
 static inline double npabs(double a) { return fabs(a); }
 static inline double npsign(double a) { return a > 0.0 ? 1.0 : (a < 0.0 ? -1.0 : a); }
 
-/* limiter ids: 0=minmod 1=superbee 2=mc 3=van_leer (lim < 0 => first order) */
-static inline double limit_one(int lim, double a, double b) {
-    switch (lim) {
-    case 0:
-        return a * b <= 0.0 ? 0.0 : (npabs(a) < npabs(b) ? a : b);
-    case 1: {
-        double ta = 2.0 * a, tb = 2.0 * b;
-        double s1 = ta * b <= 0.0 ? 0.0 : (npabs(ta) < npabs(b) ? ta : b);
-        double s2 = a * tb <= 0.0 ? 0.0 : (npabs(a) < npabs(tb) ? a : tb);
-        double mag = npmax(npabs(s1), npabs(s2));
-        return a * b <= 0.0 ? 0.0 : npsign(a) * mag;
-    }
-    case 2: {
-        double central = 0.5 * (a + b);
-        double bound = 2.0 * npmin(npabs(a), npabs(b));
-        double mag = npmin(npabs(central), bound);
-        return a * b <= 0.0 ? 0.0 : npsign(central) * mag;
-    }
-    default: {
-        double prod = a * b;
-        double denom = a + b;
-        double safe = denom == 0.0 ? 1.0 : denom;
-        return prod <= 0.0 ? 0.0 : 2.0 * prod / safe;
-    }
-    }
+/* The MC slope of repro.solver.limiters.mc_limiter. */
+static inline double mc_slope(double a, double b) {
+    double central = 0.5 * (a + b);
+    double bound = 2.0 * npmin(npabs(a), npabs(b));
+    double mag = npmin(npabs(central), bound);
+    return a * b <= 0.0 ? 0.0 : npsign(central) * mag;
 }
 
-/* riemann ids: 0=rusanov 1=hll 2=hllc.  States arrive normal-rotated:
- * slot 1 is the normal momentum, slot 2 tangential (as in _sweep_stack). */
-static inline void flux_one(int rie, double gamma,
-                            double ql0, double ql1, double ql2, double ql3,
-                            double qr0, double qr1, double qr2, double qr3,
-                            double *f0, double *f1, double *f2, double *f3) {
+/* The HLLC flux of repro.solver.riemann.hllc_flux.  States arrive
+ * normal-rotated: slot 1 is the normal momentum, slot 2 tangential (as in
+ * _sweep_stack). */
+static inline void hllc_flux(double gamma,
+                             double ql0, double ql1, double ql2, double ql3,
+                             double qr0, double qr1, double qr2, double qr3,
+                             double *f0, double *f1, double *f2, double *f3) {
     double rl = npmax(ql0, DENSITY_FLOOR);
     double ul = ql1 / rl, vl = ql2 / rl;
     double pl = (gamma - 1.0) * (ql3 - (0.5 * rl) * (ul * ul + vl * vl));
@@ -97,28 +84,8 @@ static inline void flux_one(int rie, double gamma,
     double fr0 = rr * ur, fr1 = rr * ur * ur + pr, fr2 = rr * ur * vr,
            fr3 = (qr3 + pr) * ur;
 
-    if (rie == 0) {
-        double smax = npmax(npabs(ul) + cl, npabs(ur) + cr);
-        *f0 = 0.5 * (fl0 + fr0) - 0.5 * smax * (qr0 - ql0);
-        *f1 = 0.5 * (fl1 + fr1) - 0.5 * smax * (qr1 - ql1);
-        *f2 = 0.5 * (fl2 + fr2) - 0.5 * smax * (qr2 - ql2);
-        *f3 = 0.5 * (fl3 + fr3) - 0.5 * smax * (qr3 - ql3);
-        return;
-    }
     double sl = npmin(ul - cl, ur - cr);
     double sr = npmax(ul + cl, ur + cr);
-    if (rie == 1) {
-        double denom = sr - sl == 0.0 ? 1.0 : sr - sl;
-        double fs0 = (sr * fl0 - sl * fr0 + sl * sr * (qr0 - ql0)) / denom;
-        double fs1 = (sr * fl1 - sl * fr1 + sl * sr * (qr1 - ql1)) / denom;
-        double fs2 = (sr * fl2 - sl * fr2 + sl * sr * (qr2 - ql2)) / denom;
-        double fs3 = (sr * fl3 - sl * fr3 + sl * sr * (qr3 - ql3)) / denom;
-        *f0 = sl >= 0.0 ? fl0 : (sr <= 0.0 ? fr0 : fs0);
-        *f1 = sl >= 0.0 ? fl1 : (sr <= 0.0 ? fr1 : fs1);
-        *f2 = sl >= 0.0 ? fl2 : (sr <= 0.0 ? fr2 : fs2);
-        *f3 = sl >= 0.0 ? fl3 : (sr <= 0.0 ? fr3 : fs3);
-        return;
-    }
     double num = pr - pl + rl * ul * (sl - ul) - rr * ur * (sr - ur);
     double den = rl * (sl - ul) - rr * (sr - ur);
     den = den == 0.0 ? 1e-300 : den;
@@ -252,10 +219,11 @@ static inline int stencil_band(const double *qp, long n, long ng, int axis,
  * a > 0) and on face b+1 (if b < mx-1); otherwise the stages run over the
  * whole patch.  An empty band leaves one state per line: the stages run
  * over face 0 of every line, and the patch is skipped as quiescent when
- * face_keeps holds there, else swept in full. */
+ * face_keeps holds there, else swept in full.  It is always inlined into
+ * fused_sweep: left to gcc's heuristics it ran 2-5% slower per call. */
 static inline __attribute__((always_inline)) long
 sweep_body(double *restrict q, long P, long n, long ng,
-           const double *restrict dt_d, int axis, int rie, int lim, double gamma,
+           const double *restrict dt_d, int axis, double gamma,
            double *restrict w, double *restrict dw, double *restrict f,
            uint64_t *restrict diff, long *restrict cells) {
     long mx = n - 2 * ng;
@@ -279,7 +247,7 @@ sweep_body(double *restrict q, long P, long n, long ng,
         for (;;) {
             /* the faces k0..k1 the stages run over, and their W rows */
             long k0 = quiet ? 0 : a, k1 = quiet ? 0 : b + 1;
-            /* gather primitives (or raw conserved states for first order) */
+            /* gather primitives */
             for (long i = k0; i <= k1 + 3; i++) {
                 long ni = lo - 1 + i;
                 const double *q0r, *q1r, *q2r, *q3r;
@@ -297,71 +265,51 @@ sweep_body(double *restrict q, long P, long n, long ng,
                     q3r = qp + 3 * n * n + ng * n + ni;
                     stride = n;
                 }
-                if (lim < 0) {
-                    for (long j = 0; j < tan; j++) {
-                        W(0, i, j) = q0r[j * stride];
-                        W(1, i, j) = q1r[j * stride];
-                        W(2, i, j) = q2r[j * stride];
-                        W(3, i, j) = q3r[j * stride];
-                    }
-                } else {
-                    for (long j = 0; j < tan; j++) {
-                        double q0 = q0r[j * stride], q1 = q1r[j * stride];
-                        double q2 = q2r[j * stride], q3 = q3r[j * stride];
-                        double rho = npmax(q0, DENSITY_FLOOR);
-                        double u = q1 / rho, v = q2 / rho;
-                        double pp = (gamma - 1.0) *
-                            (q3 - (0.5 * rho) * (u * u + v * v));
-                        W(0, i, j) = rho;
-                        W(1, i, j) = u;
-                        W(2, i, j) = v;
-                        W(3, i, j) = npmax(pp, PRESSURE_FLOOR);
-                    }
+                for (long j = 0; j < tan; j++) {
+                    double q0 = q0r[j * stride], q1 = q1r[j * stride];
+                    double q2 = q2r[j * stride], q3 = q3r[j * stride];
+                    double rho = npmax(q0, DENSITY_FLOOR);
+                    double u = q1 / rho, v = q2 / rho;
+                    double pp = (gamma - 1.0) *
+                        (q3 - (0.5 * rho) * (u * u + v * v));
+                    W(0, i, j) = rho;
+                    W(1, i, j) = u;
+                    W(2, i, j) = v;
+                    W(3, i, j) = npmax(pp, PRESSURE_FLOOR);
                 }
             }
-            if (lim >= 0) {
-                /* limited slopes at W rows k0+1..k1+2 */
-                for (long c = 0; c < 4; c++) {
-                    for (long i = k0 + 1; i <= k1 + 2; i++) {
-                        const double *wm = &W(c, i - 1, 0);
-                        const double *wc = &W(c, i, 0);
-                        const double *wp = &W(c, i + 1, 0);
-                        double *out = &DW(c, i, 0);
-                        for (long j = 0; j < tan; j++) {
-                            double sa = wc[j] - wm[j];
-                            double sb = wp[j] - wc[j];
-                            out[j] = limit_one(lim, sa, sb);
-                        }
+            /* limited slopes at W rows k0+1..k1+2 */
+            for (long c = 0; c < 4; c++) {
+                for (long i = k0 + 1; i <= k1 + 2; i++) {
+                    const double *wm = &W(c, i - 1, 0);
+                    const double *wc = &W(c, i, 0);
+                    const double *wp = &W(c, i + 1, 0);
+                    double *out = &DW(c, i, 0);
+                    for (long j = 0; j < tan; j++) {
+                        double sa = wc[j] - wm[j];
+                        double sb = wp[j] - wc[j];
+                        out[j] = mc_slope(sa, sb);
                     }
                 }
             }
             for (long k = k0; k <= k1; k++) {
                 long il = k + 1, ir = k + 2; /* W rows of cells lo+k, lo+k+1 */
                 for (long j = 0; j < tan; j++) {
-                    double ql0, ql1, ql2, ql3, qr0, qr1, qr2, qr3;
-                    if (lim < 0) {
-                        ql0 = W(0, il, j); ql1 = W(1, il, j);
-                        ql2 = W(2, il, j); ql3 = W(3, il, j);
-                        qr0 = W(0, ir, j); qr1 = W(1, ir, j);
-                        qr2 = W(2, ir, j); qr3 = W(3, ir, j);
-                    } else {
-                        double wl0 = W(0, il, j) + 0.5 * DW(0, il, j);
-                        double wl1 = W(1, il, j) + 0.5 * DW(1, il, j);
-                        double wl2 = W(2, il, j) + 0.5 * DW(2, il, j);
-                        double wl3 = W(3, il, j) + 0.5 * DW(3, il, j);
-                        double wr0 = W(0, ir, j) - 0.5 * DW(0, ir, j);
-                        double wr1 = W(1, ir, j) - 0.5 * DW(1, ir, j);
-                        double wr2 = W(2, ir, j) - 0.5 * DW(2, ir, j);
-                        double wr3 = W(3, ir, j) - 0.5 * DW(3, ir, j);
-                        ql0 = wl0; ql1 = wl0 * wl1; ql2 = wl0 * wl2;
-                        ql3 = wl3 / (gamma - 1.0) +
-                            (0.5 * wl0) * (wl1 * wl1 + wl2 * wl2);
-                        qr0 = wr0; qr1 = wr0 * wr1; qr2 = wr0 * wr2;
-                        qr3 = wr3 / (gamma - 1.0) +
-                            (0.5 * wr0) * (wr1 * wr1 + wr2 * wr2);
-                    }
-                    flux_one(rie, gamma, ql0, ql1, ql2, ql3, qr0, qr1, qr2, qr3,
-                             &F(0, k, j), &F(1, k, j), &F(2, k, j), &F(3, k, j));
+                    double wl0 = W(0, il, j) + 0.5 * DW(0, il, j);
+                    double wl1 = W(1, il, j) + 0.5 * DW(1, il, j);
+                    double wl2 = W(2, il, j) + 0.5 * DW(2, il, j);
+                    double wl3 = W(3, il, j) + 0.5 * DW(3, il, j);
+                    double wr0 = W(0, ir, j) - 0.5 * DW(0, ir, j);
+                    double wr1 = W(1, ir, j) - 0.5 * DW(1, ir, j);
+                    double wr2 = W(2, ir, j) - 0.5 * DW(2, ir, j);
+                    double wr3 = W(3, ir, j) - 0.5 * DW(3, ir, j);
+                    double ql3 = wl3 / (gamma - 1.0) +
+                        (0.5 * wl0) * (wl1 * wl1 + wl2 * wl2);
+                    double qr3 = wr3 / (gamma - 1.0) +
+                        (0.5 * wr0) * (wr1 * wr1 + wr2 * wr2);
+                    hllc_flux(gamma, wl0, wl0 * wl1, wl0 * wl2, ql3,
+                              wr0, wr0 * wr1, wr0 * wr2, qr3,
+                              &F(0, k, j), &F(1, k, j), &F(2, k, j), &F(3, k, j));
                 }
             }
             /* The cells outside the band take the flux of face a (below)
@@ -405,33 +353,14 @@ sweep_body(double *restrict q, long P, long n, long ng,
 #undef F
 }
 
-/* Per-combination specializations let the compiler constant-fold the
- * riemann/limiter dispatch out of the inner loops (sweep_body is always
- * inlined, so each gets its own copy); anything else falls back to the
- * generic body. */
-#define SPECIALIZE(name, RIE, LIM)                                          \
-    static long name(double *restrict q, long P, long n, long ng,           \
-                     const double *restrict dt_d, int axis, double gamma,   \
-                     double *restrict w, double *restrict dw,               \
-                     double *restrict f, uint64_t *restrict diff,           \
-                     long *restrict cells) {                                \
-        return sweep_body(q, P, n, ng, dt_d, axis, (RIE), (LIM), gamma,     \
-                          w, dw, f, diff, cells);                           \
-    }
-
-SPECIALIZE(sweep_hllc_mc, 2, 2)
-SPECIALIZE(sweep_hllc_minmod, 2, 0)
-SPECIALIZE(sweep_hll_mc, 1, 2)
-SPECIALIZE(sweep_rusanov_mc, 0, 2)
-
-/* The sweep of sweep_body, dispatched: returns the number of quiescent
- * patches skipped and sets *cells to the number of cells updated; -1 if
- * its scratch cannot be allocated (the stack is then left as it was).
- * The arguments that stay fixed for one stack come first, so a caller can
+/* The sweep of sweep_body: returns the number of quiescent patches
+ * skipped and sets *cells to the number of cells updated; -1 if its
+ * scratch cannot be allocated (the stack is then left as it was).  The
+ * arguments that stay fixed for one stack come first, so a caller can
  * bind them once. */
 long fused_sweep(double *restrict q, long P, long n, long ng,
                  const double *restrict dt_d, double gamma,
-                 long *restrict cells, int rie, int lim, int axis) {
+                 long *restrict cells, int axis) {
     long mx = n - 2 * ng;
     long ncw = mx + 4, nf = mx + 1, tan = mx;
     double *w = malloc(sizeof(double) * 4 * ncw * tan);
@@ -440,23 +369,9 @@ long fused_sweep(double *restrict q, long P, long n, long ng,
     uint64_t *diff = malloc(sizeof(uint64_t) * (ncw - 1));
     long skipped = -1;
     *cells = 0;
-    if (w && dw && f && diff) {
-        if (rie == 2 && lim == 2)
-            skipped = sweep_hllc_mc(q, P, n, ng, dt_d, axis, gamma, w, dw, f,
-                                    diff, cells);
-        else if (rie == 2 && lim == 0)
-            skipped = sweep_hllc_minmod(q, P, n, ng, dt_d, axis, gamma, w, dw,
-                                        f, diff, cells);
-        else if (rie == 1 && lim == 2)
-            skipped = sweep_hll_mc(q, P, n, ng, dt_d, axis, gamma, w, dw, f,
-                                   diff, cells);
-        else if (rie == 0 && lim == 2)
-            skipped = sweep_rusanov_mc(q, P, n, ng, dt_d, axis, gamma, w, dw,
-                                       f, diff, cells);
-        else
-            skipped = sweep_body(q, P, n, ng, dt_d, axis, rie, lim, gamma,
-                                 w, dw, f, diff, cells);
-    }
+    if (w && dw && f && diff)
+        skipped = sweep_body(q, P, n, ng, dt_d, axis, gamma, w, dw, f, diff,
+                             cells);
     free(w); free(dw); free(f); free(diff);
     return skipped;
 }
@@ -464,9 +379,9 @@ long fused_sweep(double *restrict q, long P, long n, long ng,
 /* Per-patch CFL wave-speed maxima over patch interiors: sx[p] is the max
  * of |u|+c, sy[p] the max of |v|+c.  Per-cell arithmetic mirrors
  * primitive_from_conserved; the max reductions are order-insensitive, so
- * the values match PatchStack.compute_dt's bit for bit.  Each row runs the per-cell
- * arithmetic first, into cx/cy (a loop the compiler vectorizes), then the
- * scalar max over the row in cell order.  As numpy's max does, a NaN
+ * the values match repro.amr.batch.stack_wave_speeds's bit for bit.  Each
+ * row runs the per-cell arithmetic first, into cx/cy (a loop the compiler
+ * vectorizes), then the scalar max over the row in cell order.  As numpy's max does, a NaN
  * speed makes the maximum NaN, where the scalar max alone would skip it.
  * |u|+c and |v|+c are NaN exactly when c is (a NaN velocity makes the
  * pressure and so c NaN, and the sum of two non-NaN values >= 0 is not

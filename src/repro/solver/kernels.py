@@ -3,11 +3,13 @@
 The batched :class:`~repro.amr.driver.AmrDriver` steps its shape-stacked
 hierarchy through the routines in ``_amr_kernels.c``: the fused sweep, the
 CFL wave speeds and the physicality check of the stacked interiors, whose
-ctypes arguments :class:`StackKernels` converts once per stack array (for
-:class:`repro.amr.batch.StackStepper`), and each half of the ghost
-exchange program of :class:`repro.amr.batch.ExchangePlan` as one call,
-whose ctypes arguments :func:`bind_exchange` converts once.  This module
-owns the build-and-load lifecycle:
+ctypes arguments :class:`StackKernels` converts once per stack array (a
+:class:`repro.amr.batch.PatchStack` binds one to its own array when it is
+built), and each half of the ghost exchange program of
+:class:`repro.amr.batch.ExchangePlan` as one call, whose ctypes arguments
+:func:`bind_exchange` converts once.  The sweep implements one scheme, the
+one every AMR run uses: MUSCL with the MC limiter and the HLLC flux.  This
+module owns the build-and-load lifecycle:
 
 - **Build cache** — the shared library is compiled once per source hash
   into a per-user cache directory (override with ``REPRO_KERNEL_CACHE``)
@@ -17,14 +19,15 @@ owns the build-and-load lifecycle:
   fails for any reason) :func:`load` returns None, :func:`available`
   returns ``False``, and callers fall back to the numpy reference path;
   nothing in the repo *requires* the compiled kernels.  The first process
-  to load them on a machine pays the one-time build (a few seconds of
+  to load them on a machine pays the one-time build (about a second of
   ``gcc``).
 - **Bit-identity** — the C routines replicate the numpy expression trees
-  of :func:`repro.solver.fv._sweep_stack` and the other numpy paths
-  operation for operation and are built with ``-ffp-contract=off`` (no
-  FMA contraction), so their results are bit-for-bit equal to the
-  reference; ``tests/solver/test_kernels.py`` pins this for every
-  riemann x limiter combination, the exchange and the physicality check.
+  of :func:`repro.solver.fv._sweep_stack` (with ``"hllc"`` and ``"mc"``)
+  and the other numpy paths operation for operation and are built with
+  ``-ffp-contract=off`` (no FMA contraction), so their results are
+  bit-for-bit equal to the reference; ``tests/solver/test_kernels.py``
+  pins this for the sweep, the wave speeds, the exchange and the
+  physicality check.
 - **Skipped work, same bits** — the sweep updates only the band of
   normal cells whose stencil is not one state (bit for bit) in every
   line, keeps the rest when the full arithmetic would return them as they
@@ -50,10 +53,6 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
-
-#: Enum values shared with ``_amr_kernels.c``.
-RIEMANN_IDS = {"rusanov": 0, "hll": 1, "hllc": 2}
-LIMITER_IDS = {"minmod": 0, "superbee": 1, "mc": 2, "vanleer": 3, "none": -1}
 
 _SOURCE = Path(__file__).with_name("_amr_kernels.c")
 
@@ -100,7 +99,7 @@ def _bind(lib: ctypes.CDLL) -> ctypes.CDLL:
     ip = ctypes.POINTER(ctypes.c_int32)
     lib.fused_sweep.argtypes = [
         dp, ctypes.c_long, ctypes.c_long, ctypes.c_long, dp, ctypes.c_double,
-        ctypes.POINTER(ctypes.c_long), ctypes.c_int, ctypes.c_int, ctypes.c_int,
+        ctypes.POINTER(ctypes.c_long), ctypes.c_int,
     ]
     lib.fused_sweep.restype = ctypes.c_long
     lib.wave_speeds.argtypes = [
@@ -207,8 +206,8 @@ class StackKernels:
         )
         self._check = functools.partial(lib.check_physical, *stack, float(gamma))
 
-    def sweep(self, axis: int, riemann: str, limiter: str) -> tuple[int, int]:
-        """In-place fused dimensional sweep with the factors in ``dt_dx``.
+    def sweep(self, axis: int) -> tuple[int, int]:
+        """In-place fused HLLC/MC sweep with the factors in ``dt_dx``.
 
         ``axis`` 0 sweeps x, 1 sweeps y.  Only the band of normal cells
         whose stencil is not one state in every line is updated; the
@@ -217,7 +216,9 @@ class StackKernels:
         quiescent patches skipped, whose every line holds one state along
         the normal, and the cells updated.
         """
-        skipped = self._sweep(RIEMANN_IDS[riemann], LIMITER_IDS[limiter], axis)
+        if axis not in (0, 1):
+            raise ValueError(f"axis must be 0 or 1, got {axis!r}")
+        skipped = self._sweep(axis)
         if skipped < 0:
             raise MemoryError("the fused sweep could not allocate its scratch")
         return skipped, self._cells.value
@@ -233,63 +234,6 @@ class StackKernels:
     def check_physical(self) -> bool:
         """True iff every interior cell of the stack is physical."""
         return bool(self._check())
-
-
-def fused_sweep(
-    q: np.ndarray,
-    dt_dx: np.ndarray,
-    ng: int,
-    axis: int,
-    riemann: str,
-    limiter: str,
-    gamma: float,
-) -> int:
-    """In-place fused dimensional sweep over a ``(P, 4, n, n)`` sub-stack.
-
-    ``q`` must be C-contiguous float64 (a contiguous row slice of a
-    :class:`~repro.amr.batch.PatchStack` qualifies); ``dt_dx`` holds the
-    ``(P,)`` per-patch ``dt / dx`` factors.  ``axis`` 0 sweeps x, 1 sweeps y.
-
-    Returns the number of quiescent patches the kernel skipped: those
-    whose every line holds one state along the normal, for which the full
-    arithmetic would return the patch bit for bit.  In the others only the
-    band of :meth:`StackKernels.sweep` is computed.
-    """
-    bound = StackKernels(q, ng, gamma)
-    dtd = np.asarray(dt_dx, dtype=np.float64)
-    if dtd.shape != bound.dt_dx.shape:
-        raise ValueError(f"dt_dx must have shape {bound.dt_dx.shape}, got {dtd.shape}")
-    if axis not in (0, 1):
-        raise ValueError(f"axis must be 0 or 1, got {axis!r}")
-    bound.dt_dx[:] = dtd
-    return bound.sweep(int(axis), riemann, limiter)[0]
-
-
-def wave_speeds(
-    q: np.ndarray, ng: int, gamma: float, sx: np.ndarray, sy: np.ndarray
-) -> None:
-    """Per-patch interior maxima of ``|u|+c`` / ``|v|+c`` into sx / sy.
-
-    ``q`` must be C-contiguous float64 ``(P, 4, n, n)``; ``sx`` and ``sy``
-    C-contiguous float64 ``(P,)`` (a row slice of a scratch vector
-    qualifies).  NaN where a speed is NaN, as numpy's ``max``.
-    """
-    bound = StackKernels(q, ng, gamma)
-    for out in (sx, sy):
-        if not (out.flags.c_contiguous and out.dtype == np.float64
-                and out.shape == bound.sx.shape):
-            raise ValueError("sx and sy must be C-contiguous float64 of shape (P,)")
-    sx[:], sy[:] = bound.wave_speeds()
-
-
-def check_physical(q: np.ndarray, ng: int, gamma: float) -> bool:
-    """True iff every interior cell of the ``(P, 4, n, n)`` stack is physical.
-
-    The same boolean as :meth:`repro.amr.batch.PatchStack.check_physical`'s
-    numpy path: every field finite, density and pressure positive.  Ghost
-    cells are not read.
-    """
-    return StackKernels(q, ng, gamma).check_physical()
 
 
 def bind_exchange(

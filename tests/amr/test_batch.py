@@ -14,15 +14,18 @@ it), so identity is asserted on patch *interiors*, which are the only
 externally observable state.
 """
 
+import copy
+
 import numpy as np
 import pytest
 
 from repro.amr import AmrConfig, AmrDriver, ExchangePlan, PatchStack
-from repro.amr.batch import StackStepper
 from repro.amr.ghost import exchange_ghosts
 from repro.amr.patch import NUM_FIELDS
 from repro.amr.tagging import tag_for_refinement, tag_stack
 from repro.solver import ShockBubbleProblem, kernels
+from repro.solver.limiters import mc_limiter
+from repro.solver.riemann import hllc_flux
 from repro.solver.state import max_wave_speed
 
 RIEMANNS = ("rusanov", "hll", "hllc")
@@ -31,6 +34,16 @@ LIMITERS = ("minmod", "superbee", "mc", "vanleer", "none")
 
 def _problem():
     return ShockBubbleProblem(r0=0.3, rhoin=0.1, mach=2.0)
+
+
+def _poisoned(stack) -> np.ndarray:
+    """A copy of the stack state with every ghost cell poisoned."""
+    q = stack.q.copy()
+    ng = stack.ng
+    for band in (np.s_[:, :, :ng], np.s_[:, :, -ng:],
+                 np.s_[:, :, :, :ng], np.s_[:, :, :, -ng:]):
+        q[band] = 777.0
+    return q
 
 
 def _run(batched, riemann="hllc", limiter="mc", mx=8, max_level=2, t_end=0.05):
@@ -65,20 +78,36 @@ def _assert_identical(ref, fast):
     assert fast.conserved_totals() == ref.conserved_totals()
 
 
+def _assert_stepped(fast, compiled):
+    """Only HLLC with MC steps through the compiled kernels, when they
+    load; every other scheme steps through numpy, which skips no patch."""
+    compiled = compiled and kernels.available()
+    assert fast.stack().compiled is compiled
+    assert (fast.quiescent_sweeps > 0) is compiled
+
+
 class TestBitIdentity:
     """Batched stepping == per-patch reference, through regrid cycles."""
 
     @pytest.mark.parametrize("riemann", RIEMANNS)
     def test_riemann_solvers(self, riemann):
-        _assert_identical(
-            _run(False, riemann=riemann), _run(True, riemann=riemann)
-        )
+        fast = _run(True, riemann=riemann)
+        _assert_identical(_run(False, riemann=riemann), fast)
+        _assert_stepped(fast, compiled=riemann == "hllc")
 
     @pytest.mark.parametrize("limiter", LIMITERS)
     def test_limiters(self, limiter):
-        _assert_identical(
-            _run(False, limiter=limiter), _run(True, limiter=limiter)
-        )
+        fast = _run(True, limiter=limiter)
+        _assert_identical(_run(False, limiter=limiter), fast)
+        _assert_stepped(fast, compiled=limiter == "mc")
+
+    @pytest.mark.parametrize(
+        "field, fn", [("riemann", hllc_flux), ("limiter", mc_limiter)]
+    )
+    def test_callable_scheme_steps_numpy(self, field, fn):
+        fast = _run(True, **{field: fn})
+        _assert_identical(_run(False, **{field: fn}), fast)
+        _assert_stepped(fast, compiled=False)
 
     def test_deeper_hierarchy(self):
         """Three levels: the stack crosses coarse-fine interfaces heavily."""
@@ -184,6 +213,34 @@ class TestExchangePlan:
             for key, p in driver.patches.items():
                 assert np.array_equal(p.q, ref[key]), (executor, key)
 
+    @pytest.fixture(scope="class")
+    def signed_stack(self):
+        """A mixed-level hierarchy (coarse-fine + same-level + wall traffic)."""
+        cfg = AmrConfig(mx=8, min_level=1, max_level=3, batched=True)
+        driver = AmrDriver(ShockBubbleProblem(), cfg)
+        s = driver.stack()
+        levels = {q.level for _, q in driver.patches}
+        assert len(levels) >= 2, "fixture must exercise coarse-fine exchange"
+        # Signed, non-zero interiors: the shock-bubble state has no
+        # wall-normal momentum at the reflecting walls, which would hide a
+        # sign error there.
+        interior = s.interior
+        interior[...] = np.random.default_rng(0).uniform(-1.0, 1.0, interior.shape)
+        return s
+
+    @pytest.mark.skipif(not kernels.available(), reason="no compiled kernels")
+    def test_matches_plan_execute_kernels(self, signed_stack, monkeypatch):
+        """On the same poisoned stack, the compiled executor and numpy
+        write every ghost cell bit for bit alike."""
+        stack = signed_stack
+        got = _poisoned(stack)
+        stack.plan.execute(got)
+        monkeypatch.setattr(kernels, "load", lambda: None)
+        ref = _poisoned(stack)
+        stack.plan.execute(ref)
+        assert not np.array_equal(got, _poisoned(stack))
+        assert np.array_equal(got, ref)
+
     def test_program_is_int32(self, mixed_driver):
         plan = mixed_driver.stack().plan
         for arr in (plan.copy_dst, plan.copy_src, plan.neg_dst, plan.neg_src,
@@ -240,22 +297,13 @@ class TestExchangeHalves:
         _physical_interiors(driver.stack(), cfg.gamma)
         return driver
 
-    @staticmethod
-    def _poisoned(stack):
-        q = stack.q.copy()
-        ng = stack.ng
-        for band in (np.s_[:, :, :ng], np.s_[:, :, -ng:],
-                     np.s_[:, :, :, :ng], np.s_[:, :, :, -ng:]):
-            q[band] = 777.0
-        return q
-
     @pytest.mark.parametrize("executor", ["kernels", "numpy"])
     def test_halves_split_the_program_by_face(self, driver, executor, monkeypatch):
         if executor == "numpy":
             monkeypatch.setattr(kernels, "load", lambda: None)
         stack = driver.stack()
         plan, ng, n = stack.plan, stack.ng, stack.q.shape[-1]
-        poisoned = self._poisoned(stack)
+        poisoned = _poisoned(stack)
         runs = {}
         for axis in (0, 1, None):
             q = poisoned.copy()
@@ -282,17 +330,24 @@ class TestExchangeHalves:
     ):
         if executor == "numpy":
             monkeypatch.setattr(kernels, "load", lambda: None)
-        stack = driver.stack()
-        stepper = StackStepper.from_config(driver.config)
-        sx, sy = stepper.wave_speeds(stack.q)
+        # A stack of copies of the driver's patches, built (and so bound)
+        # under this executor.
+        stack = PatchStack(
+            driver.forest,
+            {key: copy.copy(p) for key, p in driver.patches.items()},
+            driver.config,
+        )
+        assert stack.compiled is (executor == "kernels" and kernels.available())
+        sx, sy = stack.wave_speeds()
         dt_dx = 0.3 * stack.dx.min() / max(sx.max(), sy.max()) / stack.dx
+        poisoned = _poisoned(stack)
         interiors = []
         for half in (axis, None):
-            q = self._poisoned(stack)
-            stack.plan.execute(q, half)
-            stepper.sweep(q, dt_dx, axis)
-            interiors.append(q[:, :, stack.ng:-stack.ng, stack.ng:-stack.ng])
-        assert not np.array_equal(interiors[0], stack.interior)
+            stack.q[...] = poisoned
+            stack.plan.execute(stack.q, half)
+            stack.sweep(dt_dx, axis)
+            interiors.append(stack.interior.copy())
+        assert not np.array_equal(interiors[0], driver.stack().interior)
         assert np.array_equal(interiors[0].view(np.uint64), interiors[1].view(np.uint64))
 
 
@@ -387,10 +442,7 @@ class TestStackLifecycle:
     def test_empty_hierarchy_rejected(self):
         driver = self._driver()
         with pytest.raises(ValueError, match="empty"):
-            PatchStack(
-                driver.forest, {}, driver.config.mx, driver.config.ng,
-                driver.config.bcs,
-            )
+            PatchStack(driver.forest, {}, driver.config)
 
     def test_total_bytes_matches_patch_sum(self):
         driver = self._driver()
@@ -402,7 +454,7 @@ class TestStackLifecycle:
     def test_check_physical_flags_bad_cell(self):
         driver = self._driver()
         stack = driver.stack()
-        assert stack.check_physical(driver.config.gamma)
+        assert stack.check_physical()
         key = next(iter(driver.patches))
         driver.patches[key].interior[0, 2, 2] = -1.0
-        assert not stack.check_physical(driver.config.gamma)
+        assert not stack.check_physical()

@@ -6,7 +6,7 @@ import pytest
 from repro import obs
 from repro.amr import AmrConfig, AmrDriver
 from repro.mesh.balance import balance_deficits, is_balanced
-from repro.solver import ShockBubbleProblem
+from repro.solver import ShockBubbleProblem, kernels
 from repro.solver.limiters import mc_limiter
 from repro.solver.riemann import hllc_flux
 from repro.solver.state import check_physical
@@ -35,6 +35,28 @@ class TestConfigValidation:
     def test_rejects_odd_ng(self):
         with pytest.raises(ValueError):
             AmrConfig(ng=3)
+
+    @pytest.mark.parametrize("cfl", [np.nan, np.inf, 0.0, -0.4])
+    def test_rejects_cfl_that_is_not_finite_and_positive(self, cfl):
+        """``min(dt_max, nan)`` is ``dt_max``: a NaN or infinite cfl would
+        drop the CFL limit and step to t_end at once."""
+        with pytest.raises(ValueError, match="cfl"):
+            AmrConfig(cfl=cfl)
+
+    @pytest.mark.parametrize("field", ["refine_threshold", "coarsen_threshold"])
+    def test_rejects_nan_threshold(self, field):
+        """No indicator exceeds NaN, so a NaN threshold would never
+        refine; an infinite one stays valid."""
+        with pytest.raises(ValueError, match="NaN"):
+            AmrConfig(**{field: np.nan})
+        AmrConfig(refine_threshold=np.inf)
+
+    @pytest.mark.parametrize("field", ["riemann", "limiter"])
+    def test_rejects_unknown_scheme_name(self, field):
+        """Rejected at construction, not at the first sweep."""
+        with pytest.raises(ValueError, match="unknown"):
+            AmrConfig(**{field: "roe"})
+        AmrConfig(limiter="none")
 
     def test_rejects_non_integer_domain(self):
         prob = ShockBubbleProblem(width=2.0, height=1.0)
@@ -199,7 +221,7 @@ class TestCallableSolver:
         for key, p in named.patches.items():
             assert np.array_equal(driver.patches[key].q, p.q)
         assert driver.conserved_totals() == named.conserved_totals()
-        assert not driver._stepper.compiled
+        assert not driver.stack().compiled
 
 
 class TestPhaseTimers:
@@ -239,9 +261,29 @@ class TestPhaseTimers:
         assert run.attrs["quiescent_sweeps"] == driver.quiescent_sweeps
         assert run.attrs["swept_cells"] == driver.swept_cells
         every_cell = run.attrs["patch_sweeps"] * driver.config.mx ** 2
-        if driver._stepper.compiled:
+        assert run.attrs["compiled"] == kernels.available()
+        if run.attrs["compiled"]:
             assert 0 < run.attrs["quiescent_sweeps"] < run.attrs["patch_sweeps"]
             assert 0 < run.attrs["swept_cells"] < every_cell
         else:
             assert run.attrs["quiescent_sweeps"] == 0
             assert run.attrs["swept_cells"] == every_cell
+
+    @pytest.mark.parametrize("limiter", ["mc", "minmod"])
+    def test_run_span_says_which_path_stepped(self, limiter):
+        """``compiled`` sits next to ``batched``: only the default scheme
+        steps through the compiled kernels, when they load; any other
+        steps through numpy, which skips no patch."""
+        driver = AmrDriver(
+            ShockBubbleProblem(), AmrConfig(mx=8, max_level=3, limiter=limiter)
+        )
+        obs.enable_tracing()
+        try:
+            driver.run(t_end=0.005)
+            (run,) = [s for s in obs.tracer().spans() if s.name == "amr_run"]
+        finally:
+            obs.disable_tracing()
+        compiled = limiter == "mc" and kernels.available()
+        assert run.attrs["batched"] is True
+        assert run.attrs["compiled"] is compiled
+        assert (run.attrs["quiescent_sweeps"] > 0) is compiled

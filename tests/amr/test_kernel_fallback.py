@@ -51,7 +51,7 @@ def per_patch():
 
 def test_numpy_fallback_matches_per_patch(no_compiler, per_patch):
     driver = _run(batched=True)
-    assert not driver._stepper.compiled and not driver.stack().plan._staging
+    assert not driver.stack().compiled and not driver.stack().plan._staging
     assert driver.quiescent_sweeps == per_patch.quiescent_sweeps == 0
     _assert_same_run(per_patch, driver)
 
@@ -59,7 +59,7 @@ def test_numpy_fallback_matches_per_patch(no_compiler, per_patch):
 @needs_kernels
 def test_kernels_match_per_patch(per_patch):
     driver = _run(batched=True)
-    assert driver._stepper.compiled and driver.stack().plan._staging
+    assert driver.stack().compiled and driver.stack().plan._staging
     assert driver.quiescent_sweeps > 0  # real states reach the shortcut
     _assert_same_run(per_patch, driver)
 

@@ -6,6 +6,12 @@ therefore rests on each kernel replicating the numpy expression tree
 exactly (same operation order, same guards, compiled with
 ``-ffp-contract=off``).  Every comparison here is ``array_equal`` — no
 tolerances — and the physicality check must return numpy's boolean.
+
+The compiled sweep implements one scheme, HLLC with MC.  The sweep tests
+run every named scheme from the same states, as a stack of that scheme
+steps it: HLLC with MC through the kernel, against numpy's stacked sweep,
+and every other scheme through numpy's stacked sweep, against the
+per-patch sweep.
 """
 
 import numpy as np
@@ -13,8 +19,8 @@ import pytest
 
 from repro.amr.batch import ExchangePlan, stack_wave_speeds
 from repro.amr.transfer import prolong_patch, restrict_area_average
-from repro.solver import kernels
-from repro.solver.fv import _sweep_stack
+from repro.solver import LIMITERS, RIEMANN_SOLVERS, kernels
+from repro.solver.fv import _sweep_stack, sweep_x, sweep_y
 from repro.solver.riemann import _wave_speeds_davis
 from repro.solver.state import check_physical, primitive_from_conserved
 
@@ -28,7 +34,7 @@ N = MX + 2 * NG
 GAMMA = 1.4
 
 
-def _random_stack(seed: int, P: int = 3, gamma: float = GAMMA) -> np.ndarray:
+def _random_stack(seed, P: int = 3, gamma: float = GAMMA) -> np.ndarray:
     """A (P, 4, N, N) conservative state with positive density/pressure."""
     rng = np.random.default_rng(seed)
     rho = rng.uniform(0.5, 2.0, (P, N, N))
@@ -59,68 +65,78 @@ def _same_bits(a, b):
     return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
-def _sweep_both(q, dt_dx, axis, riemann, limiter):
-    """The kernel's result and skip count, and numpy's result, from ``q``."""
-    ref = q.copy()
-    with np.errstate(all="ignore"):
-        _sweep_stack(ref, dt_dx, NG, "x" if axis == 0 else "y",
-                     riemann, limiter, GAMMA)
-    got = q.copy()
-    skipped = kernels.fused_sweep(got, dt_dx, NG, axis, riemann, limiter, GAMMA)
-    return got, skipped, ref
+def _compiled(riemann, limiter):
+    """True iff the kernel sweeps this scheme (numpy sweeps every other)."""
+    return (riemann, limiter) == ("hllc", "mc")
 
+
+def _sweep_both(q, dt_dx, axis, riemann, limiter):
+    """A stack's sweep of this scheme from ``q``, and its reference:
+    ``(result, skipped, cells, reference)``.
+
+    HLLC with MC runs the kernel, whose reference is numpy's stacked
+    sweep.  Any other scheme runs numpy's stacked sweep, which skips no
+    patch and updates every cell; its reference is the per-patch sweep of
+    each patch, whose interior replaces that of ``q``.
+    """
+    stacked = q.copy()
+    with np.errstate(all="ignore"):
+        _sweep_stack(stacked, dt_dx, NG, "x" if axis == 0 else "y",
+                     riemann, limiter, GAMMA)
+    if _compiled(riemann, limiter):
+        got = q.copy()
+        bound = kernels.StackKernels(got, NG, GAMMA)
+        bound.dt_dx[:] = dt_dx
+        return (got, *bound.sweep(axis), stacked)
+    ref = q.copy()
+    sweep = sweep_x if axis == 0 else sweep_y
+    for p, patch in enumerate(q.copy()):
+        with np.errstate(all="ignore"):
+            sweep(patch, dt_dx[p], NG, riemann, limiter, GAMMA)
+        ref[p, :, NG:-NG, NG:-NG] = patch[:, NG:-NG, NG:-NG]
+    return stacked, 0, len(q) * MX * MX, ref
+
+
+#: Every solver and limiter name a stack can be configured with.
+RIEMANN_NAMES = sorted(RIEMANN_SOLVERS)
+LIMITER_NAMES = sorted([*LIMITERS, "none"])
 
 every_scheme = pytest.mark.parametrize(
     "riemann, limiter, axis",
-    [(r, lim, a) for r in sorted(kernels.RIEMANN_IDS)
-     for lim in sorted(kernels.LIMITER_IDS) for a in (0, 1)],
+    [(r, lim, a) for r in RIEMANN_NAMES for lim in LIMITER_NAMES for a in (0, 1)],
 )
 
 
 class TestFusedSweep:
-    @pytest.mark.parametrize("riemann", sorted(kernels.RIEMANN_IDS))
-    @pytest.mark.parametrize("limiter", sorted(kernels.LIMITER_IDS))
+    @pytest.mark.parametrize("riemann", RIEMANN_NAMES)
+    @pytest.mark.parametrize("limiter", LIMITER_NAMES)
     @pytest.mark.parametrize("axis", [0, 1])
     def test_matches_numpy_sweep(self, riemann, limiter, axis):
-        q = _random_stack(seed=hash((riemann, limiter, axis)) % 2**32)
-        dt_dx = np.full(len(q), 0.01)
-        ref = q.copy()
-        _sweep_stack(ref, dt_dx, NG, "x" if axis == 0 else "y",
-                     riemann, limiter, GAMMA)
-        got = q.copy()
-        kernels.fused_sweep(got, dt_dx, NG, axis, riemann, limiter, GAMMA)
+        q = _random_stack(seed=(RIEMANN_NAMES.index(riemann),
+                                LIMITER_NAMES.index(limiter), axis))
+        got, _, _, ref = _sweep_both(q, np.full(len(q), 0.01), axis,
+                                     riemann, limiter)
         assert np.array_equal(got, ref)
 
     def test_per_patch_dt_dx(self):
         q = _random_stack(seed=7, P=4)
         dt_dx = np.array([0.005, 0.01, 0.02, 0.04])
-        ref = q.copy()
-        _sweep_stack(ref, dt_dx, NG, "x", "hllc", "mc", GAMMA)
-        got = q.copy()
-        kernels.fused_sweep(got, dt_dx, NG, 0, "hllc", "mc", GAMMA)
+        got, _, _, ref = _sweep_both(q, dt_dx, 0, "hllc", "mc")
         assert np.array_equal(got, ref)
 
     def test_rejects_noncontiguous(self):
         q = _random_stack(seed=3)[:, :, ::2, :]
         with pytest.raises(ValueError):
-            kernels.fused_sweep(q, np.ones(len(q)), NG, 0, "hllc", "mc", GAMMA)
-
-    def test_rejects_dt_dx_not_one_per_patch(self):
-        """C reads one factor per patch: a shorter buffer would be read
-        past its end."""
-        q = _random_stack(seed=4)
-        for bad in (np.full(len(q) - 1, 0.01), np.full((len(q), 1), 0.01),
-                    np.float64(0.01)):
-            with pytest.raises(ValueError):
-                kernels.fused_sweep(q, bad, NG, 0, "hllc", "mc", GAMMA)
+            kernels.StackKernels(q, NG, GAMMA)
 
     def test_rejects_axis_outside_0_1(self):
         q = _random_stack(seed=4)
+        got = q.copy()
+        bound = kernels.StackKernels(got, NG, GAMMA)
+        bound.dt_dx[:] = 0.01
         for axis in (2, -1):
-            got = q.copy()
             with pytest.raises(ValueError):
-                kernels.fused_sweep(got, np.full(len(q), 0.01), NG, axis,
-                                    "hllc", "mc", GAMMA)
+                bound.sweep(axis)
             assert _same_bits(got, q)
 
 
@@ -138,8 +154,9 @@ class TestQuiescentSweep:
     def test_quiescent_patches_among_random_ones(self, riemann, limiter, axis):
         q = _random_stack(seed=31, P=5)
         q[[0, 2, 4]] = _uniform(*CALM)
-        got, skipped, ref = _sweep_both(q, np.full(5, 0.01), axis, riemann, limiter)
-        assert skipped == 3
+        got, skipped, _, ref = _sweep_both(q, np.full(5, 0.01), axis,
+                                           riemann, limiter)
+        assert skipped == (3 if _compiled(riemann, limiter) else 0)
         assert _same_bits(got, ref)
         assert _same_bits(got[[0, 2, 4]], q[[0, 2, 4]])
 
@@ -154,8 +171,8 @@ class TestQuiescentSweep:
                 q = _uniform(CALM[1])
                 cell = (ghost, NG) if axis == 0 else (NG, ghost)
                 q[0, field][cell] *= 1.25
-                got, skipped, ref = _sweep_both(q, np.full(1, 0.01), axis,
-                                                riemann, limiter)
+                got, skipped, _, ref = _sweep_both(q, np.full(1, 0.01), axis,
+                                                   riemann, limiter)
                 assert skipped == 0, (ghost, field)
                 assert _same_bits(got, ref), (ghost, field)
                 if ghost == NG - 1:
@@ -167,8 +184,9 @@ class TestQuiescentSweep:
         for rows in (slice(None, NG), slice(-NG, None)):
             for cols in (slice(None, NG), slice(-NG, None)):
                 q[0, :, rows, cols] = np.nan
-        got, skipped, ref = _sweep_both(q, np.full(1, 0.01), axis, riemann, limiter)
-        assert skipped == 1
+        got, skipped, _, ref = _sweep_both(q, np.full(1, 0.01), axis,
+                                           riemann, limiter)
+        assert skipped == int(_compiled(riemann, limiter))
         assert _same_bits(got, ref) and _same_bits(got, q)
 
     @every_scheme
@@ -177,10 +195,12 @@ class TestQuiescentSweep:
         x - (-0.0), which turns them into +0.0, so that sweep must run."""
         q = _uniform(_state(1.0, 0.0, 0.0, 1.0))
         q[0, 1:3] = -0.0
-        got, skipped, ref = _sweep_both(q, np.array([0.0]), axis, riemann, limiter)
-        assert skipped == 1
+        got, skipped, _, ref = _sweep_both(q, np.array([0.0]), axis,
+                                           riemann, limiter)
+        assert skipped == int(_compiled(riemann, limiter))
         assert _same_bits(got, ref) and _same_bits(got, q)
-        got, skipped, ref = _sweep_both(q, np.array([-0.0]), axis, riemann, limiter)
+        got, skipped, _, ref = _sweep_both(q, np.array([-0.0]), axis,
+                                           riemann, limiter)
         assert skipped == 0
         assert _same_bits(got, ref)
         assert not _same_bits(ref, q)
@@ -192,7 +212,8 @@ class TestQuiescentSweep:
         q = _uniform(np.array([1.0, 1e200, 0.0, 1.0]))
         if axis == 1:
             q[0, [1, 2]] = q[0, [2, 1]]  # the sweep-normal momentum
-        got, skipped, ref = _sweep_both(q, np.full(1, 0.01), axis, riemann, limiter)
+        got, skipped, _, ref = _sweep_both(q, np.full(1, 0.01), axis,
+                                           riemann, limiter)
         assert skipped == 0
         assert _same_bits(got, ref)
         assert np.isnan(ref[:, :, NG:-NG, NG:-NG]).any()
@@ -218,20 +239,6 @@ def _outside(q, axis, band):
     return inner[:, keep] if axis == 0 else inner[:, :, keep]
 
 
-def _band_both(q, dt_dx, axis, riemann, limiter):
-    """The kernel's result, skip count and updated cells, and numpy's
-    result, from the one-patch stack ``q``."""
-    ref = q.copy()
-    with np.errstate(all="ignore"):
-        _sweep_stack(ref, dt_dx, NG, "x" if axis == 0 else "y",
-                     riemann, limiter, GAMMA)
-    got = q.copy()
-    bound = kernels.StackKernels(got, NG, GAMMA)
-    bound.dt_dx[:] = dt_dx
-    skipped, cells = bound.sweep(axis, riemann, limiter)
-    return got, skipped, cells, ref
-
-
 def _planar(axis, low, high, at):
     """One patch holding ``low`` below normal index ``at`` and ``high`` from
     it on, in every line (states given with the normal momentum in slot 1)."""
@@ -250,7 +257,8 @@ class TestBandSweep:
     """Only the band of cells whose stencil is not one state in every line
     is updated; the cells outside it are kept only when the full
     arithmetic keeps them, bit for bit.  Every result is compared bit for
-    bit with numpy's, and the updated cells with the band rule."""
+    bit with its reference, and the kernel's updated cells with the band
+    rule (numpy's stacked sweep updates every cell)."""
 
     @every_scheme
     def test_planar_jump_at_each_position(self, riemann, limiter, axis):
@@ -258,11 +266,12 @@ class TestBandSweep:
         changes no cell outside it."""
         for at in range(1, N):
             q = _planar(axis, LOW, HIGH, at)
-            got, skipped, cells, ref = _band_both(q, np.full(1, 0.01), axis,
-                                                  riemann, limiter)
+            got, skipped, cells, ref = _sweep_both(q, np.full(1, 0.01), axis,
+                                                   riemann, limiter)
             band = _band(q, axis)
             assert skipped == 0, at
-            assert cells == (band[1] - band[0] + 1) * MX, at
+            assert cells == (band[1] - band[0] + 1 if _compiled(riemann, limiter)
+                             else MX) * MX, at
             assert _same_bits(got, ref), at
             assert _same_bits(_outside(ref, axis, band), _outside(q, axis, band)), at
 
@@ -278,9 +287,10 @@ class TestBandSweep:
             else:
                 q[0, :, t, :] = st[[0, 2, 1, 3]][:, None]
         assert _band(q, axis) is None
-        got, skipped, cells, ref = _band_both(q, np.full(1, 0.01), axis,
-                                              riemann, limiter)
-        assert (skipped, cells) == (1, 0)
+        got, skipped, cells, ref = _sweep_both(q, np.full(1, 0.01), axis,
+                                               riemann, limiter)
+        assert (skipped, cells) == ((1, 0) if _compiled(riemann, limiter)
+                                    else (0, MX * MX))
         assert _same_bits(got, ref) and _same_bits(got, q)
 
     @every_scheme
@@ -295,18 +305,17 @@ class TestBandSweep:
                 q[0, normal, ghosts, :] = -0.0
             else:
                 q[0, normal, :, ghosts] = -0.0
-            got, skipped, cells, ref = _band_both(q, np.full(1, 0.01), axis,
-                                                  riemann, limiter)
-            assert (skipped, cells) == (0, 2 * MX)
+            got, skipped, cells, ref = _sweep_both(q, np.full(1, 0.01), axis,
+                                                   riemann, limiter)
+            assert (skipped, cells) == (
+                0, 2 * MX if _compiled(riemann, limiter) else MX * MX)
             assert _same_bits(got, ref)
 
     @every_scheme
     def test_non_finite_uniform_side_runs_the_full_range(self, riemann, limiter, axis):
         """A NaN in any field, or an infinite energy, on one side of a jump:
         the flux there is not finite, numpy writes NaN over that side, and
-        the kernel must sweep every cell.  (From an infinite state the
-        superbee slopes of numpy and C are NaNs of different sign bits, so
-        that case compares values, NaN matching NaN.)"""
+        the kernel must sweep every cell, NaN sign bits included."""
         bad = [LOW.copy() for _ in range(5)]
         for field in range(4):
             bad[field][field] = np.nan
@@ -314,14 +323,11 @@ class TestBandSweep:
         for state in bad:
             for low, high, at in ((state, HIGH, 7), (LOW, state, 5)):
                 q = _planar(axis, low, high, at)
-                got, skipped, cells, ref = _band_both(q, np.full(1, 0.01), axis,
-                                                      riemann, limiter)
+                got, skipped, cells, ref = _sweep_both(q, np.full(1, 0.01), axis,
+                                                       riemann, limiter)
                 band = _band(q, axis)
                 assert (skipped, cells) == (0, MX * MX), (state, at)
-                if np.isinf(state).any():
-                    assert np.array_equal(got, ref, equal_nan=True), at
-                else:
-                    assert _same_bits(got, ref), (state, at)
+                assert _same_bits(got, ref), (state, at)
                 assert not _same_bits(_outside(ref, axis, band),
                                       _outside(q, axis, band)), (state, at)
 
@@ -331,8 +337,8 @@ class TestBandSweep:
         fast = np.array([1.0, 1e200, 0.0, 1.0])
         for low, high, at in ((fast, LOW, 7), (LOW, fast, 5)):
             q = _planar(axis, low, high, at)
-            got, skipped, cells, ref = _band_both(q, np.full(1, 0.01), axis,
-                                                  riemann, limiter)
+            got, skipped, cells, ref = _sweep_both(q, np.full(1, 0.01), axis,
+                                                   riemann, limiter)
             assert (skipped, cells) == (0, MX * MX), at
             assert _same_bits(got, ref), at
 
@@ -348,10 +354,11 @@ class TestBandSweep:
         q = _planar(axis, cold, dense, 6)
         band = _band(q, axis)
         for fac, full in ((0.0, False), (-0.0, True), (-0.01, True)):
-            got, skipped, cells, ref = _band_both(q, np.array([fac]), axis,
-                                                  riemann, limiter)
+            got, skipped, cells, ref = _sweep_both(q, np.array([fac]), axis,
+                                                   riemann, limiter)
+            kept = not full and _compiled(riemann, limiter)
             assert skipped == 0, fac
-            assert cells == (MX * MX if full else (band[1] - band[0] + 1) * MX), fac
+            assert cells == ((band[1] - band[0] + 1) * MX if kept else MX * MX), fac
             assert _same_bits(got, ref), fac
             assert _same_bits(_outside(ref, axis, band),
                               _outside(q, axis, band)) != full, fac
@@ -368,7 +375,7 @@ class TestBandSweep:
         _sweep_stack(ref, dt_dx, NG, "x", "hllc", "mc", GAMMA)
         bound = kernels.StackKernels(q, NG, GAMMA)
         bound.dt_dx[:] = dt_dx
-        skipped, cells = bound.sweep(0, "hllc", "mc")
+        skipped, cells = bound.sweep(0)
         assert skipped == 1
         assert cells == sum(b - a + 1 for a, b in bands) * MX + MX * MX
         assert _same_bits(q, ref)
@@ -442,8 +449,8 @@ class TestHllcFaces:
     @every_scheme
     def test_matches_numpy(self, riemann, limiter, axis):
         q = _face_stack(axis)
-        got, skipped, ref = _sweep_both(q, np.full(len(q), 0.01), axis,
-                                        riemann, limiter)
+        got, skipped, _, ref = _sweep_both(q, np.full(len(q), 0.01), axis,
+                                           riemann, limiter)
         assert skipped == 0
         assert _same_bits(got, ref)
 
@@ -451,17 +458,14 @@ class TestHllcFaces:
 class TestWaveSpeeds:
     def test_matches_numpy(self):
         q = _random_stack(seed=11, P=5)
-        sx = np.empty(5)
-        sy = np.empty(5)
-        kernels.wave_speeds(q, NG, GAMMA, sx, sy)
+        sx, sy = kernels.StackKernels(q, NG, GAMMA).wave_speeds()
         rx, ry = stack_wave_speeds(q[:, :, NG:-NG, NG:-NG], GAMMA)
         assert np.array_equal(sx, rx)
         assert np.array_equal(sy, ry)
 
     @staticmethod
     def _both(q):
-        sx, sy = np.empty(len(q)), np.empty(len(q))
-        kernels.wave_speeds(q, NG, GAMMA, sx, sy)
+        sx, sy = kernels.StackKernels(q, NG, GAMMA).wave_speeds()
         with np.errstate(all="ignore"):
             rx, ry = stack_wave_speeds(q[:, :, NG:-NG, NG:-NG], GAMMA)
         assert _same_bits(sx, rx) and _same_bits(sy, ry)
@@ -485,23 +489,12 @@ class TestWaveSpeeds:
         for cell in ((NG + 3, NG + 5), (NG + MX - 1, NG + MX - 1)):
             bad = q.copy()
             bad[1, field][cell] = np.nan
-            sx, sy = np.empty(3), np.empty(3)
-            kernels.wave_speeds(bad, NG, GAMMA, sx, sy)
+            sx, sy = kernels.StackKernels(bad, NG, GAMMA).wave_speeds()
             with np.errstate(all="ignore"):
                 rx, ry = stack_wave_speeds(bad[:, :, NG:-NG, NG:-NG], GAMMA)
             assert np.isnan(rx[1]) and np.isnan(ry[1])
             assert np.array_equal(sx, rx, equal_nan=True), cell
             assert np.array_equal(sy, ry, equal_nan=True), cell
-
-    def test_rejects_bad_buffers(self):
-        q = _random_stack(seed=5, P=4)
-        ok = np.empty(4)
-        with pytest.raises(ValueError):
-            kernels.wave_speeds(q[:, :, ::2], NG, GAMMA, ok, ok.copy())
-        with pytest.raises(ValueError):
-            kernels.wave_speeds(q, NG, GAMMA, np.empty(3), ok)
-        with pytest.raises(ValueError):
-            kernels.wave_speeds(q, NG, GAMMA, ok, np.empty(8)[::2])
 
 
 #: Traffic of an exchange program with nothing to move, by field.
@@ -647,7 +640,7 @@ class TestCheckPhysical:
         return check_physical(np.moveaxis(q[:, :, NG:-NG, NG:-NG], 1, 0), gamma)
 
     def _both(self, q, gamma):
-        got = kernels.check_physical(q, NG, gamma)
+        got = kernels.StackKernels(q, NG, gamma).check_physical()
         assert isinstance(got, bool)
         assert got == self._numpy(q, gamma)
         return got
@@ -698,6 +691,6 @@ class TestCheckPhysical:
         for bad in (q[:, :, ::2, :], q[:, :3].copy(), q[:, :, :, :-1].copy(),
                     q[0].copy()):
             with pytest.raises(ValueError):
-                kernels.check_physical(bad, NG, GAMMA)
+                kernels.StackKernels(bad, NG, GAMMA)
         with pytest.raises(ValueError):
-            kernels.check_physical(q, N // 2, GAMMA)
+            kernels.StackKernels(q, N // 2, GAMMA)
